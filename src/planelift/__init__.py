@@ -63,7 +63,6 @@ from .reps import (
 )
 from .so2_so3 import (
     Rotation3,
-    SO2Irrep,
     SphericalHarmonicBasis,
     restrict_wigner,
     sph_eval,

@@ -34,6 +34,7 @@ from .layers import (
     sphere_to_so3_correlation,
 )
 from .reps import decompose, irrep_table, regular_representation, trivial_representation
+from .so2_so3 import Rotation3
 
 _USAGE_ERROR = 2
 
@@ -47,6 +48,11 @@ def _out_path(path: str) -> str:
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
+
+
+def _deg(rad: float) -> str:
+    """An angle in degrees on [0, 360), to three decimals."""
+    return f"{round(float(np.rad2deg(rad)), 3) % 360.0:.3f}"
 
 
 def _parse_rep_spec(text: str) -> SO2RepSpec:
@@ -266,14 +272,16 @@ def _cmd_demo_pose(args) -> int:
             fh.write("alpha,beta,gamma,prob\n")
             for g, p in zip(grid, probs):
                 fh.write(f"{g.alpha:.8f},{g.beta:.8f},{g.gamma:.8f},{p:.10e}\n")
-    spin = best.alpha + best.gamma if best.beta < 1e-9 else best.alpha
+    # At a pole every cell with the same alpha +/- gamma is one rotation, and
+    # rounding picks which of them wins; the canonical triple has gamma = 0.
+    pose = Rotation3.from_matrix(best.matrix())
     _emit({
         "pattern": args.pattern,
         "true_angle_deg": args.angle,
-        "argmax": {"alpha_deg": f"{np.rad2deg(best.alpha):.3f}",
-                   "beta_deg": f"{np.rad2deg(best.beta):.3f}",
-                   "gamma_deg": f"{np.rad2deg(best.gamma):.3f}"},
-        "estimated_in_plane_deg": f"{np.rad2deg(spin) % 360.0:.3f}",
+        "argmax": {"alpha_deg": _deg(pose.alpha),
+                   "beta_deg": f"{np.rad2deg(pose.beta):.3f}",
+                   "gamma_deg": _deg(pose.gamma)},
+        "estimated_in_plane_deg": _deg(pose.alpha),
         "grid_cells": len(grid),
     })
     return 0

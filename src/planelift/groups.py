@@ -247,6 +247,12 @@ def _alternating(n: int) -> FiniteGroup:
 _MAX_ORDER = 120
 
 
+def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Whether two groups share one multiplication table. Names are not
+    compared: every raw table is named ``"custom"``."""
+    return a is b or np.array_equal(a.mul, b.mul)
+
+
 def build_group(spec: str | np.ndarray) -> FiniteGroup:
     """Build a named group or validate an explicit multiplication table.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CosetDecomposition, SubgroupEmbedding, coset_decomposition
+from .groups import CosetDecomposition, SubgroupEmbedding, _same_group, coset_decomposition
 from .reps import (
     Decomposition,
     IrrepTable,
@@ -67,7 +67,7 @@ class InductionTable:
 
 def restrict(rep: Representation, embedding: SubgroupEmbedding) -> Representation:
     """Evaluate a parent-group representation on the embedded subgroup."""
-    if rep.group.name != embedding.parent.name:
+    if not _same_group(rep.group, embedding.parent):
         raise ValueError("representation is not defined on the embedding's parent group")
     return Representation(embedding.sub, rep.matrices[embedding.embed],
                           f"Res({rep.label})")
@@ -81,7 +81,7 @@ def induce(rep: Representation, cosets: CosetDecomposition) -> Representation:
     subgroup matrix of ``factor[g, i]``. Output dimension is the coset
     index times the input dimension.
     """
-    if rep.group.name != cosets.embedding.sub.name:
+    if not _same_group(rep.group, cosets.embedding.sub):
         raise ValueError("representation is not defined on the embedding's subgroup")
     m = cosets.n_cosets
     d = rep.dim

@@ -13,8 +13,9 @@ rotation group, plane to volume slices, plane to translation-times-sphere);
 an analytic frequency-matching count and a grid-discretized nullspace
 oracle serve as independent checks.
 
-Per-degree and per-slice solves share no mutable state and may be
-dispatched in parallel by callers.
+The height coordinate is inert under in-plane rotation, so the two
+height-sliced families solve their basis once and share that one object
+across every slice.
 """
 
 from __future__ import annotations
@@ -170,12 +171,14 @@ class RadialProfileSet:
     width: float | None = None
 
     def __post_init__(self):
-        if self.count < 1 or self.r_max <= 0:
-            raise ValueError("need at least one profile and a positive r_max")
+        if self.count < 1:
+            raise ValueError("need at least one radial profile")
+        if not 0.0 < self.r_max < np.inf:
+            raise ValueError("r_max must be finite and positive")
         if self.width is None:
             object.__setattr__(self, "width", self.r_max / self.count)
-        if self.width <= 0:
-            raise ValueError("profile width must be positive")
+        if not 0.0 < self.width < np.inf:
+            raise ValueError("profile width must be finite and positive")
         grid = np.linspace(0.0, self.r_max, 4 * self.count + 8)
         rank = np.linalg.matrix_rank(self.evaluate(grid), tol=1e-10)
         if rank < self.count:
@@ -513,7 +516,7 @@ def build_so3_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...], lmax
 
 @dataclass(frozen=True)
 class VolumeKernel:
-    """Plane-to-volume kernel: one steerable basis per height slice."""
+    """Plane-to-volume kernel: the same steerable basis at every height slice."""
 
     fiber_in: SO2RepSpec
     out_ells: tuple[int, ...]
@@ -539,17 +542,17 @@ def build_volume_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...],
     out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
     if m_max is None:
         m_max = fiber_in.max_freq + out_spec.max_freq
-    bases = tuple(solve_so2_basis(fiber_in, out_spec, radial, m_max) for _ in z_samples)
+    basis = solve_so2_basis(fiber_in, out_spec, radial, m_max)
     return VolumeKernel(fiber_in, tuple(fiber_out_ells), tuple(z_samples),
-                        radial, bases, out_spec, out_t)
+                        radial, (basis,) * len(z_samples), out_spec, out_t)
 
 
 @dataclass(frozen=True)
 class R3S2Kernel:
     """Six-degree-of-freedom kernel: plane to translation-times-sphere.
 
-    The height coordinate is inert under in-plane rotation, so the solve
-    factorizes into an independent plane-to-sphere problem per slice.
+    The height coordinate is inert under in-plane rotation, so every slice
+    poses the same plane-to-sphere problem; it is solved once and shared.
     """
 
     fiber_in: SO2RepSpec
@@ -568,6 +571,5 @@ def build_r3s2_kernel(fiber_in: SO2RepSpec, lmax: int, z_samples: tuple[float, .
                       m_max: int | None = None) -> R3S2Kernel:
     if not z_samples:
         raise ValueError("need at least one height sample")
-    slices = tuple(build_induction_kernel(fiber_in, out_channels, lmax, radial, m_max)
-                   for _ in z_samples)
-    return R3S2Kernel(fiber_in, lmax, tuple(z_samples), radial, slices)
+    kernel = build_induction_kernel(fiber_in, out_channels, lmax, radial, m_max)
+    return R3S2Kernel(fiber_in, lmax, tuple(z_samples), radial, (kernel,) * len(z_samples))

@@ -1,5 +1,10 @@
 """Executable lifting layer: planar feature fields in, spherical signals out.
 
+The lift is bilinear in (weights, field). For a given field and kernel it
+is one weight-response map ``R`` with ``coeffs = weights @ R``; the forward
+pass and the analytic gradient both go through that map, so the layer users
+run is the layer the gradient check certifies.
+
 Spherical signals live purely in harmonic coefficient space, so rotating
 them is an exact matrix action; grids appear only inside the pointwise
 nonlinearity and the rotation-group readout, which is where discretization
@@ -29,7 +34,6 @@ from .so2_so3 import (
     SphericalHarmonicBasis,
     sphere_quadrature,
     wigner_d,
-    wigner_d_z,
 )
 
 __all__ = [
@@ -66,6 +70,10 @@ class PlanarFeatureField:
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 3 or v.shape[2] != self.fiber_rep.dim:
             raise ValueError("values must be (H, W, fiber_dim)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("field values must be finite")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError("spacing must be finite and positive")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -198,14 +206,6 @@ class SphericalSignal:
         return self.coeffs @ y.T
 
 
-def analyze_on_sphere(values: np.ndarray, points: np.ndarray, weights: np.ndarray,
-                      lmax: int) -> SphericalSignal:
-    """Project grid values onto harmonics up to ``lmax`` by quadrature."""
-    y = SphericalHarmonicBasis(lmax).evaluate(points)
-    coeffs = (np.atleast_2d(values) * weights) @ y
-    return SphericalSignal(lmax, coeffs)
-
-
 def rotate_signal(signal: SphericalSignal, rot: Rotation3) -> SphericalSignal:
     """Exact rotation in coefficient space, one Wigner block per degree."""
     out = np.empty_like(signal.coeffs)
@@ -215,12 +215,25 @@ def rotate_signal(signal: SphericalSignal, rot: Rotation3) -> SphericalSignal:
     return SphericalSignal(signal.lmax, out)
 
 
-def _rotate_signal_z(signal: SphericalSignal, theta: float) -> SphericalSignal:
-    out = np.empty_like(signal.coeffs)
-    for ell in range(signal.lmax + 1):
-        sl = SphericalHarmonicBasis.slice_of(ell)
-        out[:, sl] = signal.coeffs[:, sl] @ wigner_d_z(ell, theta).T
-    return SphericalSignal(signal.lmax, out)
+def _lift_response(field: PlanarFeatureField, kernel: InductionKernel) -> np.ndarray:
+    """Weight-response map of the lift, shape (weight_count, (lmax+1)^2).
+
+    Row ``b`` is the output of basis element ``b`` alone: the grid sum of
+    its values against the fiber values, mapped through the degree's
+    transform to harmonic-times-fiber coordinates and times the cell area.
+    """
+    pts = field.positions()
+    vals = field.flat_values()
+    d = kernel.fiber_in.dim
+    response = np.zeros((kernel.weight_count, (kernel.lmax + 1) ** 2))
+    pos = 0
+    for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
+        bvals = basis.evaluate_all(pts)[:, :, 0, :]           # (count, N, d_can)
+        moments = np.tensordot(bvals, vals, axes=([1], [0]))  # (count, d_can, d)
+        block = np.einsum("bjv,kvj->bk", moments, t.reshape(2 * ell + 1, d, -1))
+        response[pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
+        pos += basis.count
+    return field.spacing ** 2 * response
 
 
 def induction_forward(field: PlanarFeatureField, kernel: InductionKernel,
@@ -228,21 +241,22 @@ def induction_forward(field: PlanarFeatureField, kernel: InductionKernel,
     """Lift a planar field to a spherical signal.
 
     Discretizes the lifting integral as a Riemann sum over the field's
-    grid: coefficient (l, k) of channel c is the grid sum of the degree-l
-    kernel stack against the fiber values, times the cell area. Linear in
-    both the field and the weights.
+    grid: the output coefficients are ``weights @ R`` for the field's
+    weight-response map ``R``. Linear in both the field and the weights.
     """
     if field.fiber_rep.freqs != kernel.fiber_in.freqs:
         raise ValueError("field fiber representation does not match the kernel")
-    pts = field.positions()
-    vals = field.flat_values()
-    blocks = kernel.coefficient_blocks(weights, pts)
-    coeffs = np.zeros((kernel.out_channels, (kernel.lmax + 1) ** 2))
-    area = field.spacing ** 2
-    for ell, fl in enumerate(blocks):
-        sl = SphericalHarmonicBasis.slice_of(ell)
-        coeffs[:, sl] = area * np.einsum("cnkv,nv->ck", fl, vals)
-    return SphericalSignal(kernel.lmax, coeffs)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (kernel.out_channels, kernel.weight_count):
+        raise ValueError("weights must have shape (out_channels, weight_count)")
+    return SphericalSignal(kernel.lmax, w @ _lift_response(field, kernel))
+
+
+def _sphere_grid(lmax: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonics up to ``lmax`` on the band-``band`` quadrature grid,
+    shape (N, (lmax+1)^2), and the grid weights (N,)."""
+    pts, wts = sphere_quadrature(band)
+    return SphericalHarmonicBasis(lmax).evaluate(pts), wts
 
 
 def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
@@ -258,15 +272,15 @@ def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
         grid_band = 2 * signal.lmax
     if grid_band < signal.lmax:
         raise ValueError("oversampling band must be at least the signal band")
-    pts, wts = sphere_quadrature(grid_band)
-    vals = signal.synthesize(pts)
+    y, wts = _sphere_grid(signal.lmax, grid_band)
+    vals = signal.coeffs @ y.T
     if kind == "relu":
         vals = np.maximum(vals, 0.0)
     elif kind == "softplus":
         vals = np.logaddexp(0.0, vals)
     else:
         raise ValueError(f"unknown nonlinearity {kind!r}")
-    return analyze_on_sphere(vals, pts, wts, signal.lmax)
+    return SphericalSignal(signal.lmax, (vals * wts) @ y)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +418,7 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
         for theta in rng.uniform(0.0, 2.0 * np.pi, size=theta_samples):
             lifted = induction_forward(
                 rotate_field(fld, theta).sample(config.grid_n, config.spacing), kernel, w)
-            rotated = _rotate_signal_z(base, theta)
+            rotated = rotate_signal(base, Rotation3.about_z(theta))
             worst = max(worst, float(np.linalg.norm(lifted.coeffs - rotated.coeffs)) / scale)
         residuals.append(worst)
     return HarnessReport(tuple(residuals), tolerance)
@@ -439,63 +453,42 @@ def _loss_and_grad(kernel: InductionKernel, field: PlanarFeatureField,
                    weights: np.ndarray, nonlinearity: str | None) -> tuple[float, np.ndarray]:
     """Half squared norm of the (optionally softplus-mapped) output, with
     the analytic weight gradient."""
-    pts = field.positions()
-    vals = field.flat_values()
-    area = field.spacing ** 2
-    # basis responses: one output-coefficient row per weight slot
-    rows = []
-    for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
-        bvals = basis.evaluate_all(pts)[:, :, 0, :]          # (count, N, d_can)
-        tensor = bvals @ t.T                                  # (count, N, (2l+1)*d)
-        tensor = tensor.reshape(basis.count, pts.shape[0], 2 * ell + 1, -1)
-        rows.append(area * np.einsum("bnkv,nv->bk", tensor, vals))
-    ncoef = (kernel.lmax + 1) ** 2
-    response = np.zeros((kernel.weight_count, ncoef))
-    pos = 0
-    for ell, r in enumerate(rows):
-        sl = SphericalHarmonicBasis.slice_of(ell)
-        response[pos:pos + r.shape[0], sl] = r
-        pos += r.shape[0]
-
-    w = np.asarray(weights, dtype=float)
-    coeffs = w @ response  # (channels, ncoef)
+    response = _lift_response(field, kernel)
+    coeffs = np.asarray(weights, dtype=float) @ response  # (channels, ncoef)
     if nonlinearity is None:
-        loss = 0.5 * float(np.sum(coeffs ** 2))
-        grad = coeffs @ response.T
-        return loss, grad
-
+        return 0.5 * float(np.sum(coeffs ** 2)), coeffs @ response.T
     if nonlinearity != "softplus":
         raise ValueError("gradient path supports the linear and softplus cases")
-    qpts, qwts = sphere_quadrature(2 * kernel.lmax)
-    y = SphericalHarmonicBasis(kernel.lmax).evaluate(qpts)   # (N, ncoef)
+    y, qwts = _sphere_grid(kernel.lmax, 2 * kernel.lmax)
     grid_vals = coeffs @ y.T
-    mapped = np.logaddexp(0.0, grid_vals)
-    out = (mapped * qwts) @ y
-    loss = 0.5 * float(np.sum(out ** 2))
-    d_mapped = (out @ y.T) * qwts
-    d_grid = d_mapped / (1.0 + np.exp(-grid_vals))
-    d_coeffs = d_grid @ y
-    grad = d_coeffs @ response.T
-    return loss, grad
+    out = (np.logaddexp(0.0, grid_vals) * qwts) @ y
+    d_grid = ((out @ y.T) * qwts) / (1.0 + np.exp(-grid_vals))
+    return 0.5 * float(np.sum(out ** 2)), (d_grid @ y) @ response.T
 
 
 def gradient_check(config: LayerConfig, nonlinearity: str | None = "softplus",
                    seed: int = 0, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between the analytic gradient and central
+    differences of the public forward pass (plus nonlinearity)."""
     rng = np.random.default_rng(seed)
     kernel = config.build_kernel()
     fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=config.field_band)
     sampled = fld.sample(config.grid_n, config.spacing)
     w = rng.normal(size=(kernel.out_channels, kernel.weight_count))
     _, grad = _loss_and_grad(kernel, sampled, w, nonlinearity)
+
+    def public_loss(flat_weights: np.ndarray) -> float:
+        out = induction_forward(sampled, kernel, flat_weights.reshape(w.shape))
+        if nonlinearity is not None:
+            out = spherical_nonlinearity(out, nonlinearity)
+        return 0.5 * float(np.sum(out.coeffs ** 2))
+
     scale = max(float(np.abs(grad).max()), 1e-30)
     worst = 0.0
     flat = w.ravel()
     for idx in rng.choice(flat.size, size=min(24, flat.size), replace=False):
         bump = np.zeros_like(flat)
         bump[idx] = step
-        lp, _ = _loss_and_grad(kernel, sampled, (flat + bump).reshape(w.shape), nonlinearity)
-        lm, _ = _loss_and_grad(kernel, sampled, (flat - bump).reshape(w.shape), nonlinearity)
-        fd = (lp - lm) / (2.0 * step)
+        fd = (public_loss(flat + bump) - public_loss(flat - bump)) / (2.0 * step)
         worst = max(worst, abs(fd - grad.ravel()[idx]) / scale)
     return worst

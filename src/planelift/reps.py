@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _same_group
 
 __all__ = [
     "Representation",
@@ -28,7 +28,6 @@ __all__ = [
     "tensor_product",
     "conjugate",
     "hom_dimension",
-    "conjugate_pair_real_form",
     "validate_representation",
 ]
 
@@ -345,7 +344,7 @@ def regular_representation(group: FiniteGroup) -> Representation:
 
 def decompose(rep: Representation, table: IrrepTable) -> Decomposition:
     """Multiplicities of each irrep via character inner products."""
-    if rep.group is not table.group and rep.group.name != table.group.name:
+    if not _same_group(rep.group, table.group):
         raise ValueError("representation and irrep table refer to different groups")
     sizes = np.array([len(c) for c in table.group.conjugacy_classes])
     chi = rep.character()
@@ -366,7 +365,7 @@ def decompose(rep: Representation, table: IrrepTable) -> Decomposition:
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
-    if a.group is not b.group and a.group.name != b.group.name:
+    if not _same_group(a.group, b.group):
         raise ValueError("direct sum requires representations of the same group")
     da, db = a.dim, b.dim
     mats = np.zeros((a.group.order, da + db, da + db), dtype=np.complex128)
@@ -376,7 +375,7 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 
 
 def tensor_product(a: Representation, b: Representation) -> Representation:
-    if a.group is not b.group and a.group.name != b.group.name:
+    if not _same_group(a.group, b.group):
         raise ValueError("tensor product requires representations of the same group")
     mats = np.einsum("gij,gkl->gikjl", a.matrices, b.matrices)
     d = a.dim * b.dim
@@ -396,20 +395,3 @@ def hom_dimension(a: Representation, b: Representation,
     db = decompose(b, table).multiplicities
     return sum(m * db.get(lbl, 0) for lbl, m in da.items())
 
-
-def conjugate_pair_real_form(rep: Representation) -> Representation:
-    """Real 2x2 form of a complex 1-dim representation and its conjugate.
-
-    The pair ``rho (+) conj(rho)`` is equivalent over the reals to rotation
-    blocks ``[[Re, -Im], [Im, Re]]``; downstream kernel code consumes this
-    real form.
-    """
-    if rep.dim != 1:
-        raise ValueError("real form is defined for 1-dimensional representations")
-    vals = rep.matrices[:, 0, 0]
-    mats = np.empty((rep.group.order, 2, 2))
-    mats[:, 0, 0] = vals.real
-    mats[:, 0, 1] = -vals.imag
-    mats[:, 1, 0] = vals.imag
-    mats[:, 1, 1] = vals.real
-    return Representation(rep.group, mats.astype(np.complex128), f"real({rep.label})")

@@ -28,7 +28,6 @@ from scipy.special import lpmv
 __all__ = [
     "MAX_ELL",
     "Rotation3",
-    "SO2Irrep",
     "so2_block",
     "wigner_d",
     "wigner_d_z",
@@ -101,24 +100,6 @@ class Rotation3:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.matrix().T
-
-
-@dataclass(frozen=True)
-class SO2Irrep:
-    """Planar rotation irrep: frequency 0 is the scalar, k > 0 a rotation block."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("frequency must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.k == 0 else 2
-
-    def block(self, theta: float) -> np.ndarray:
-        return so2_block(self.k, theta)
 
 
 def so2_block(k: int, theta: float) -> np.ndarray:

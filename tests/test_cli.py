@@ -88,6 +88,15 @@ def test_kernel_basis_command(capsys, tmp_path):
     assert dump.read_text().startswith("ell,element,x,y,row,col,value")
 
 
+@pytest.mark.parametrize("r_max", ["nan", "inf"])
+def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
+    code = main(["kernel-basis", "--r-max", r_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "r_max" in captured.err
+
+
 def test_equivariance_command_passes(capsys):
     code, out = _run(capsys, ["equivariance", "--lmax", "2", "--trials", "2",
                               "--seed", "7", "--grid-n", "32"])
@@ -118,6 +127,18 @@ def test_demo_pose_recovers_angle(capsys, tmp_path):
     estimated = float(payload["estimated_in_plane_deg"])
     assert abs(estimated - 45.0) <= 360.0 / 8
     assert dist.read_text().startswith("alpha,beta,gamma,prob")
+
+
+def test_demo_pose_prints_canonical_pose(capsys):
+    # the argmax lies at the pole beta = 0, where every cell with the same
+    # alpha + gamma is one rotation; the printed triple has gamma = 0
+    code, out = _run(capsys, ["demo", "pose", "--angle", "90", "--lmax", "3",
+                              "--grid-n", "32", "--grid-alpha", "8", "--grid-beta", "5"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["argmax"] == {"alpha_deg": "90.000", "beta_deg": "0.000",
+                                 "gamma_deg": "0.000"}
+    assert payload["estimated_in_plane_deg"] == "90.000"
 
 
 def test_output_dir_env_var(capsys, tmp_path, monkeypatch):

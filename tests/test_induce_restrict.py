@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from planelift.groups import build_group, coset_decomposition, named_embedding
+from planelift.groups import (
+    build_group,
+    coset_decomposition,
+    named_embedding,
+    subgroup_embedding,
+)
 from planelift.induce_restrict import (
     boundary_compatibility,
     branching_table,
@@ -199,3 +204,16 @@ def test_dimension_law_random_sums():
             for lbl in picks[1:]:
                 rep = direct_sum(rep, sub_t.by_label(lbl))
             assert induce(rep, cos).dim == emb.index * rep.dim
+
+
+def test_restrict_and_induce_compare_groups_by_table():
+    z4 = build_group(np.add.outer(np.arange(4), np.arange(4)) % 4)
+    v4 = build_group(np.bitwise_xor.outer(np.arange(4), np.arange(4)))  # also "custom"
+    into_z4 = subgroup_embedding(build_group("Z2"), z4, [0, 2])
+    with pytest.raises(ValueError, match="parent group"):
+        restrict(regular_representation(v4), into_z4)
+    assert restrict(regular_representation(z4), into_z4).dim == 4
+    cosets = coset_decomposition(subgroup_embedding(z4, build_group("Z8"), [0, 2, 4, 6]))
+    with pytest.raises(ValueError, match="subgroup"):
+        induce(regular_representation(v4), cosets)
+    assert induce(regular_representation(z4), cosets).dim == 8

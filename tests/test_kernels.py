@@ -82,6 +82,18 @@ def test_degenerate_radial_set_rejected():
         RadialProfileSet(3, 1e-9, width=10.0)  # rings collapse onto each other
 
 
+@pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0, -0.5])
+def test_radial_set_rejects_bad_r_max(r_max):
+    with pytest.raises(ValueError, match="r_max must be finite and positive"):
+        RadialProfileSet(2, r_max)
+
+
+@pytest.mark.parametrize("width", [np.nan, np.inf, 0.0])
+def test_radial_set_rejects_bad_width(width):
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        RadialProfileSet(2, 0.5, width=width)
+
+
 # ---------------------------------------------------------------------------
 # the solver
 
@@ -293,8 +305,9 @@ def test_volume_kernel_slices():
     fiber = SO2RepSpec((0, 1))
     kernel = build_volume_kernel(fiber, (1,), (-0.5, 0.0, 0.5),
                                  RadialProfileSet(2, 0.5))
-    dims = {b.count for b in kernel.bases}
-    assert len(dims) == 1  # the constraint does not involve the height
+    assert len(kernel.bases) == 3
+    # the constraint does not involve the height: one solve, shared
+    assert all(b is kernel.bases[0] for b in kernel.bases)
     rng = np.random.default_rng(10)
     w = rng.normal(size=kernel.bases[0].count)
     pts = rng.normal(size=(14, 2)) * 0.4
@@ -320,8 +333,8 @@ def test_r3s2_kernel_consistency():
     sphere = build_induction_kernel(fiber, 1, 2, radial)
     assert single.slices[0].weight_count == sphere.weight_count
     multi = build_r3s2_kernel(fiber, 2, (-1.0, 0.0, 1.0), radial)
-    counts = {tuple(b.count for b in s.bases) for s in multi.slices}
-    assert len(counts) == 1  # per-degree counts independent of the height
+    assert len(multi.slices) == 3
+    assert all(s is multi.slices[0] for s in multi.slices)  # solved once, shared
 
     rng = np.random.default_rng(11)
     w = rng.normal(size=(1, single.slices[0].weight_count))

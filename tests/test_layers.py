@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planelift.kernels import RadialProfileSet, SO2RepSpec, build_induction_kernel
 from planelift.layers import (
@@ -41,6 +45,20 @@ def test_zero_field_maps_to_zero():
     assert np.abs(out.coeffs).max() == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_values_rejected(bad):
+    values = np.zeros((8, 8, 1))
+    values[3, 4, 0] = bad
+    with pytest.raises(ValueError, match="field values must be finite"):
+        PlanarFeatureField(values, 0.1, SO2RepSpec((0,)))
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan, np.inf])
+def test_bad_spacing_rejected(spacing):
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        PlanarFeatureField(np.ones((8, 8, 1)), spacing, SO2RepSpec((0,)))
+
+
 def test_fiber_mismatch_rejected():
     kernel = _small_kernel(fiber=(0, 1))
     field = PlanarFeatureField(np.zeros((8, 8, 1)), 0.1, SO2RepSpec((0,)))
@@ -77,6 +95,47 @@ def test_forward_is_bilinear():
     lhs = induction_forward(f1, kernel, w1 + w2).coeffs
     rhs = induction_forward(f1, kernel, w1).coeffs + induction_forward(f1, kernel, w2).coeffs
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@lru_cache(maxsize=None)
+def _cached_kernel(fiber, lmax, channels):
+    return _small_kernel(lmax, fiber, channels)
+
+
+def _coefficient_block_lift(field, kernel, weights):
+    """The lift as the cell area times the grid sum of the kernel's
+    coefficient stacks against the fiber values."""
+    blocks = kernel.coefficient_blocks(weights, field.positions())
+    vals = field.flat_values()
+    return field.spacing ** 2 * np.concatenate(
+        [np.einsum("cnkv,nv->ck", fl, vals) for fl in blocks], axis=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fiber=st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+       lmax=st.integers(0, 4), channels=st.integers(1, 3), n=st.integers(6, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_matches_coefficient_blocks_and_is_bilinear(fiber, lmax, channels, n, seed):
+    kernel = _cached_kernel(fiber, lmax, channels)
+    rng = np.random.default_rng(seed)
+    spec = SO2RepSpec(fiber)
+    f1, f2 = (PlanarFeatureField(rng.normal(size=(n, n, spec.dim)), 0.9 / (n - 1), spec)
+              for _ in range(2))
+    w1, w2 = rng.normal(size=(2, channels, kernel.weight_count))
+    a, b = rng.normal(size=2)
+
+    out = induction_forward(f1, kernel, w1).coeffs
+    oracle = _coefficient_block_lift(f1, kernel, w1)
+    scale = max(float(np.abs(oracle).max()), 1e-300)
+    assert np.abs(out - oracle).max() <= 1e-12 * scale
+
+    other_w = induction_forward(f1, kernel, w2).coeffs
+    other_f = induction_forward(f2, kernel, w1).coeffs
+    mixed_f = PlanarFeatureField(a * f1.values + b * f2.values, f1.spacing, spec)
+    for lhs, other in ((induction_forward(f1, kernel, a * w1 + b * w2).coeffs, other_w),
+                       (induction_forward(mixed_f, kernel, w1).coeffs, other_f)):
+        scale = abs(a) * np.abs(out).max() + abs(b) * np.abs(other).max()
+        assert np.abs(lhs - (a * out + b * other)).max() <= 1e-12 * max(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------

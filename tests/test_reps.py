@@ -5,7 +5,6 @@ from planelift.groups import build_group
 from planelift.reps import (
     Representation,
     conjugate,
-    conjugate_pair_real_form,
     decompose,
     direct_sum,
     hom_dimension,
@@ -162,19 +161,30 @@ def test_homomorphism_property_random_products():
         assert err < 1e-10
 
 
-def test_conjugate_pair_real_form():
-    z3 = build_group("Z3")
-    table = irrep_table(z3)
-    real = conjugate_pair_real_form(table.by_label("chi1"))
-    validate_representation(real)
-    g = real.matrices[1]
-    assert np.abs(g.imag).max() == 0.0
-    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
-    assert np.allclose(g.real, [[c, -s], [s, c]])
-
-
 def test_conjugate_representation():
     z3 = build_group("Z3")
     table = irrep_table(z3)
     dec = decompose(conjugate(table.by_label("chi1")), table)
     assert dec.multiplicities == {"chi2": 1}
+
+
+def test_groups_compared_by_table_not_name():
+    z4 = build_group(np.add.outer(np.arange(4), np.arange(4)) % 4)
+    v4 = build_group(np.bitwise_xor.outer(np.arange(4), np.arange(4)))
+    assert z4.name == v4.name == "custom"
+    a, b = regular_representation(z4), regular_representation(v4)
+    with pytest.raises(ValueError, match="same group"):
+        direct_sum(a, b)
+    with pytest.raises(ValueError, match="same group"):
+        tensor_product(a, b)
+    named_z4 = irrep_table(build_group("Z4"))
+    with pytest.raises(ValueError, match="different groups"):
+        decompose(b, named_z4)
+    assert decompose(a, named_z4).multiplicities == {f"chi{k}": 1 for k in range(4)}
+
+
+def test_separately_built_groups_with_one_table_are_compatible():
+    first, second = build_group("A4"), build_group("A4")
+    total = direct_sum(regular_representation(first), trivial_representation(second))
+    assert tensor_product(total, trivial_representation(second)).dim == 13
+    assert decompose(total, irrep_table(second)).multiplicities["triv"] == 2

@@ -4,7 +4,6 @@ import pytest
 from planelift.so2_so3 import (
     MAX_ELL,
     Rotation3,
-    SO2Irrep,
     SphericalHarmonicBasis,
     restrict_wigner,
     so2_block,
@@ -40,15 +39,11 @@ def test_rotation_inverse_and_canonical_ranges():
         assert np.abs(g.compose(g.inverse()).matrix() - np.eye(3)).max() < 1e-12
 
 
-def test_so2_irrep_blocks():
+def test_so2_block_composition():
     assert np.array_equal(so2_block(0, 1.23), [[1.0]])
-    k = SO2Irrep(3)
-    assert k.dim == 2
-    assert np.abs(k.block(0.0) - np.eye(2)).max() == 0.0
+    assert np.abs(so2_block(3, 0.0) - np.eye(2)).max() == 0.0
     t1, t2 = 0.31, 1.71
-    assert np.abs(k.block(t1) @ k.block(t2) - k.block(t1 + t2)).max() < 1e-12
-    with pytest.raises(ValueError):
-        SO2Irrep(-1)
+    assert np.abs(so2_block(3, t1) @ so2_block(3, t2) - so2_block(3, t1 + t2)).max() < 1e-12
 
 
 def test_wigner_degree_zero_and_range_check():
