@@ -250,6 +250,7 @@ def _cmd_demo_pose(args) -> int:
         print(f"unknown pattern {args.pattern!r}; available: {', '.join(sorted(_PATTERNS))}",
               file=sys.stderr)
         return _USAGE_ERROR
+    grid = so3_equiangular_grid(args.grid_alpha, args.grid_beta, args.grid_alpha)
     config = LayerConfig(lmax=args.lmax, grid_n=args.grid_n)
     kernel = config.build_kernel()
     rng = np.random.default_rng(args.seed)
@@ -262,7 +263,6 @@ def _cmd_demo_pose(args) -> int:
     observed = induction_forward(rotate_field(pattern, theta).sample(
         config.grid_n, config.spacing), kernel, weights)
     corr = sphere_to_so3_correlation(observed, reference)
-    grid = so3_equiangular_grid(args.grid_alpha, args.grid_beta, args.grid_alpha)
     values = corr.evaluate(grid)
     probs = np.exp(values - values.max())
     probs /= probs.sum()

@@ -332,6 +332,8 @@ def sphere_to_so3_correlation(signal: SphericalSignal,
 def so3_equiangular_grid(n_alpha: int = 24, n_beta: int = 12,
                          n_gamma: int = 24) -> list[Rotation3]:
     """ZYZ product grid including the identity cell; used only for readout."""
+    if min(n_alpha, n_beta, n_gamma) < 1:
+        raise ValueError("grid counts must be at least 1")
     alphas = np.arange(n_alpha) * (2.0 * np.pi / n_alpha)
     betas = np.linspace(0.0, np.pi, n_beta)
     gammas = np.arange(n_gamma) * (2.0 * np.pi / n_gamma)
@@ -355,6 +357,10 @@ class LayerConfig:
     extent: float = 1.0
     field_band: int = 2
     m_max: int | None = None
+
+    def __post_init__(self):
+        if self.grid_n < 2:
+            raise ValueError("grid_n must be at least 2")
 
     @property
     def fiber(self) -> SO2RepSpec:

@@ -93,7 +93,7 @@ class IrrepTable:
         for r in self.irreps:
             if r.label == label:
                 return r
-        raise KeyError(label)
+        raise ValueError(f"unknown irrep {label!r}; available: {', '.join(self.labels())}")
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,19 @@ Conventions (fixed here once, everything downstream inherits them):
 * ``wigner_d`` is defined by the equivariance relation
   ``Y_l(R @ n) = D_l(R) @ Y_l(n)``, which makes it a genuine homomorphism.
 
-The Wigner matrices are computed by the classical factorial sum in the
-complex basis and conjugated into the real basis; an independent
-matrix-action oracle for low degrees lives in the test suite.
+The Wigner matrices are real throughout and factor as
+``D_l(R) = Z_l(alpha) @ J_l.T @ Z_l(beta) @ J_l @ Z_l(gamma)`` (Pinchon &
+Hoggan, 2007): ``Z_l`` is the rotation about z, which mixes only the
+``+m``/``-m`` pair, and ``J_l`` is the matrix of the quarter turn about x
+carrying y to z, built once per degree by exact quadrature of the
+harmonics. Degrees 0..``MAX_ELL`` are supported; orthogonality and
+homomorphism errors stay below 1e-13 over that range. Independent
+matrix-action oracles for degrees one and two live in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,15 +41,27 @@ __all__ = [
     "sphere_quadrature",
 ]
 
-MAX_ELL = 16
+MAX_ELL = 32
 _TWO_PI = 2.0 * np.pi
+_EPS = np.finfo(float).eps
 
 
-def _as_zyz(rot: _ScipyRotation) -> np.ndarray:
-    # gimbal-locked triples are a valid convention choice, not a failure
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="Gimbal lock detected")
-        return rot.as_euler("ZYZ")
+def _as_zyz(rot: _ScipyRotation) -> tuple[float, float, float]:
+    """ZYZ angles from the unit quaternion, accurate for every beta.
+
+    With half angles ``b = beta/2``, ``s = (alpha+gamma)/2`` and
+    ``d = (alpha-gamma)/2`` the quaternion is
+    ``(-sin b sin d, sin b cos d, cos b sin s, cos b cos s)``. Within
+    rounding of a pole, where ``d`` or ``s`` is free, gamma is 0.
+    """
+    x, y, z, w = rot.as_quat()
+    sin_b, cos_b = np.hypot(x, y), np.hypot(z, w)
+    s, d = np.arctan2(z, w), np.arctan2(-x, y)
+    if sin_b <= _EPS:
+        d = s
+    elif cos_b <= _EPS:
+        s = d
+    return s + d, 2.0 * np.arctan2(sin_b, cos_b), s - d
 
 
 @dataclass(frozen=True)
@@ -113,63 +129,43 @@ def so2_block(k: int, theta: float) -> np.ndarray:
 # Wigner matrices
 
 @lru_cache(maxsize=None)
-def _fact(n: int) -> float:
-    return float(math.factorial(n))
+def _j_matrix(ell: int) -> np.ndarray:
+    """Real Wigner matrix of the quarter turn about x that carries y to z.
 
-
-@lru_cache(maxsize=64)
-def _d_term_table(ell: int) -> list[list[list[tuple[float, int, int]]]]:
-    """Per (m', m): list of (coefficient, cos-power, sin-power) sum terms."""
-    table = []
-    for mp in range(-ell, ell + 1):
-        row = []
-        for m in range(-ell, ell + 1):
-            pref = math.sqrt(_fact(ell + mp) * _fact(ell - mp) * _fact(ell + m) * _fact(ell - m))
-            terms = []
-            for s in range(max(0, m - mp), min(ell + m, ell - mp) + 1):
-                denom = _fact(ell + m - s) * _fact(s) * _fact(mp - m + s) * _fact(ell - mp - s)
-                coeff = ((-1.0) ** (mp - m + s)) * pref / denom
-                terms.append((coeff, 2 * ell + m - mp - 2 * s, mp - m + 2 * s))
-            row.append(terms)
-        table.append(row)
-    return table
-
-
-@lru_cache(maxsize=4096)
-def _small_d(ell: int, beta: float) -> np.ndarray:
-    """Wigner small-d matrix, rows/cols ordered m = -l .. l.
-
-    Cached per (degree, angle): readout grids reuse a handful of polar
-    angles thousands of times. Callers must not mutate the result.
+    Exact quadrature of ``Y_l(Q n) Y_l(n)^T`` over the sphere, snapped to
+    the nearest orthogonal matrix (the polar factor), so ``J_0 == [[1.0]]``.
     """
-    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    size = 2 * ell + 1
-    out = np.zeros((size, size))
-    table = _d_term_table(ell)
-    for i in range(size):
-        for j in range(size):
-            acc = 0.0
-            for coeff, pc, ps in table[i][j]:
-                acc += coeff * (c ** pc) * (s ** ps)
-            out[i, j] = acc
+    quarter = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    pts, wts = sphere_quadrature(ell)
+    basis, sl = SphericalHarmonicBasis(ell), SphericalHarmonicBasis.slice_of(ell)
+    rotated = basis.evaluate(pts @ quarter.T)[:, sl]
+    u, _, vt = np.linalg.svd((rotated * wts[:, None]).T @ basis.evaluate(pts)[:, sl])
+    out = u @ vt
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=64)
-def _real_basis_matrix(ell: int) -> np.ndarray:
-    """Unitary map from complex to real spherical-harmonic coordinates."""
-    size = 2 * ell + 1
-    mat = np.zeros((size, size), dtype=np.complex128)
-    mat[ell, ell] = 1.0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for m in range(1, ell + 1):
-        sign = (-1.0) ** m
-        mat[ell + m, ell + m] = sign * inv_sqrt2       # cosine row
-        mat[ell + m, ell - m] = inv_sqrt2
-        mat[ell - m, ell + m] = -1j * sign * inv_sqrt2  # sine row
-        mat[ell - m, ell - m] = 1j * inv_sqrt2
-    return mat
+def _z_factor(ell: int, *angles: float) -> tuple[np.ndarray, np.ndarray]:
+    """``cos(m t)`` and ``-sin(m t)`` for m = -l .. l, one row per angle ``t``.
+
+    With one row ``c, s``, ``Z_l(t) @ M == c[:, None] * M + s[:, None] * M[::-1]``.
+    """
+    ang = np.multiply.outer(angles, np.arange(-ell, ell + 1))
+    return np.cos(ang), -np.sin(ang)
+
+
+@lru_cache(maxsize=4096)
+def _wigner_y(ell: int, beta: float) -> np.ndarray:
+    """Wigner matrix of ``Ry(beta)``: ``J_l^T Z_l(beta) J_l``.
+
+    Cached per (degree, angle): readout grids reuse a handful of polar
+    angles thousands of times. Callers must not mutate the result.
+    """
+    (c,), (s,) = _z_factor(ell, beta)
+    j = _j_matrix(ell)
+    out = j.T @ (c[:, None] * j + s[:, None] * j[::-1])
+    out.setflags(write=False)
+    return out
 
 
 def _check_ell(ell: int) -> None:
@@ -180,29 +176,19 @@ def _check_ell(ell: int) -> None:
 def wigner_d(ell: int, rot: Rotation3) -> np.ndarray:
     """Real orthogonal Wigner matrix with ``Y_l(R n) = D_l(R) Y_l(n)``."""
     _check_ell(ell)
-    m = np.arange(-ell, ell + 1)
-    # conjugated complex matrix: exp(+i m' a) d(beta) exp(+i m g)
-    dc = (np.exp(1j * m[:, None] * rot.alpha)
-          * _small_d(ell, rot.beta)
-          * np.exp(1j * m[None, :] * rot.gamma))
-    basis = _real_basis_matrix(ell)
-    out = basis @ dc @ basis.conj().T
-    return np.ascontiguousarray(out.real)
+    # Z(a) @ Y @ Z(g); Z(g) on the right acts on columns as Z(-g) does on rows
+    c, s = _z_factor(ell, rot.alpha, -rot.gamma)
+    y = _wigner_y(ell, rot.beta)
+    left = c[0][:, None] * y + s[0][:, None] * y[::-1]
+    return left * c[1] + left[:, ::-1] * s[1]
 
 
 def wigner_d_z(ell: int, theta: float) -> np.ndarray:
-    """Fast path for rotations about z (no small-d evaluation needed)."""
+    """Wigner matrix of the rotation by ``theta`` about z: the z-factor alone."""
     _check_ell(ell)
-    size = 2 * ell + 1
-    out = np.zeros((size, size))
-    out[ell, ell] = 1.0
-    for m in range(1, ell + 1):
-        c, s = np.cos(m * theta), np.sin(m * theta)
-        out[ell + m, ell + m] = c
-        out[ell + m, ell - m] = -s
-        out[ell - m, ell + m] = s
-        out[ell - m, ell - m] = c
-    return out
+    (c,), (s,) = _z_factor(ell, theta)
+    eye = np.eye(2 * ell + 1)
+    return c[:, None] * eye + s[:, None] * eye[::-1]
 
 
 def restrict_wigner(ell: int) -> tuple[dict[int, int], np.ndarray]:
@@ -237,7 +223,7 @@ class SphericalHarmonicBasis:
         for ell in range(lmax + 1):
             for m in range(0, ell + 1):
                 norms.append(math.sqrt((2 * ell + 1) / (4.0 * np.pi)
-                                       * _fact(ell - m) / _fact(ell + m)))
+                                       * math.factorial(ell - m) / math.factorial(ell + m)))
         self._norms = norms
 
     @staticmethod
@@ -288,12 +274,7 @@ def sphere_quadrature(band: int) -> tuple[np.ndarray, np.ndarray]:
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     phi = np.arange(n_phi) * (_TWO_PI / n_phi)
     sin_theta = np.sqrt(1.0 - x ** 2)
-    pts = np.empty((n_theta * n_phi, 3))
-    wts = np.empty(n_theta * n_phi)
-    k = 0
-    for i in range(n_theta):
-        for j in range(n_phi):
-            pts[k] = (sin_theta[i] * np.cos(phi[j]), sin_theta[i] * np.sin(phi[j]), x[i])
-            wts[k] = wx[i] * (_TWO_PI / n_phi)
-            k += 1
-    return pts, wts
+    pts = np.stack([np.multiply.outer(sin_theta, np.cos(phi)),
+                    np.multiply.outer(sin_theta, np.sin(phi)),
+                    np.repeat(x[:, None], n_phi, axis=1)], axis=-1).reshape(-1, 3)
+    return pts, np.repeat(wx * (_TWO_PI / n_phi), n_phi)

@@ -97,6 +97,19 @@ def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
     assert "r_max" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["demo", "pose", "--grid-alpha", "0"], "grid counts"),
+    (["equivariance", "--grid-n", "1"], "grid_n"),
+    (["decompose", "--group", "A4", "--rep", "nope"], "available: triv"),
+])
+def test_bad_numeric_or_label_input_is_usage_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_equivariance_command_passes(capsys):
     code, out = _run(capsys, ["equivariance", "--lmax", "2", "--trials", "2",
                               "--seed", "7", "--grid-n", "32"])

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planelift.so2_so3 import (
     MAX_ELL,
@@ -15,6 +19,9 @@ from planelift.so2_so3 import (
 
 RNG = np.random.default_rng(20240)
 
+ROTATIONS = st.builds(Rotation3, st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi),
+                      st.floats(0.0, 2 * np.pi))
+
 
 def _random_unit(rng):
     v = rng.normal(size=3)
@@ -27,6 +34,13 @@ def test_rotation_composition_matches_matrix_product():
         a, b = Rotation3.random(rng), Rotation3.random(rng)
         err = np.abs(a.compose(b).matrix() - a.matrix() @ b.matrix()).max()
         assert err < 1e-12
+
+
+@pytest.mark.parametrize("beta", [6e-8, 1e-12, np.pi - 6e-8])
+def test_rotation_composition_near_the_poles(beta):
+    # within 1e-7 of a pole a gimbal-lock shortcut that drops gamma is off by ~beta
+    a, b = Rotation3(0.3, beta, 0.0), Rotation3.about_z(1.0)
+    assert np.abs(a.compose(b).matrix() - a.matrix() @ b.matrix()).max() < 1e-12
 
 
 def test_rotation_inverse_and_canonical_ranges():
@@ -109,6 +123,36 @@ def test_wigner_orthogonality():
         assert np.abs(d @ d.T - np.eye(2 * ell + 1)).max() < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(ell=st.integers(0, MAX_ELL), a=ROTATIONS, b=ROTATIONS,
+       theta=st.floats(0.0, 2 * np.pi))
+def test_wigner_orthogonal_homomorphism_at_every_degree(ell, a, b, theta):
+    da, db = wigner_d(ell, a), wigner_d(ell, b)
+    assert np.abs(da @ da.T - np.eye(2 * ell + 1)).max() <= 1e-13
+    assert np.abs(wigner_d(ell, a.compose(b)) - da @ db).max() <= 1e-13
+    assert np.abs(wigner_d(ell, Rotation3.about_z(theta)) - wigner_d_z(ell, theta)).max() <= 1e-13
+
+
+@lru_cache(maxsize=None)
+def _quadrature_harmonics(ell):
+    pts, wts = sphere_quadrature(ell)
+    sl = SphericalHarmonicBasis.slice_of(ell)
+    return pts, wts * SphericalHarmonicBasis(ell).evaluate(pts)[:, sl].T
+
+
+@settings(max_examples=15, deadline=None)
+@given(ell=st.integers(0, MAX_ELL), rot=ROTATIONS)
+def test_wigner_is_the_harmonic_action_at_every_degree(ell, rot):
+    # Y_l(R n) = D_l(R) Y_l(n) for all n, read off by exact quadrature as
+    # D_l(R) = sum_k w_k Y_l(R n_k) Y_l(n_k)^T. Integrating keeps the check at
+    # 1e-13: pointwise, the harmonics alone lose digits near the poles at high
+    # degree.
+    pts, weighted = _quadrature_harmonics(ell)
+    rotated = SphericalHarmonicBasis(ell).evaluate(rot.apply(pts))
+    action = weighted @ rotated[:, SphericalHarmonicBasis.slice_of(ell)]
+    assert np.abs(action.T - wigner_d(ell, rot)).max() <= 1e-13
+
+
 def test_wigner_z_fast_path_matches_general():
     for ell in range(7):
         for theta in (0.0, 0.37, 2.2, 5.9):
@@ -181,6 +225,25 @@ def test_quadrature_gram_identity():
     gram = (y * wts[:, None]).T @ y
     assert np.abs(gram - np.eye(81)).max() < 1e-8
     assert abs(wts.sum() - 4 * np.pi) < 1e-12
+
+
+def test_quadrature_matches_loop_bit_for_bit():
+    for band in range(12):
+        n_theta, n_phi = band + 1, 2 * (band + 1)
+        x, wx = np.polynomial.legendre.leggauss(n_theta)
+        phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+        sin_theta = np.sqrt(1.0 - x ** 2)
+        pts = np.empty((n_theta * n_phi, 3))
+        wts = np.empty(n_theta * n_phi)
+        k = 0
+        for i in range(n_theta):
+            for j in range(n_phi):
+                pts[k] = (sin_theta[i] * np.cos(phi[j]), sin_theta[i] * np.sin(phi[j]), x[i])
+                wts[k] = wx[i] * (2.0 * np.pi / n_phi)
+                k += 1
+        got_pts, got_wts = sphere_quadrature(band)
+        assert got_pts.shape == pts.shape and got_wts.shape == wts.shape
+        assert got_pts.tobytes() == pts.tobytes() and got_wts.tobytes() == wts.tobytes()
 
 
 def test_band_limited_roundtrip():
