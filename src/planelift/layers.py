@@ -32,6 +32,7 @@ from .kernels import (
 from .so2_so3 import (
     Rotation3,
     SphericalHarmonicBasis,
+    _wigner_dot,
     sphere_quadrature,
     wigner_d,
 )
@@ -289,18 +290,34 @@ def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
 @dataclass(frozen=True)
 class SO3Signal:
     """Band-limited function on the rotation group, one matrix coefficient
-    per degree; evaluation contracts each block against the Wigner matrix."""
+    per degree: ``f(g) = sum_l sum(D_l(g) * blocks[l])``.
+
+    ``evaluate`` reads all rotations in one batched pass per degree: the
+    ``beta`` factor of ``D_l = Z_l(alpha) Y_l(beta) Z_l(gamma)`` is built once
+    per distinct ``beta`` (a product grid has only a few), and the ``alpha``
+    and ``gamma`` z-factors act on chunks of rows of bounded size.
+    """
 
     lmax: int
     blocks: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        blocks = tuple(np.asarray(blk, dtype=float) for blk in self.blocks)
+        if len(blocks) != self.lmax + 1:
+            raise ValueError(f"need lmax + 1 = {self.lmax + 1} blocks, got {len(blocks)}")
+        for ell, blk in enumerate(blocks):
+            if blk.shape != (2 * ell + 1, 2 * ell + 1):
+                raise ValueError(f"block {ell} must have shape ({2 * ell + 1}, {2 * ell + 1}), "
+                                 f"got {blk.shape}")
+            if not np.all(np.isfinite(blk)):
+                raise ValueError(f"block {ell} has non-finite entries")
+        object.__setattr__(self, "blocks", blocks)
+
     def evaluate(self, rotations: list[Rotation3]) -> np.ndarray:
-        out = np.zeros(len(rotations))
-        for i, g in enumerate(rotations):
-            acc = 0.0
-            for ell, blk in enumerate(self.blocks):
-                acc += float(np.sum(wigner_d(ell, g) * blk))
-            out[i] = acc
+        angles = np.array([(g.alpha, g.beta, g.gamma) for g in rotations]).reshape(-1, 3)
+        out = np.zeros(len(angles))
+        for ell, blk in enumerate(self.blocks):
+            out += _wigner_dot(ell, angles, blk)
         return out
 
     def left_rotate(self, rot: Rotation3) -> "SO3Signal":

@@ -17,6 +17,8 @@ carrying y to z, built once per degree by exact quadrature of the
 harmonics. Degrees 0..``MAX_ELL`` are supported; orthogonality and
 homomorphism errors stay below 1e-13 over that range. Independent
 matrix-action oracles for degrees one and two live in the test suite.
+``_wigner_dot`` applies the same factorisation to many rotations at once,
+for the rotation-group readout.
 """
 
 from __future__ import annotations
@@ -137,34 +139,58 @@ def _j_matrix(ell: int) -> np.ndarray:
     """
     quarter = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     pts, wts = sphere_quadrature(ell)
-    basis, sl = SphericalHarmonicBasis(ell), SphericalHarmonicBasis.slice_of(ell)
-    rotated = basis.evaluate(pts @ quarter.T)[:, sl]
-    u, _, vt = np.linalg.svd((rotated * wts[:, None]).T @ basis.evaluate(pts)[:, sl])
+    rotated = _degree_harmonics(ell, *_polar(pts @ quarter.T))
+    u, _, vt = np.linalg.svd((rotated * wts[:, None]).T @ _degree_harmonics(ell, *_polar(pts)))
     out = u @ vt
     out.setflags(write=False)
     return out
 
 
-def _z_factor(ell: int, *angles: float) -> tuple[np.ndarray, np.ndarray]:
+def _z_factor(ell: int, angles) -> tuple[np.ndarray, np.ndarray]:
     """``cos(m t)`` and ``-sin(m t)`` for m = -l .. l, one row per angle ``t``.
 
     With one row ``c, s``, ``Z_l(t) @ M == c[:, None] * M + s[:, None] * M[::-1]``.
     """
-    ang = np.multiply.outer(angles, np.arange(-ell, ell + 1))
+    ang = np.multiply.outer(np.asarray(angles, dtype=float), np.arange(-ell, ell + 1))
     return np.cos(ang), -np.sin(ang)
 
 
-@lru_cache(maxsize=4096)
-def _wigner_y(ell: int, beta: float) -> np.ndarray:
-    """Wigner matrix of ``Ry(beta)``: ``J_l^T Z_l(beta) J_l``.
-
-    Cached per (degree, angle): readout grids reuse a handful of polar
-    angles thousands of times. Callers must not mutate the result.
-    """
-    (c,), (s,) = _z_factor(ell, beta)
+def _wigner_y(ell: int, betas) -> np.ndarray:
+    """Wigner matrices of ``Ry(beta)``, ``J_l^T Z_l(beta) J_l``, one per angle:
+    shape (n, 2l+1, 2l+1)."""
+    c, s = _z_factor(ell, betas)
     j = _j_matrix(ell)
-    out = j.T @ (c[:, None] * j + s[:, None] * j[::-1])
-    out.setflags(write=False)
+    return j.T @ (c[:, :, None] * j + s[:, :, None] * j[::-1])
+
+
+def _z_sandwich(ell: int, alphas, y: np.ndarray, gammas) -> np.ndarray:
+    """``Z_l(alpha) @ y @ Z_l(gamma)`` for a stack ``y`` of shape (n, 2l+1, 2l+1)."""
+    # Z(g) on the right acts on columns as Z(-g) does on rows
+    ca, sa = _z_factor(ell, alphas)
+    cg, sg = _z_factor(ell, np.negative(gammas))
+    left = ca[:, :, None] * y + sa[:, :, None] * y[:, ::-1]
+    return left * cg[:, None, :] + left[:, :, ::-1] * sg[:, None, :]
+
+
+# Rows per chunk of ``_wigner_dot`` keep each temporary under this many
+# doubles (256 KB), so a chunk's few temporaries stay in a core's L2 cache.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _wigner_dot(ell: int, angles: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``sum(wigner_d(ell, g) * block)`` for every ZYZ row ``g`` of ``angles`` (N, 3).
+
+    ``Y_l`` is built once per distinct beta; the alpha and gamma z-factors
+    act on a chunk of rows at once.
+    """
+    betas, where = np.unique(angles[:, 1], return_inverse=True)
+    ys = _wigner_y(ell, betas)
+    step = max(1, _CHUNK_ELEMENTS // (2 * ell + 1) ** 2)
+    out = np.empty(len(angles))
+    for lo in range(0, len(angles), step):
+        rows = slice(lo, lo + step)
+        d = _z_sandwich(ell, angles[rows, 0], ys[where[rows]], angles[rows, 2])
+        out[rows] = d.reshape(len(d), -1) @ block.ravel()
     return out
 
 
@@ -176,17 +202,13 @@ def _check_ell(ell: int) -> None:
 def wigner_d(ell: int, rot: Rotation3) -> np.ndarray:
     """Real orthogonal Wigner matrix with ``Y_l(R n) = D_l(R) Y_l(n)``."""
     _check_ell(ell)
-    # Z(a) @ Y @ Z(g); Z(g) on the right acts on columns as Z(-g) does on rows
-    c, s = _z_factor(ell, rot.alpha, -rot.gamma)
-    y = _wigner_y(ell, rot.beta)
-    left = c[0][:, None] * y + s[0][:, None] * y[::-1]
-    return left * c[1] + left[:, ::-1] * s[1]
+    return _z_sandwich(ell, [rot.alpha], _wigner_y(ell, [rot.beta]), [rot.gamma])[0]
 
 
 def wigner_d_z(ell: int, theta: float) -> np.ndarray:
     """Wigner matrix of the rotation by ``theta`` about z: the z-factor alone."""
     _check_ell(ell)
-    (c,), (s,) = _z_factor(ell, theta)
+    (c,), (s,) = _z_factor(ell, [theta])
     eye = np.eye(2 * ell + 1)
     return c[:, None] * eye + s[:, None] * eye[::-1]
 
@@ -212,6 +234,28 @@ def restrict_wigner(ell: int) -> tuple[dict[int, int], np.ndarray]:
 # ---------------------------------------------------------------------------
 # spherical harmonics
 
+def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of the polar angle and the azimuth of unit vectors (N, 3)."""
+    return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
+
+
+def _degree_harmonics(ell: int, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Real harmonics of degree ``ell`` alone, shape (N, 2l+1)."""
+    out = np.empty((len(z), 2 * ell + 1))
+    for m in range(0, ell + 1):
+        norm = math.sqrt((2 * ell + 1) / (4.0 * np.pi)
+                         * math.factorial(ell - m) / math.factorial(ell + m))
+        plm = lpmv(m, ell, z)
+        if m == 0:
+            out[:, ell] = norm * plm
+        else:
+            # (-1)^m cancels the Condon-Shortley phase carried by lpmv
+            amp = ((-1.0) ** m) * math.sqrt(2.0) * norm * plm
+            out[:, ell + m] = amp * np.cos(m * phi)
+            out[:, ell - m] = amp * np.sin(m * phi)
+    return out
+
+
 class SphericalHarmonicBasis:
     """Real orthonormal spherical harmonics stacked over degrees 0..lmax."""
 
@@ -219,12 +263,6 @@ class SphericalHarmonicBasis:
         _check_ell(lmax)
         self.lmax = lmax
         self.size = (lmax + 1) ** 2
-        norms = []
-        for ell in range(lmax + 1):
-            for m in range(0, ell + 1):
-                norms.append(math.sqrt((2 * ell + 1) / (4.0 * np.pi)
-                                       * math.factorial(ell - m) / math.factorial(ell + m)))
-        self._norms = norms
 
     @staticmethod
     def slice_of(ell: int) -> slice:
@@ -234,24 +272,10 @@ class SphericalHarmonicBasis:
         """Evaluate at unit vectors; shape (..., 3) -> (..., (lmax+1)^2)."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        z = np.clip(pts[:, 2], -1.0, 1.0)
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        out = np.empty((pts.shape[0], self.size))
-        idx = 0
+        z, phi = _polar(np.atleast_2d(pts))
+        out = np.empty((len(z), self.size))
         for ell in range(self.lmax + 1):
-            base = ell * ell
-            for m in range(0, ell + 1):
-                norm = self._norms[idx]
-                idx += 1
-                plm = lpmv(m, ell, z)
-                if m == 0:
-                    out[:, base + ell] = norm * plm
-                else:
-                    # (-1)^m cancels the Condon-Shortley phase carried by lpmv
-                    amp = ((-1.0) ** m) * math.sqrt(2.0) * norm * plm
-                    out[:, base + ell + m] = amp * np.cos(m * phi)
-                    out[:, base + ell - m] = amp * np.sin(m * phi)
+            out[:, self.slice_of(ell)] = _degree_harmonics(ell, z, phi)
         return out[0] if single else out
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planelift.kernels import (
     RadialProfileSet,
@@ -139,6 +141,20 @@ def test_solver_matches_grid_oracle():
         got = solve_so2_basis(rin, rout, radial, m_max).n_angular
         assert got == grid_nullspace_dimension(rin, rout)
         assert got == analytic_basis_count(rin, rout, m_max)
+
+
+SPECS = st.lists(st.integers(0, 4), min_size=1, max_size=2).map(lambda ks: SO2RepSpec(tuple(ks)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rin=SPECS, rout=SPECS, data=st.data())
+def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
+    full = rin.max_freq + rout.max_freq  # the highest frequency any irrep pair needs
+    m_max = data.draw(st.integers(0, full), label="m_max")
+    got = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max).n_angular
+    assert got == analytic_basis_count(rin, rout, m_max)
+    if m_max == full:  # nothing truncated
+        assert got == grid_nullspace_dimension(rin, rout)
 
 
 def test_basis_elements_linearly_independent():

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planelift.kernels import RadialProfileSet, SO2RepSpec, build_induction_kernel
@@ -10,6 +10,7 @@ from planelift.layers import (
     AnalyticField,
     LayerConfig,
     PlanarFeatureField,
+    SO3Signal,
     SphericalSignal,
     corrupt_kernel,
     equivariance_harness,
@@ -21,7 +22,7 @@ from planelift.layers import (
     sphere_to_so3_correlation,
     spherical_nonlinearity,
 )
-from planelift.so2_so3 import Rotation3, SphericalHarmonicBasis, sphere_quadrature
+from planelift.so2_so3 import Rotation3, SphericalHarmonicBasis, sphere_quadrature, wigner_d
 
 
 def _small_kernel(lmax=2, fiber=(0,), channels=1):
@@ -297,6 +298,47 @@ def test_self_correlation_peaks_at_identity_cell():
     values = corr.evaluate(grid)
     top = grid[int(np.argmax(values))]
     assert np.abs(top.matrix() - np.eye(3)).max() < 1e-12
+
+
+def _pointwise_readout(signal, rotations):
+    """The readout as one Wigner matrix per rotation and degree."""
+    return np.array([sum(float(np.sum(wigner_d(ell, g) * blk))
+                         for ell, blk in enumerate(signal.blocks))
+                     for g in rotations])
+
+
+ROTATIONS = st.builds(Rotation3, st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi),
+                      st.floats(0.0, 2 * np.pi))
+# equiangular grids hold beta = 0 and beta = pi and repeat each beta many times
+READOUT_SETS = st.one_of(
+    st.lists(ROTATIONS, max_size=40),
+    st.lists(ROTATIONS, min_size=1, max_size=1),
+    st.builds(so3_equiangular_grid, st.integers(1, 8), st.integers(2, 7), st.integers(1, 8)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lmax=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), rotations=READOUT_SETS)
+@example(lmax=12, seed=0, rotations=[])
+@example(lmax=12, seed=1, rotations=[Rotation3(1.0, np.pi, 2.0)])
+def test_batched_readout_matches_pointwise_wigner(lmax, seed, rotations):
+    rng = np.random.default_rng(seed)
+    signal = SO3Signal(lmax, tuple(rng.normal(size=(2 * l + 1, 2 * l + 1))
+                                   for l in range(lmax + 1)))
+    got = signal.evaluate(rotations)
+    assert got.shape == (len(rotations),)
+    scale = np.sqrt(sum(float(np.sum(blk ** 2)) for blk in signal.blocks))
+    assert np.abs(got - _pointwise_readout(signal, rotations)).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ((np.ones((1, 1)),), "need lmax"),
+    ((np.ones((1, 1)), np.ones((3, 2))), "block 1 must have shape"),
+    ((np.ones((1, 1)), np.full((3, 3), np.nan)), "non-finite"),
+])
+def test_so3_signal_rejects_malformed_blocks(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        SO3Signal(1, blocks)
 
 
 # ---------------------------------------------------------------------------
