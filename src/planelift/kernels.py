@@ -296,7 +296,8 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
         system = np.vstack(rows)
         _, svals, vt = np.linalg.svd(system, full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
-        null = vt[np.sum(svals > NULL_TOL * smax):]
+        # a copy, so the solutions do not keep the whole of ``vt`` alive
+        null = vt[np.sum(svals > NULL_TOL * smax):].copy()
         for vec in null:
             if m == 0:
                 solutions.append(_AngularSolution(0, vec.reshape(d_out, d_in), None))

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.special import jv
 
 from .kernels import (
     InductionKernel,
@@ -115,6 +113,8 @@ class AnalyticField:
                             m_band: int = 2, n_radial: int = 2,
                             k_max: float = 6.0) -> "AnalyticField":
         """Random finite sum of Bessel-times-trigonometric modes."""
+        from scipy.special import jv
+
         d = fiber.dim
         ms = np.arange(m_band + 1)
         ks = rng.uniform(1.0, k_max, size=(m_band + 1, n_radial))
@@ -159,6 +159,8 @@ def rotate_field(field, theta: float):
         return AnalyticField(rotated, field.fiber_rep)
 
     if isinstance(field, PlanarFeatureField):
+        from scipy.ndimage import map_coordinates
+
         h, w = field.shape
         pts = field.positions() @ _rotation2(-theta).T
         rows = pts[:, 0] / field.spacing + (h - 1) / 2.0

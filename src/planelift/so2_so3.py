@@ -3,9 +3,12 @@
 Conventions (fixed here once, everything downstream inherits them):
 
 * rotations are ZYZ Euler triples, ``R = Rz(alpha) @ Ry(beta) @ Rz(gamma)``;
+  quaternions are ``(x, y, z, w)``, scalar last: ``compose`` multiplies
+  them and ``from_matrix`` reads one by the largest pivot (Shepperd);
 * spherical harmonics are real, orthonormal on the unit sphere, with no
   Condon-Shortley phase in the real basis, stored in order
-  ``m = -l .. l`` (sine terms at negative indices);
+  ``m = -l .. l`` (sine terms at negative indices), and computed by the
+  normalized associated-Legendre recurrence from ``sin(theta) = hypot(x, y)``;
 * ``wigner_d`` is defined by the equivariance relation
   ``Y_l(R @ n) = D_l(R) @ Y_l(n)``, which makes it a genuine homomorphism.
 
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
-from scipy.special import lpmv
 
 __all__ = [
     "MAX_ELL",
@@ -48,7 +49,7 @@ _TWO_PI = 2.0 * np.pi
 _EPS = np.finfo(float).eps
 
 
-def _as_zyz(rot: _ScipyRotation) -> tuple[float, float, float]:
+def _as_zyz(quat) -> tuple[float, float, float]:
     """ZYZ angles from the unit quaternion, accurate for every beta.
 
     With half angles ``b = beta/2``, ``s = (alpha+gamma)/2`` and
@@ -56,7 +57,7 @@ def _as_zyz(rot: _ScipyRotation) -> tuple[float, float, float]:
     ``(-sin b sin d, sin b cos d, cos b sin s, cos b cos s)``. Within
     rounding of a pole, where ``d`` or ``s`` is free, gamma is 0.
     """
-    x, y, z, w = rot.as_quat()
+    x, y, z, w = quat
     sin_b, cos_b = np.hypot(x, y), np.hypot(z, w)
     s, d = np.arctan2(z, w), np.arctan2(-x, y)
     if sin_b <= _EPS:
@@ -64,6 +65,27 @@ def _as_zyz(rot: _ScipyRotation) -> tuple[float, float, float]:
     elif cos_b <= _EPS:
         s = d
     return s + d, 2.0 * np.arctan2(sin_b, cos_b), s - d
+
+
+def _matrix_quat(m: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation matrix by the largest pivot (Shepperd):
+    row i of the symmetric ``K = 4 q q^T`` is ``4 q_i q``."""
+    trace = m[0, 0] + m[1, 1] + m[2, 2]
+    k = np.empty((4, 4))
+    k[:3, :3] = m + m.T
+    k[:3, 3] = k[3, :3] = m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]
+    k[np.diag_indices(4)] = *(1.0 - trace + 2.0 * np.diag(m)), 1.0 + trace
+    row = k[np.argmax(np.diag(k))]
+    return row / np.linalg.norm(row)
+
+
+def _quat_product(p, q) -> tuple[float, float, float, float]:
+    """Hamilton product ``p q`` of quaternions ``(x, y, z, w)``."""
+    (px, py, pz, pw), (qx, qy, qz, qw) = p, q
+    return (pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw,
+            pw * qw - px * qx - py * qy - pz * qz)
 
 
 @dataclass(frozen=True)
@@ -94,24 +116,35 @@ class Rotation3:
 
     @staticmethod
     def from_matrix(mat: np.ndarray) -> "Rotation3":
-        a, b, g = _as_zyz(_ScipyRotation.from_matrix(np.asarray(mat, dtype=float)))
-        return Rotation3(a, b, g)
+        m = np.asarray(mat, dtype=float)
+        if (m.shape != (3, 3) or not np.allclose(m @ m.T, np.eye(3), rtol=0.0, atol=1e-9)
+                or np.linalg.det(m) <= 0.0):
+            raise ValueError("expected a 3x3 rotation matrix")
+        return Rotation3(*_as_zyz(_matrix_quat(m)))
 
     @staticmethod
     def random(rng: np.random.Generator) -> "Rotation3":
         quat = rng.normal(size=4)
-        quat /= np.linalg.norm(quat)
-        return Rotation3.from_matrix(_ScipyRotation.from_quat(quat).as_matrix())
+        return Rotation3(*_as_zyz(quat / np.linalg.norm(quat)))
+
+    def _quat(self) -> tuple[float, float, float, float]:
+        """Unit quaternion ``(x, y, z, w)``, scalar last; ``_as_zyz`` inverts it."""
+        b, s, d = self.beta / 2, (self.alpha + self.gamma) / 2, (self.alpha - self.gamma) / 2
+        return (-math.sin(b) * math.sin(d), math.sin(b) * math.cos(d),
+                math.cos(b) * math.sin(s), math.cos(b) * math.cos(s))
 
     def matrix(self) -> np.ndarray:
-        return _ScipyRotation.from_euler("ZYZ", [self.alpha, self.beta, self.gamma]).as_matrix()
+        """``Rz(alpha) @ Ry(beta) @ Rz(gamma)``."""
+        ca, sa = math.cos(self.alpha), math.sin(self.alpha)
+        cb, sb = math.cos(self.beta), math.sin(self.beta)
+        cg, sg = math.cos(self.gamma), math.sin(self.gamma)
+        return np.array([[ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb],
+                         [sa * cb * cg + ca * sg, ca * cg - sa * cb * sg, sa * sb],
+                         [-sb * cg, sb * sg, cb]])
 
     def compose(self, other: "Rotation3") -> "Rotation3":
         """Product ``self * other`` (apply ``other`` first), via quaternions."""
-        ra = _ScipyRotation.from_euler("ZYZ", [self.alpha, self.beta, self.gamma])
-        rb = _ScipyRotation.from_euler("ZYZ", [other.alpha, other.beta, other.gamma])
-        a, b, g = _as_zyz(ra * rb)
-        return Rotation3(a, b, g)
+        return Rotation3(*_as_zyz(_quat_product(self._quat(), other._quat())))
 
     def inverse(self) -> "Rotation3":
         return Rotation3.from_matrix(self.matrix().T)
@@ -139,8 +172,8 @@ def _j_matrix(ell: int) -> np.ndarray:
     """
     quarter = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     pts, wts = sphere_quadrature(ell)
-    rotated = _degree_harmonics(ell, *_polar(pts @ quarter.T))
-    u, _, vt = np.linalg.svd((rotated * wts[:, None]).T @ _degree_harmonics(ell, *_polar(pts)))
+    rotated = _harmonics(pts @ quarter.T, ell, ell)
+    u, _, vt = np.linalg.svd((rotated * wts[:, None]).T @ _harmonics(pts, ell, ell))
     out = u @ vt
     out.setflags(write=False)
     return out
@@ -234,25 +267,30 @@ def restrict_wigner(ell: int) -> tuple[dict[int, int], np.ndarray]:
 # ---------------------------------------------------------------------------
 # spherical harmonics
 
-def _polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine of the polar angle and the azimuth of unit vectors (N, 3)."""
-    return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
+def _harmonics(points: np.ndarray, lmax: int, lmin: int = 0) -> np.ndarray:
+    """Real harmonics of degrees ``lmin..lmax`` at unit vectors (N, 3), shape
+    (N, (lmax+1)^2 - lmin^2), by the normalized associated-Legendre recurrence.
 
-
-def _degree_harmonics(ell: int, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Real harmonics of degree ``ell`` alone, shape (N, 2l+1)."""
-    out = np.empty((len(z), 2 * ell + 1))
-    for m in range(0, ell + 1):
-        norm = math.sqrt((2 * ell + 1) / (4.0 * np.pi)
-                         * math.factorial(ell - m) / math.factorial(ell + m))
-        plm = lpmv(m, ell, z)
-        if m == 0:
-            out[:, ell] = norm * plm
-        else:
-            # (-1)^m cancels the Condon-Shortley phase carried by lpmv
-            amp = ((-1.0) ** m) * math.sqrt(2.0) * norm * plm
-            out[:, ell + m] = amp * np.cos(m * phi)
-            out[:, ell - m] = amp * np.sin(m * phi)
+    ``sin(theta)`` is ``hypot(x, y)``; ``sqrt(1 - z^2)`` loses digits at the poles.
+    """
+    x, y, z = points.T
+    sin_t, phi = np.hypot(x, y), np.arctan2(y, x)
+    out = np.empty((len(points), (lmax + 1) ** 2 - lmin * lmin))
+    sectoral = np.full(len(points), math.sqrt(0.25 / np.pi))
+    for m in range(lmax + 1):
+        if m:
+            sectoral = sectoral * (math.sqrt((2 * m + 1) / (2 * m)) * sin_t)
+        scale = math.sqrt(2.0) if m else 1.0  # the real basis splits m > 0 into cos and sin
+        cos_m, sin_m = scale * np.cos(m * phi), scale * np.sin(m * phi)
+        prev, cur = 0.0, sectoral
+        for ell in range(m, lmax + 1):
+            if ell > m:
+                a = math.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
+                b = math.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
+                prev, cur = cur, a * (z * cur - b * prev)
+            if ell >= lmin:  # at m = 0 the cosine column overwrites the sine one
+                col = ell * ell + ell - lmin * lmin
+                out[:, col - m], out[:, col + m] = cur * sin_m, cur * cos_m
     return out
 
 
@@ -272,10 +310,7 @@ class SphericalHarmonicBasis:
         """Evaluate at unit vectors; shape (..., 3) -> (..., (lmax+1)^2)."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        z, phi = _polar(np.atleast_2d(pts))
-        out = np.empty((len(z), self.size))
-        for ell in range(self.lmax + 1):
-            out[:, self.slice_of(ell)] = _degree_harmonics(ell, z, phi)
+        out = _harmonics(np.atleast_2d(pts), self.lmax)
         return out[0] if single else out
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planelift
 from planelift.cli import main
 
 
@@ -172,3 +177,18 @@ def test_byte_identical_reruns(capsys):
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+
+
+def test_demo_pose_imports_no_scipy():
+    # cold start pays for numpy alone: scipy serves only Bessel test fields
+    # and resampled sampled-field rotations, neither of which demo pose uses
+    script = ("import contextlib, io, sys\n"
+              "import planelift.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert planelift.cli.main(['demo', 'pose']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(planelift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"

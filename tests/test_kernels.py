@@ -157,6 +157,20 @@ def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
         assert got == grid_nullspace_dimension(rin, rout)
 
 
+def test_solutions_keep_only_their_null_block():
+    # each coefficient array may view the null rows of its frequency, never
+    # the SVD's whole (2dd x 2dd) right factor
+    rin, rout = SO2RepSpec((0, 1, 2)), SO2RepSpec((0, 1, 2))
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max=4)
+    width = 2 * rin.dim * rout.dim
+    for sol in basis.angular:
+        null_rows = sum(other.m == sol.m for other in basis.angular)
+        for arr in (sol.cos_coeff, sol.sin_coeff):
+            if arr is not None:
+                owner = arr if arr.base is None else arr.base
+                assert owner.size <= null_rows * width
+
+
 def test_basis_elements_linearly_independent():
     rng = np.random.default_rng(4)
     basis = solve_so2_basis(SO2RepSpec((0, 1)), SO2RepSpec((0, 1)),

@@ -1,14 +1,19 @@
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation as ScipyRotation
+from scipy.special import lpmv
 
 from planelift.so2_so3 import (
     MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
+    _matrix_quat,
+    _quat_product,
     restrict_wigner,
     so2_block,
     sph_eval,
@@ -41,6 +46,42 @@ def test_rotation_composition_near_the_poles(beta):
     # within 1e-7 of a pole a gimbal-lock shortcut that drops gamma is off by ~beta
     a, b = Rotation3(0.3, beta, 0.0), Rotation3.about_z(1.0)
     assert np.abs(a.compose(b).matrix() - a.matrix() @ b.matrix()).max() < 1e-12
+
+
+def _quat_distance(p, q):
+    p, q = np.asarray(p), np.asarray(q)
+    return min(np.abs(p - q).max(), np.abs(p + q).max())  # q and -q are one rotation
+
+
+# Results that pass through the stored ZYZ triple carry up to an ulp of 2*pi
+# (8.9e-16) per angle, and a matrix entry moves by at most the angle errors'
+# sum: three angles plus the entry's own rounding.
+ANGLE_TOL = 4 * np.spacing(2 * np.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ROTATIONS, b=ROTATIONS, seed=st.integers(0, 2 ** 32 - 1))
+def test_rotation_numerics_match_scipy(a, b, seed):
+    sa, sb = (ScipyRotation.from_euler("ZYZ", [g.alpha, g.beta, g.gamma]) for g in (a, b))
+    mat = sa.as_matrix()
+    assert np.abs(a.matrix() - mat).max() <= 1e-15
+    assert _quat_distance(a._quat(), sa.as_quat()) <= 1e-15
+    assert _quat_distance(_matrix_quat(mat), ScipyRotation.from_matrix(mat).as_quat()) <= 1e-15
+    assert _quat_distance(_quat_product(sa.as_quat(), sb.as_quat()), (sa * sb).as_quat()) <= 1e-15
+    assert np.abs(Rotation3.from_matrix(mat).matrix() - mat).max() <= ANGLE_TOL
+    assert np.abs(a.compose(b).matrix() - (sa * sb).as_matrix()).max() <= ANGLE_TOL
+    # random() consumes exactly one normal(size=4) draw, as a uniform quaternion
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = Rotation3.random(rng).matrix()
+    assert np.abs(got - ScipyRotation.from_quat(ref.normal(size=4)).as_matrix()).max() <= ANGLE_TOL
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("mat", [np.diag([1.0, 1.0, -1.0]), 1.01 * np.eye(3), np.eye(2),
+                                 np.full((3, 3), np.nan)])
+def test_from_matrix_rejects_non_rotations(mat):
+    with pytest.raises(ValueError, match="rotation matrix"):
+        Rotation3.from_matrix(mat)
 
 
 def test_rotation_inverse_and_canonical_ranges():
@@ -195,6 +236,62 @@ def test_sph_eval_normalization_and_pole():
         block[ell] = 0.0
         assert np.abs(block).max() < 1e-13  # only the zonal entry survives
         assert abs(center - np.sqrt((2 * ell + 1) / (4 * np.pi))) < 1e-12
+
+
+def _lpmv_harmonics(lmax, pts):
+    # the associated-Legendre formula through scipy, with its Condon-Shortley
+    # phase cancelled
+    z, phi = np.clip(pts[:, 2], -1.0, 1.0), np.arctan2(pts[:, 1], pts[:, 0])
+    out = np.empty((len(pts), (lmax + 1) ** 2))
+    for ell in range(lmax + 1):
+        for m in range(ell + 1):
+            norm = math.sqrt((2 * ell + 1) / (4 * np.pi)
+                             * math.factorial(ell - m) / math.factorial(ell + m))
+            plm = norm * lpmv(m, ell, z)
+            if m == 0:
+                out[:, ell * ell + ell] = plm
+            else:
+                amp = (-1.0) ** m * math.sqrt(2.0) * plm
+                out[:, ell * ell + ell + m] = amp * np.cos(m * phi)
+                out[:, ell * ell + ell - m] = amp * np.sin(m * phi)
+    return out
+
+
+def test_recurrence_matches_lpmv_formula():
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    got = SphericalHarmonicBasis(MAX_ELL).evaluate(pts)
+    assert np.abs(got - _lpmv_harmonics(MAX_ELL, pts)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [1e-2, 1e-5, 1e-8, 1e-12, 0.0])
+def test_addition_theorem_near_the_poles(theta):
+    # sum_m Y_lm(n)^2 = (2l+1)/(4 pi) at every n; the forward recurrence's
+    # rounding error grows like l^2 where z is close to +-1
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(0.0, 2 * np.pi, size=40)
+    sign = np.repeat([1.0, -1.0], 20)
+    pts = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                    sign * np.cos(theta)], axis=1)
+    y = SphericalHarmonicBasis(MAX_ELL).evaluate(pts)
+    for ell in range(MAX_ELL + 1):
+        total = (y[:, SphericalHarmonicBasis.slice_of(ell)] ** 2).sum(axis=1)
+        expected = (2 * ell + 1) / (4 * np.pi)
+        assert np.abs(total - expected).max() <= (ell + 1) ** 2 * np.finfo(float).eps * expected
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-12])
+def test_degree_one_harmonics_keep_their_digits_near_the_poles(eps):
+    # Y_1 = sqrt(3 / 4 pi) (y, z, x): linear, so exact to a few ulp even
+    # where z rounds to 1 and sqrt(1 - z^2) would lose every digit of x and y
+    phi = np.linspace(0.1, 6.0, 7)
+    pts = np.stack([eps * np.cos(phi), eps * np.sin(phi),
+                    np.full(7, np.sqrt(1.0 - eps * eps))], axis=1)
+    pts = np.concatenate([pts, pts * [1.0, 1.0, -1.0]])
+    got = SphericalHarmonicBasis(1).evaluate(pts)[:, 1:]
+    expected = np.sqrt(3 / (4 * np.pi)) * pts[:, [1, 2, 0]]
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
 def test_sph_eval_rejects_non_unit_vectors():
