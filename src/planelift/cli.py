@@ -59,7 +59,10 @@ def _parse_rep_spec(text: str) -> SO2RepSpec:
     freqs: list[int] = []
     for part in text.split(","):
         k, _, count = part.partition(":")
-        freqs.extend([int(k)] * int(count or "1"))
+        n = int(count or "1")
+        if n < 1:
+            raise ValueError(f"count in {part!r} must be at least 1")
+        freqs.extend([int(k)] * n)
     return SO2RepSpec(tuple(freqs))
 
 

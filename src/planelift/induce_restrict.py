@@ -12,6 +12,7 @@ is trivially parallelizable across irreps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BranchingTable:
-    """Rows: parent-group irreps; columns: subgroup irreps; integer entries."""
+    """Integer multiplicities between two irrep sets, addressed by label.
+
+    A branching table has parent-group irreps as rows and subgroup irreps as
+    columns; an induction table (``InductionTable``, the same type) has
+    subgroup irreps as rows and parent-group irreps as columns.
+    """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
@@ -52,17 +58,7 @@ class BranchingTable:
         return int(self.entries[self.rows.index(r), self.cols.index(c)])
 
 
-@dataclass(frozen=True)
-class InductionTable:
-    """Rows: subgroup irreps; columns: parent-group irreps; integer entries."""
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    entries: np.ndarray
-
-    def __getitem__(self, key: tuple[str, str]) -> int:
-        r, c = key
-        return int(self.entries[self.rows.index(r), self.cols.index(c)])
+InductionTable = BranchingTable
 
 
 def restrict(rep: Representation, embedding: SubgroupEmbedding) -> Representation:
@@ -95,20 +91,22 @@ def induce(rep: Representation, cosets: CosetDecomposition) -> Representation:
     return Representation(parent, mats, f"Ind({rep.label})")
 
 
+def _multiplicity_table(sources: IrrepTable, lift: Callable[[Representation], Representation],
+                        targets: IrrepTable) -> BranchingTable:
+    """One row per source irrep: the multiplicity of each target irrep in its lift."""
+    cols = targets.labels()
+    mults = [decompose(lift(irrep), targets).multiplicities for irrep in sources.irreps]
+    entries = np.array([[m.get(lbl, 0) for lbl in cols] for m in mults], dtype=np.int64)
+    return BranchingTable(sources.labels(), cols, entries)
+
+
 def branching_table(embedding: SubgroupEmbedding,
                     parent_table: IrrepTable | None = None,
                     sub_table: IrrepTable | None = None) -> BranchingTable:
     """Multiplicity of each subgroup irrep inside each restricted parent irrep."""
-    parent_table = parent_table or irrep_table(embedding.parent)
-    sub_table = sub_table or irrep_table(embedding.sub)
-    rows = parent_table.labels()
-    cols = sub_table.labels()
-    entries = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, sigma in enumerate(parent_table.irreps):
-        dec = decompose(restrict(sigma, embedding), sub_table)
-        for c, lbl in enumerate(cols):
-            entries[r, c] = dec.multiplicities.get(lbl, 0)
-    return BranchingTable(rows, cols, entries)
+    return _multiplicity_table(parent_table or irrep_table(embedding.parent),
+                               lambda sigma: restrict(sigma, embedding),
+                               sub_table or irrep_table(embedding.sub))
 
 
 def induction_table(cosets: CosetDecomposition,
@@ -116,16 +114,9 @@ def induction_table(cosets: CosetDecomposition,
                     sub_table: IrrepTable | None = None) -> InductionTable:
     """Multiplicity of each parent irrep inside each induced subgroup irrep."""
     emb = cosets.embedding
-    parent_table = parent_table or irrep_table(emb.parent)
-    sub_table = sub_table or irrep_table(emb.sub)
-    rows = sub_table.labels()
-    cols = parent_table.labels()
-    entries = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, rho in enumerate(sub_table.irreps):
-        dec = decompose(induce(rho, cosets), parent_table)
-        for c, lbl in enumerate(cols):
-            entries[r, c] = dec.multiplicities.get(lbl, 0)
-    return InductionTable(rows, cols, entries)
+    return _multiplicity_table(sub_table or irrep_table(emb.sub),
+                               lambda rho: induce(rho, cosets),
+                               parent_table or irrep_table(emb.parent))
 
 
 def check_frobenius(branching: BranchingTable,

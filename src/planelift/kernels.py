@@ -143,6 +143,8 @@ def so3_fiber_restriction(ells: tuple[int, ...]) -> tuple[SO2RepSpec, np.ndarray
     Returns the canonical spec and the orthogonal map from stacked real
     harmonic coordinates into canonical frequency-block coordinates.
     """
+    if not ells:
+        raise ValueError("the output fiber needs at least one degree")
     freqs: list[int] = []
     blocks = []
     for ell in ells:
@@ -418,6 +420,16 @@ class InductionKernel:
         return total
 
 
+def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1) -> None:
+    """Reject a layer shape whose kernel would be vacuous."""
+    if lmax < 0:
+        raise ValueError(f"lmax must be non-negative, got {lmax}")
+    if out_channels < 1:
+        raise ValueError(f"out_channels must be at least 1, got {out_channels}")
+    if not fiber_in.freqs:
+        raise ValueError("the input fiber needs at least one frequency")
+
+
 def build_induction_kernel(fiber_in: SO2RepSpec, out_channels: int, lmax: int,
                            radial: RadialProfileSet,
                            m_max: int | None = None) -> InductionKernel:
@@ -428,6 +440,7 @@ def build_induction_kernel(fiber_in: SO2RepSpec, out_channels: int, lmax: int,
     scalar output fiber on the output side; ``m_max`` defaults to the value
     that truncates nothing.
     """
+    _check_layer_shape(fiber_in, lmax, out_channels)
     if m_max is None:
         m_max = lmax + 2 * fiber_in.max_freq
     bases, transforms = [], []
@@ -503,6 +516,7 @@ class SO3Kernel:
 
 def build_so3_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...], lmax: int,
                      radial: RadialProfileSet, m_max: int | None = None) -> SO3Kernel:
+    _check_layer_shape(fiber_in, lmax)
     out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
     if m_max is None:
         m_max = lmax + 2 * fiber_in.max_freq + out_spec.max_freq
@@ -540,6 +554,7 @@ def build_volume_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...],
                         m_max: int | None = None) -> VolumeKernel:
     if not z_samples:
         raise ValueError("need at least one height sample")
+    _check_layer_shape(fiber_in)
     out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
     if m_max is None:
         m_max = fiber_in.max_freq + out_spec.max_freq

@@ -25,6 +25,7 @@ from .kernels import (
     InductionKernel,
     RadialProfileSet,
     SO2RepSpec,
+    _check_layer_shape,
     build_induction_kernel,
 )
 from .so2_so3 import (
@@ -380,6 +381,7 @@ class LayerConfig:
     def __post_init__(self):
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        _check_layer_shape(self.fiber, self.lmax, self.channels)
 
     @property
     def fiber(self) -> SO2RepSpec:

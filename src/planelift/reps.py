@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _same_group
+from .groups import FiniteGroup, _same_group, build_group, coset_decomposition, subgroup_embedding
 
 __all__ = [
     "Representation",
@@ -133,9 +133,7 @@ def _helmert(n: int) -> np.ndarray:
 def _point_action_matrices(group: FiniteGroup, orbit_of: np.ndarray, n_points: int) -> np.ndarray:
     """Permutation matrices for a left action given as ``orbit_of[g, point]``."""
     mats = np.zeros((group.order, n_points, n_points))
-    for g in range(group.order):
-        for x in range(n_points):
-            mats[g, orbit_of[g, x], x] = 1.0
+    mats[np.arange(group.order)[:, None], orbit_of, np.arange(n_points)] = 1.0
     return mats
 
 
@@ -182,25 +180,6 @@ def _pair_point_rep(group: FiniteGroup) -> np.ndarray:
     return _point_action_matrices(group, orbit, len(pairs))
 
 
-def _coset_point_rep(group: FiniteGroup, sub_elements: list[int]) -> np.ndarray:
-    """Permutation rep on left cosets of the subgroup given by its element set."""
-    n = group.order
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        members = group.mul[g, np.asarray(sub_elements)]
-        coset_of[members] = len(reps)
-        reps.append(g)
-    m = len(reps)
-    orbit = np.empty((n, m), dtype=np.int64)
-    for g in range(n):
-        for i, r in enumerate(reps):
-            orbit[g, i] = coset_of[group.mul[g, r]]
-    return _point_action_matrices(group, orbit, m)
-
-
 def _project_irrep(group: FiniteGroup, perm_rep: np.ndarray,
                    class_char: np.ndarray, dim: int, label: str) -> Representation:
     """Extract a multiplicity-one irrep from a real permutation rep.
@@ -235,22 +214,11 @@ def _cyclic_table(group: FiniteGroup) -> IrrepTable:
 
 
 def _a4_table(group: FiniteGroup) -> IrrepTable:
-    n = group.order
-    # quotient by the order-4 normal subgroup (identity plus double transpositions)
-    v4 = [g for g in range(n) if group.mul[g, g] == group.identity]
-    assert len(v4) == 4
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        coset_of[group.mul[g, np.asarray(v4)]] = len(reps)
-        reps.append(g)
+    # the quotient by V4 is Z3; its characters are class functions, so the
+    # exponent t is 1 on the class of (1,2,3), 2 on that of its square, else 0
     gen = group.element_index("(1,2,3)")
-    t = np.empty(n, dtype=np.int64)  # quotient exponent with t((1,2,3)) = 1
-    t[coset_of == coset_of[group.identity]] = 0
-    t[coset_of == coset_of[gen]] = 1
-    t[coset_of == coset_of[group.power(gen, 2)]] = 2
+    exponent = {group.class_of(group.power(gen, k)): k for k in (1, 2)}
+    t = [exponent.get(group.class_of(g), 0) for g in range(group.order)]
     omega = np.exp(2j * np.pi / 3)
 
     triv = trivial_representation(group)
@@ -300,7 +268,8 @@ def _a5_table(group: FiniteGroup) -> IrrepTable:
 
     gen5 = group.element_index("(1,2,3,4,5)")
     z5 = [group.power(gen5, k) for k in range(5)]
-    cosets12 = _coset_point_rep(group, z5)
+    cosets = coset_decomposition(subgroup_embedding(build_group("Z5"), group, z5))
+    cosets12 = _point_action_matrices(group, cosets.perm, cosets.n_cosets)
     irr3a = _project_irrep(group, cosets12, chi3a, 3, "icosa3a")
     irr3b = _project_irrep(group, cosets12, chi3b, 3, "icosa3b")
 
@@ -332,11 +301,8 @@ def trivial_representation(group: FiniteGroup) -> Representation:
 
 def regular_representation(group: FiniteGroup) -> Representation:
     """Left translation acting on functions over the group."""
-    n = group.order
-    mats = np.zeros((n, n, n))
-    for g in range(n):
-        mats[g, group.mul[g], np.arange(n)] = 1.0
-    return Representation(group, mats, "regular")
+    return Representation(group, _point_action_matrices(group, group.mul, group.order),
+                          "regular")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import CosetDecomposition, coset_decomposition, named_embedding
+from .induce_restrict import induce
 from .reps import Representation, irrep_table
 
 __all__ = [
@@ -102,32 +103,21 @@ def tetra_induce(bank: TriangleFilterBank,
                  cosets: CosetDecomposition | None = None) -> TetraFunction:
     """Stack the bank into a tetrahedron function via the coset factorization."""
     cosets = cosets or fixture_cosets()
-    parent = cosets.embedding.parent
-    k = bank.width
-    out = np.empty((parent.order, 4, k), dtype=np.complex128)
-    for g in range(parent.order):
-        for i in range(4):
-            out[g, i] = bank.values[cosets.perm[g, i], cosets.factor[g, i]]
-    return TetraFunction(out, cosets)
+    return TetraFunction(bank.values[cosets.perm, cosets.factor], cosets)
 
 
 def induced_block_matrices(label: str,
                            cosets: CosetDecomposition | None = None) -> Representation:
     """The 4x4 matrices of the tetrahedron action induced from one irrep.
 
-    Block-scatter construction: the matrix of ``g`` has the scalar
+    This is :func:`planelift.induce_restrict.induce` of the named triangle
+    irrep over the coset decomposition: the matrix of ``g`` has the scalar
     ``rho(factor[g, i])`` at position ``(perm[g, i], i)`` and zeros
-    elsewhere. These satisfy the homomorphism property exactly and realize
-    the action of the tetrahedron group on the stacked coefficients.
+    elsewhere, and realizes the action of the tetrahedron group on the
+    stacked coefficients.
     """
     cosets = cosets or fixture_cosets()
-    parent = cosets.embedding.parent
-    rho = irrep_table(cosets.embedding.sub).by_label(label)
-    mats = np.zeros((parent.order, 4, 4), dtype=np.complex128)
-    for g in range(parent.order):
-        for i in range(4):
-            mats[g, cosets.perm[g, i], i] = rho.matrices[cosets.factor[g, i], 0, 0]
-    return Representation(parent, mats, f"Ind({label})")
+    return induce(irrep_table(cosets.embedding.sub).by_label(label), cosets)
 
 
 def verify_tetra_action(fn: TetraFunction, label: str, tol: float = 1e-12) -> bool:

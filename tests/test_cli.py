@@ -106,6 +106,11 @@ def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
     (["demo", "pose", "--grid-alpha", "0"], "grid counts"),
     (["equivariance", "--grid-n", "1"], "grid_n"),
     (["decompose", "--group", "A4", "--rep", "nope"], "available: triv"),
+    (["equivariance", "--lmax", "-1"], "lmax"),
+    (["demo", "pose", "--lmax", "-1"], "lmax"),
+    (["kernel-basis", "--in", "0:0"], "count"),
+    (["kernel-basis", "--in", "0:-1"], "count"),
+    (["kernel-basis", "--channels", "-2"], "out_channels"),
 ])
 def test_bad_numeric_or_label_input_is_usage_error(capsys, argv, message):
     code = main(argv)

@@ -73,6 +73,34 @@ def test_induced_representation_validates_on_a5():
     validate_representation(lifted)
 
 
+def _frobenius_character(rho, cosets):
+    """chi(g) = sum_i [g_i^-1 g g_i in H] chi_rho(g_i^-1 g g_i), from mul/inv alone."""
+    parent = cosets.embedding.parent
+    sub_index = {int(p): s for s, p in enumerate(cosets.embedding.embed)}
+    chi_rho = np.trace(rho.matrices, axis1=1, axis2=2)
+    chi = np.zeros(parent.order, dtype=complex)
+    for g in range(parent.order):
+        for gi in cosets.reps:
+            c = int(parent.mul[parent.mul[parent.inv[gi], g], gi])
+            if c in sub_index:
+                chi[g] += chi_rho[sub_index[c]]
+    return chi
+
+
+@pytest.mark.parametrize("sub,parent", [("Z1", "Z6"), ("Z1", "A4"), ("Z1", "A5"),
+                                        ("Z6", "Z6"), ("A4", "A4"), ("A5", "A5"),
+                                        ("Z2", "Z6"), ("Z3", "A4"), ("Z5", "A5")])
+def test_induced_character_matches_frobenius_formula(sub, parent):
+    emb, cos, _, sub_t = _setup(sub, parent)
+    classes = emb.parent.conjugacy_classes
+    for rho in sub_t.irreps:
+        lifted = induce(rho, cos)
+        validate_representation(lifted)
+        expected = _frobenius_character(rho, cos)
+        assert np.abs(np.trace(lifted.matrices, axis1=1, axis2=2) - expected).max() < 1e-12
+        assert np.abs(lifted.character() - expected[[c[0] for c in classes]]).max() < 1e-12
+
+
 def test_branching_and_induction_tables():
     emb, cos, parent_t, sub_t = _setup("Z3", "A4")
     branching = branching_table(emb, parent_t, sub_t)

@@ -16,6 +16,7 @@ from planelift.kernels import (
     so3_fiber_restriction,
     solve_so2_basis,
 )
+from planelift.layers import LayerConfig
 from planelift.so2_so3 import Rotation3, wigner_d, wigner_d_z
 
 
@@ -383,3 +384,27 @@ def test_empty_height_samples_rejected():
         build_volume_kernel(SO2RepSpec((0,)), (0,), (), RadialProfileSet(1, 0.5))
     with pytest.raises(ValueError):
         build_r3s2_kernel(SO2RepSpec((0,)), 1, (), RadialProfileSet(1, 0.5))
+
+
+_SCALAR, _EMPTY, _RADIAL = SO2RepSpec((0,)), SO2RepSpec(()), RadialProfileSet(1, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_induction_kernel(_SCALAR, 1, -1, _RADIAL),
+    lambda: build_induction_kernel(_SCALAR, 0, 2, _RADIAL),
+    lambda: build_induction_kernel(_EMPTY, 1, 2, _RADIAL),
+    lambda: build_r3s2_kernel(_SCALAR, -1, (0.0,), _RADIAL),
+    lambda: build_so3_kernel(_SCALAR, (0,), -1, _RADIAL),
+    lambda: build_so3_kernel(_EMPTY, (0,), 1, _RADIAL),
+    lambda: build_so3_kernel(_SCALAR, (), 1, _RADIAL),
+    lambda: build_volume_kernel(_SCALAR, (), (0.0,), _RADIAL),
+    lambda: build_volume_kernel(_EMPTY, (0,), (0.0,), _RADIAL),
+    lambda: LayerConfig(lmax=-1),
+    lambda: LayerConfig(channels=0),
+    lambda: LayerConfig(fiber_freqs=()),
+], ids=["lmax", "channels", "empty-fiber", "r3s2-lmax", "so3-lmax", "so3-empty-fiber",
+        "so3-no-out-degrees", "volume-no-out-degrees", "volume-empty-fiber", "config-lmax",
+        "config-channels", "config-empty-fiber"])
+def test_degenerate_layer_shapes_rejected(build):
+    with pytest.raises(ValueError):
+        build()
