@@ -13,6 +13,7 @@ rotation group, plane to volume slices, plane to translation-times-sphere);
 an analytic frequency-matching count and a grid-discretized nullspace
 oracle serve as independent checks.
 
+``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
 The height coordinate is inert under in-plane rotation, so the two
 height-sliced families solve their basis once and share that one object
 across every slice.
@@ -204,16 +205,22 @@ class RadialProfileSet:
 @dataclass(frozen=True)
 class _AngularSolution:
     m: int
-    cos_coeff: np.ndarray          # (d_out, d_in)
-    sin_coeff: np.ndarray | None   # None when m == 0
+    cos_coeff: np.ndarray  # (d_out, d_in)
+    sin_coeff: np.ndarray  # (d_out, d_in); zero when m == 0
 
 
 @dataclass(frozen=True)
 class SteerableKernelBasis:
     """Solved basis of constraint-satisfying kernels.
 
-    Each element is one radial profile times one angular solution; elements
-    are indexed so that all angular solutions of profile 0 come first.
+    Element ``(p, a)`` is radial profile ``p`` times ``(r / s_p)^m`` times
+    ``cos(m phi) C_a + sin(m phi) S_a``, for angular solution ``a`` of
+    frequency ``m`` (``S_a = 0`` at m = 0) and ``s_p`` the larger of the
+    profile's center and width; profile 0's elements come first. The
+    rotation-invariant ``r^m`` turns the angular oscillation into a
+    harmonic polynomial near the origin and keeps every element smooth
+    there; a pure ``profile * trig`` product would be discontinuous at
+    r = 0 and poison grid quadrature downstream.
     """
 
     in_rep: SO2RepSpec
@@ -230,36 +237,30 @@ class SteerableKernelBasis:
     def count(self) -> int:
         return self.radial.count * self.n_angular
 
-    def element(self, idx: int) -> tuple[int, _AngularSolution]:
-        p, a = divmod(idx, self.n_angular)
-        return p, self.angular[a]
-
-    def evaluate(self, idx: int, points: np.ndarray) -> np.ndarray:
-        """Kernel values of one element; (N, 2) points -> (N, d_out, d_in).
-
-        Angular frequency ``m`` carries an extra radial factor ``r^m``
-        (scaled by the profile's center or width), which turns the angular
-        oscillation into a harmonic polynomial near the origin and keeps
-        every element smooth there; a pure ``profile * trig`` product would
-        be discontinuous at r = 0 and poison grid quadrature downstream.
-        The factor is rotation invariant, so steerability is unaffected.
-        """
+    def evaluate_all(self, points: np.ndarray) -> np.ndarray:
+        """All elements at (N, 2) points, shape (count, N, d_out, d_in); each
+        distinct ``r^m`` and ``cos/sin(m phi)`` is computed once per call."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         radii = np.hypot(pts[:, 0], pts[:, 1])
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        p, sol = self.element(idx)
-        prof = self.radial.evaluate(radii)[p]
-        if sol.m > 0:
-            scale = max(float(self.radial.centers[p]), self.radial.width)
-            prof = prof * (radii / scale) ** sol.m
-        ang = np.cos(sol.m * phi)[:, None, None] * sol.cos_coeff[None]
-        if sol.sin_coeff is not None:
-            ang = ang + np.sin(sol.m * phi)[:, None, None] * sol.sin_coeff[None]
-        return prof[:, None, None] * ang
-
-    def evaluate_all(self, points: np.ndarray) -> np.ndarray:
-        """All elements at once, shape (count, N, d_out, d_in)."""
-        return np.stack([self.evaluate(i, points) for i in range(self.count)])
+        a, p, n = self.n_angular, self.radial.count, len(radii)
+        shape = (self.out_rep.dim, self.in_rep.dim)
+        ms = [sol.m for sol in self.angular]
+        prof = self.radial.evaluate(radii)  # (P, N)
+        scaled = radii / np.maximum(self.radial.centers, self.radial.width)[:, None]
+        powers = {m: prof * scaled ** m for m in set(ms) if m > 0}
+        trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in set(ms)}
+        radial = np.array([powers[m] if m else prof for m in ms]).reshape(a, p, n)
+        cos_sin = np.array([trig[m] for m in ms]).reshape(a, 2, n, 1, 1)
+        blocks = np.array([(s.cos_coeff, s.sin_coeff) for s in self.angular]).reshape(a, 2, 1, *shape)
+        # build the angular factor in profile 0's slot and scale it there last
+        out = np.empty((p, a, n) + shape)
+        np.multiply(cos_sin[:, 0], blocks[:, 0], out=out[0])
+        out[0] += cos_sin[:, 1] * blocks[:, 1]
+        factors = radial.transpose(1, 0, 2)[..., None, None]  # (P, A, N, 1, 1)
+        np.multiply(factors[1:], out[0], out=out[1:])
+        out[0] *= factors[0]
+        return out.reshape(self.count, n, *shape)
 
 
 def _angle_samples(m_max: int, in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> np.ndarray:
@@ -285,6 +286,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
 
     solutions: list[_AngularSolution] = []
     eye = np.eye(dd)
+    zero = np.zeros((d_out, d_in))  # the sine block of every m = 0 solution
     for m in range(m_max + 1):
         rows = []
         for t, conj in zip(thetas, conjugations):
@@ -301,11 +303,8 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
         # a copy, so the solutions do not keep the whole of ``vt`` alive
         null = vt[np.sum(svals > NULL_TOL * smax):].copy()
         for vec in null:
-            if m == 0:
-                solutions.append(_AngularSolution(0, vec.reshape(d_out, d_in), None))
-            else:
-                solutions.append(_AngularSolution(
-                    m, vec[:dd].reshape(d_out, d_in), vec[dd:].reshape(d_out, d_in)))
+            sin = vec[dd:].reshape(d_out, d_in) if m else zero
+            solutions.append(_AngularSolution(m, vec[:dd].reshape(d_out, d_in), sin))
     return SteerableKernelBasis(in_rep, out_rep, radial, m_max, tuple(solutions))
 
 
@@ -484,14 +483,15 @@ class SO3Kernel:
         return sum((2 * ell + 1) * b.count for ell, b in enumerate(self.bases))
 
     def split_weights(self, flat: np.ndarray) -> list[np.ndarray]:
+        if len(flat) != self.weight_count:
+            raise ValueError(f"weight vector has length {len(flat)}, "
+                             f"expected {self.weight_count}")
         out, pos = [], 0
         for ell in range(self.lmax + 1):
             shape = self.weight_shape(ell)
             n = shape[0] * shape[1]
             out.append(np.asarray(flat[pos:pos + n], dtype=float).reshape(shape))
             pos += n
-        if pos != len(flat):
-            raise ValueError("weight vector has the wrong length")
         return out
 
     def kappa(self, flat_weights: np.ndarray, rot: Rotation3, points: np.ndarray) -> np.ndarray:

@@ -432,6 +432,8 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if theta_samples < 1:
+        raise ValueError("need at least one rotation angle per trial")
     rng = np.random.default_rng(seed)
     kernel = kernel or config.build_kernel()
     residuals = []
@@ -464,10 +466,8 @@ def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> Inducti
     bases = []
     for basis in kernel.bases:
         broken = tuple(
-            _AngularSolution(sol.m,
-                             rng.normal(size=sol.cos_coeff.shape),
-                             None if sol.sin_coeff is None
-                             else rng.normal(size=sol.sin_coeff.shape))
+            _AngularSolution(sol.m, rng.normal(size=sol.cos_coeff.shape),
+                             rng.normal(size=sol.sin_coeff.shape))
             for sol in basis.angular)
         bases.append(replace(basis, angular=broken))
     return replace(kernel, bases=tuple(bases))

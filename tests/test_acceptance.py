@@ -203,14 +203,14 @@ def test_criterion_06_kernel_solver():
         counts_ok = counts_ok and solved.n_angular == grid_nullspace_dimension(rin, rout)
         thetas = rng.uniform(0, 2 * np.pi, size=10)
         pts = rng.normal(size=(20, 2))
-        for idx in range(solved.count):
-            base = solved.evaluate(idx, pts)
-            for theta in thetas:  # 10 angles x 20 radii = 200 samples
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.array([[c, -s], [s, c]])
-                lhs = solved.evaluate(idx, pts @ rot.T)
-                rhs = np.einsum("ou,nuv,wv->now", rout.matrix(theta), base, rin.matrix(theta))
-                worst_steer = max(worst_steer, float(np.abs(lhs - rhs).max()))
+        base = solved.evaluate_all(pts)
+        for theta in thetas:  # 10 angles x 20 radii = 200 samples per element
+            c, s = np.cos(theta), np.sin(theta)
+            rot = np.array([[c, -s], [s, c]])
+            lhs = solved.evaluate_all(pts @ rot.T)
+            rhs = np.einsum("ou,bnuv,wv->bnow", rout.matrix(theta), base, rin.matrix(theta))
+            for idx in range(solved.count):
+                worst_steer = max(worst_steer, float(np.abs(lhs[idx] - rhs[idx]).max()))
 
     # assembled constraints of the four kernel families
     fiber = SO2RepSpec((0, 1))

@@ -16,7 +16,7 @@ from planelift.kernels import (
     so3_fiber_restriction,
     solve_so2_basis,
 )
-from planelift.layers import LayerConfig
+from planelift.layers import AnalyticField, LayerConfig, induction_forward
 from planelift.so2_so3 import Rotation3, wigner_d, wigner_d_z
 
 
@@ -105,10 +105,10 @@ def test_isotropic_scalar_kernel():
                             RadialProfileSet(1, 1.0), m_max=0)
     assert basis.count == 1
     pts = np.random.default_rng(1).normal(size=(10, 2))
-    vals = basis.evaluate(0, pts)
+    vals = basis.evaluate_all(pts)[0]
     # isotropic: value depends only on the radius
     radii = np.hypot(pts[:, 0], pts[:, 1])
-    ref = basis.evaluate(0, np.stack([radii, np.zeros_like(radii)], axis=1))
+    ref = basis.evaluate_all(np.stack([radii, np.zeros_like(radii)], axis=1))[0]
     assert np.abs(vals - ref).max() < 1e-12
 
 
@@ -125,12 +125,12 @@ def test_steerability_residual_sampled():
     assert basis.count == 2 * analytic_basis_count(rin, rout, 4)
     pts = rng.normal(size=(25, 2))
     thetas = rng.uniform(0, 2 * np.pi, size=8)
-    for idx in range(basis.count):
-        for theta in thetas:
-            lhs = basis.evaluate(idx, pts @ _rot2(theta).T)
-            rhs = np.einsum("ou,nuv,wv->now", rout.matrix(theta),
-                            basis.evaluate(idx, pts), rin.matrix(theta))
-            assert np.abs(lhs - rhs).max() < 1e-8
+    base = basis.evaluate_all(pts)
+    for theta in thetas:
+        lhs = basis.evaluate_all(pts @ _rot2(theta).T)
+        rhs = np.einsum("ou,bnuv,wv->bnow", rout.matrix(theta), base, rin.matrix(theta))
+        for idx in range(basis.count):
+            assert np.abs(lhs[idx] - rhs[idx]).max() < 1e-8
 
 
 def test_solver_matches_grid_oracle():
@@ -167,9 +167,62 @@ def test_solutions_keep_only_their_null_block():
     for sol in basis.angular:
         null_rows = sum(other.m == sol.m for other in basis.angular)
         for arr in (sol.cos_coeff, sol.sin_coeff):
-            if arr is not None:
-                owner = arr if arr.base is None else arr.base
-                assert owner.size <= null_rows * width
+            owner = arr if arr.base is None else arr.base
+            assert owner.size <= null_rows * width
+
+
+def _per_element_reference(basis, pts):
+    """Element ``idx`` evaluated on its own: profile ``idx // n_angular``
+    times ``(r / max(center, width))^m`` (m > 0 only) times the angular
+    solution ``idx % n_angular``; stacked in element order."""
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    out = np.zeros((basis.count, len(pts), basis.out_rep.dim, basis.in_rep.dim))
+    for idx in range(basis.count):
+        p, a = divmod(idx, basis.n_angular)
+        sol = basis.angular[a]
+        prof = basis.radial.evaluate(radii)[p]
+        if sol.m > 0:
+            scale = max(float(basis.radial.centers[p]), basis.radial.width)
+            prof = prof * (radii / scale) ** sol.m
+        ang = np.cos(sol.m * phi)[:, None, None] * sol.cos_coeff[None]
+        if sol.m > 0:
+            ang = ang + np.sin(sol.m * phi)[:, None, None] * sol.sin_coeff[None]
+        out[idx] = prof[:, None, None] * ang
+    return out
+
+
+COORDS = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rin=SPECS, rout=SPECS, profiles=st.integers(1, 3), r_max=st.floats(0.3, 2.0),
+       points=st.lists(st.tuples(COORDS, COORDS), max_size=8), data=st.data())
+def test_evaluate_all_matches_per_element_formula(rin, rout, profiles, r_max, points, data):
+    m_max = data.draw(st.integers(0, rin.max_freq + rout.max_freq), label="m_max")
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(profiles, r_max), m_max)
+    pts = np.array([(0.0, 0.0)] + points)  # the origin, where r^m matters most
+    got = basis.evaluate_all(pts)
+    assert got.shape == (basis.count, len(pts), rout.dim, rin.dim)
+    assert np.array_equal(got, _per_element_reference(basis, pts))
+
+
+def test_empty_basis_evaluates_to_no_elements():
+    # frequency 2 against a scalar output needs m = 2; m_max = 1 leaves
+    # degree 0 with no solution at all, degree 1 with two
+    kernel = build_induction_kernel(SO2RepSpec((2,)), 1, 1, RadialProfileSet(1, 0.45), m_max=1)
+    assert [b.count for b in kernel.bases] == [0, 2]
+    pts = np.random.default_rng(12).normal(size=(5, 2)) * 0.3
+    empty = kernel.bases[0]
+    assert empty.evaluate_all(pts).shape == (0, 5, 1, empty.in_rep.dim)
+    w = np.ones((1, kernel.weight_count))
+    blocks = kernel.coefficient_blocks(w, pts)
+    assert blocks[0].shape == (1, 5, 1, 2) and not blocks[0].any()
+    assert blocks[1].shape == (1, 5, 3, 2) and blocks[1].any()
+    field = AnalyticField.random_band_limited(SO2RepSpec((2,)), np.random.default_rng(13),
+                                              m_band=2).sample(16, 0.05)
+    coeffs = induction_forward(field, kernel, w).coeffs
+    assert coeffs[0, 0] == 0.0 and np.abs(coeffs[0, 1:]).max() > 0.0
 
 
 def test_basis_elements_linearly_independent():
@@ -330,6 +383,15 @@ def test_so3_kernel_equivariance():
         rhs = np.einsum("ou,nuv,wv->now", out_rot, kernel.kappa(w, g, pts),
                         fiber.matrix(theta))
         assert np.abs(lhs - rhs).max() < 1e-8
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_so3_split_weights_checks_length_first(extra):
+    kernel = build_so3_kernel(SO2RepSpec((0,)), (0,), 1, RadialProfileSet(1, 0.5))
+    n = kernel.weight_count
+    assert sum(w.size for w in kernel.split_weights(np.zeros(n))) == n
+    with pytest.raises(ValueError, match=f"length {n + extra}, expected {n}"):
+        kernel.split_weights(np.zeros(n + extra))
 
 
 def test_volume_kernel_slices():

@@ -376,6 +376,9 @@ def test_harness_fails_on_corrupted_kernel():
 def test_harness_requires_trials():
     with pytest.raises(ValueError):
         equivariance_harness(LayerConfig(lmax=1), trials=0)
+    # no angle means no comparison: the harness must not pass vacuously
+    with pytest.raises(ValueError, match="rotation angle"):
+        equivariance_harness(LayerConfig(lmax=1), trials=2, theta_samples=0)
 
 
 def test_gradient_check_linear_path():
