@@ -100,23 +100,18 @@ def _multiplicity_table(sources: IrrepTable, lift: Callable[[Representation], Re
     return BranchingTable(sources.labels(), cols, entries)
 
 
-def branching_table(embedding: SubgroupEmbedding,
-                    parent_table: IrrepTable | None = None,
-                    sub_table: IrrepTable | None = None) -> BranchingTable:
+def branching_table(embedding: SubgroupEmbedding) -> BranchingTable:
     """Multiplicity of each subgroup irrep inside each restricted parent irrep."""
-    return _multiplicity_table(parent_table or irrep_table(embedding.parent),
+    return _multiplicity_table(irrep_table(embedding.parent),
                                lambda sigma: restrict(sigma, embedding),
-                               sub_table or irrep_table(embedding.sub))
+                               irrep_table(embedding.sub))
 
 
-def induction_table(cosets: CosetDecomposition,
-                    parent_table: IrrepTable | None = None,
-                    sub_table: IrrepTable | None = None) -> InductionTable:
+def induction_table(cosets: CosetDecomposition) -> InductionTable:
     """Multiplicity of each parent irrep inside each induced subgroup irrep."""
     emb = cosets.embedding
-    return _multiplicity_table(sub_table or irrep_table(emb.sub),
-                               lambda rho: induce(rho, cosets),
-                               parent_table or irrep_table(emb.parent))
+    return _multiplicity_table(irrep_table(emb.sub), lambda rho: induce(rho, cosets),
+                               irrep_table(emb.parent))
 
 
 def check_frobenius(branching: BranchingTable,
@@ -135,16 +130,14 @@ def check_frobenius(branching: BranchingTable,
     return True, None
 
 
-def completeness_check(embedding: SubgroupEmbedding,
-                       cosets: CosetDecomposition | None = None) -> bool:
+def completeness_check(embedding: SubgroupEmbedding) -> bool:
     """Inducing the subgroup's regular representation yields the parent's.
 
     Verified at the level of irreducible decompositions, which determine
     representations completely.
     """
-    cosets = cosets or coset_decomposition(embedding)
     parent_table = irrep_table(embedding.parent)
-    lifted = induce(regular_representation(embedding.sub), cosets)
+    lifted = induce(regular_representation(embedding.sub), coset_decomposition(embedding))
     lhs = decompose(lifted, parent_table)
     rhs = decompose(regular_representation(embedding.parent), parent_table)
     return lhs == rhs

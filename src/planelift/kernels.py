@@ -7,9 +7,10 @@ to intertwine two planar-rotation representations:
 
 The solver expands the angular dependence in trigonometric modes up to a
 cutoff, samples the constraint over a circle of rotation angles, and reads
-the admissible coefficient combinations off the SVD nullspace. One solver
-covers all four lifted kernel families (plane to sphere, plane to the
-rotation group, plane to volume slices, plane to translation-times-sphere);
+the admissible coefficient combinations off the SVD nullspace. The four
+lifted kernel families (plane to sphere, plane to the rotation group, plane
+to volume slices, plane to translation-times-sphere) are one per-degree
+construction with a derived cutoff, the volume family being its degree 0;
 an analytic frequency-matching count and a grid-discretized nullspace
 oracle serve as independent checks.
 
@@ -57,8 +58,9 @@ class SO2RepSpec:
     freqs: tuple[int, ...]
 
     def __post_init__(self):
-        if any(k < 0 for k in self.freqs):
-            raise ValueError("frequencies must be non-negative")
+        for k in self.freqs:
+            if not (np.isfinite(k) and k >= 0 and k == int(k)):
+                raise ValueError(f"frequencies must be non-negative integers, got {k!r}")
         object.__setattr__(self, "freqs", tuple(int(k) for k in self.freqs))
 
     @property
@@ -329,16 +331,15 @@ def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) ->
     return total
 
 
-def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
-                             n_grid: int = 64) -> int:
+def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
     """Brute-force constraint nullity on an angle grid.
 
-    Unknowns are raw kernel values at ``n_grid`` angles, identified with the
+    Unknowns are raw kernel values at 64 angles, identified with the
     band-limited interpolant through them; the constraint is imposed at two
     fixed irrational rotation angles whose action on grid values is the
     spectral shift matrix. Completely bypasses the per-frequency solver.
     """
-    dd = out_rep.dim * in_rep.dim
+    dd, n_grid = out_rep.dim * in_rep.dim, 64
     freqs = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
     dft = np.fft.fft(np.eye(n_grid), axis=0)
     idft = np.conj(dft).T / n_grid
@@ -429,27 +430,34 @@ def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 
         raise ValueError("the input fiber needs at least one frequency")
 
 
+def _degree_bases(fiber_in: SO2RepSpec, out_spec: SO2RepSpec, lmax: int,
+                  radial: RadialProfileSet) -> tuple[tuple, tuple]:
+    """Bases and transforms of degrees 0..lmax: at degree l, the degree-l
+    harmonics times ``fiber_in`` to ``out_spec``, solved at the top degree's need.
+
+    An irrep pair needs frequencies up to the sum of its frequencies, so
+    ``lmax + fiber_in.max_freq + out_spec.max_freq`` truncates nothing.
+    """
+    m_max = lmax + fiber_in.max_freq + out_spec.max_freq
+    bases, transforms = [], []
+    for ell in range(lmax + 1):
+        spec, t = _tensor_with_harmonics(ell, fiber_in)
+        bases.append(solve_so2_basis(spec, out_spec, radial, m_max))
+        transforms.append(t)
+    return tuple(bases), tuple(transforms)
+
+
 def build_induction_kernel(fiber_in: SO2RepSpec, out_channels: int, lmax: int,
-                           radial: RadialProfileSet,
-                           m_max: int | None = None) -> InductionKernel:
+                           radial: RadialProfileSet) -> InductionKernel:
     """Solve the plane-to-sphere constraint degree by degree.
 
     The degree-l coefficient kernel intertwines the tensor of the input
     fiber with the degree-l harmonic restriction on the input side and the
-    scalar output fiber on the output side; ``m_max`` defaults to the value
-    that truncates nothing.
+    scalar output fiber on the output side.
     """
     _check_layer_shape(fiber_in, lmax, out_channels)
-    if m_max is None:
-        m_max = lmax + 2 * fiber_in.max_freq
-    bases, transforms = [], []
-    trivial_out = SO2RepSpec((0,))
-    for ell in range(lmax + 1):
-        spec, t = _tensor_with_harmonics(ell, fiber_in)
-        bases.append(solve_so2_basis(spec, trivial_out, radial, m_max))
-        transforms.append(t)
-    return InductionKernel(fiber_in, out_channels, lmax, radial,
-                           tuple(bases), tuple(transforms))
+    bases, transforms = _degree_bases(fiber_in, SO2RepSpec((0,)), lmax, radial)
+    return InductionKernel(fiber_in, out_channels, lmax, radial, bases, transforms)
 
 
 @dataclass(frozen=True)
@@ -515,18 +523,12 @@ class SO3Kernel:
 
 
 def build_so3_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...], lmax: int,
-                     radial: RadialProfileSet, m_max: int | None = None) -> SO3Kernel:
+                     radial: RadialProfileSet) -> SO3Kernel:
     _check_layer_shape(fiber_in, lmax)
     out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
-    if m_max is None:
-        m_max = lmax + 2 * fiber_in.max_freq + out_spec.max_freq
-    bases, transforms = [], []
-    for ell in range(lmax + 1):
-        spec, t = _tensor_with_harmonics(ell, fiber_in)
-        bases.append(solve_so2_basis(spec, out_spec, radial, m_max))
-        transforms.append(t)
+    bases, transforms = _degree_bases(fiber_in, out_spec, lmax, radial)
     return SO3Kernel(fiber_in, tuple(fiber_out_ells), lmax, radial,
-                     tuple(bases), tuple(transforms), out_spec, out_t)
+                     bases, transforms, out_spec, out_t)
 
 
 @dataclass(frozen=True)
@@ -550,15 +552,13 @@ class VolumeKernel:
 
 
 def build_volume_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...],
-                        z_samples: tuple[float, ...], radial: RadialProfileSet,
-                        m_max: int | None = None) -> VolumeKernel:
+                        z_samples: tuple[float, ...], radial: RadialProfileSet) -> VolumeKernel:
     if not z_samples:
         raise ValueError("need at least one height sample")
     _check_layer_shape(fiber_in)
     out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
-    if m_max is None:
-        m_max = fiber_in.max_freq + out_spec.max_freq
-    basis = solve_so2_basis(fiber_in, out_spec, radial, m_max)
+    # degree 0 alone: the degree-0 harmonic times the fiber is the fiber
+    (basis,), _ = _degree_bases(fiber_in, out_spec, 0, radial)
     return VolumeKernel(fiber_in, tuple(fiber_out_ells), tuple(z_samples),
                         radial, (basis,) * len(z_samples), out_spec, out_t)
 
@@ -583,9 +583,8 @@ class R3S2Kernel:
 
 
 def build_r3s2_kernel(fiber_in: SO2RepSpec, lmax: int, z_samples: tuple[float, ...],
-                      radial: RadialProfileSet, out_channels: int = 1,
-                      m_max: int | None = None) -> R3S2Kernel:
+                      radial: RadialProfileSet, out_channels: int = 1) -> R3S2Kernel:
     if not z_samples:
         raise ValueError("need at least one height sample")
-    kernel = build_induction_kernel(fiber_in, out_channels, lmax, radial, m_max)
+    kernel = build_induction_kernel(fiber_in, out_channels, lmax, radial)
     return R3S2Kernel(fiber_in, lmax, tuple(z_samples), radial, (kernel,) * len(z_samples))

@@ -111,14 +111,14 @@ class AnalyticField:
 
     @staticmethod
     def random_band_limited(fiber: SO2RepSpec, rng: np.random.Generator,
-                            m_band: int = 2, n_radial: int = 2,
-                            k_max: float = 6.0) -> "AnalyticField":
-        """Random finite sum of Bessel-times-trigonometric modes."""
+                            m_band: int = 2) -> "AnalyticField":
+        """Random finite sum of Bessel-times-trigonometric modes: two radial
+        wavenumbers in [1, 6) per angular frequency up to ``m_band``."""
         from scipy.special import jv
 
-        d = fiber.dim
+        d, n_radial = fiber.dim, 2
         ms = np.arange(m_band + 1)
-        ks = rng.uniform(1.0, k_max, size=(m_band + 1, n_radial))
+        ks = rng.uniform(1.0, 6.0, size=(m_band + 1, n_radial))
         amp_c = rng.normal(size=(m_band + 1, n_radial, d))
         amp_s = rng.normal(size=(m_band + 1, n_radial, d))
         amp_s[0] = 0.0
@@ -150,6 +150,8 @@ def rotate_field(field, theta: float):
     Analytic fields rotate exactly; sampled fields are resampled with
     bilinear interpolation and therefore carry interpolation error.
     """
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     if isinstance(field, AnalyticField):
         rot_back = _rotation2(-theta)
         mix = field.fiber_rep.matrix(theta)
@@ -253,6 +255,8 @@ def induction_forward(field: PlanarFeatureField, kernel: InductionKernel,
     w = np.asarray(weights, dtype=float)
     if w.shape != (kernel.out_channels, kernel.weight_count):
         raise ValueError("weights must have shape (out_channels, weight_count)")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     return SphericalSignal(kernel.lmax, w @ _lift_response(field, kernel))
 
 
@@ -376,7 +380,6 @@ class LayerConfig:
     grid_n: int = 64
     extent: float = 1.0
     field_band: int = 2
-    m_max: int | None = None
 
     def __post_init__(self):
         if self.grid_n < 2:
@@ -393,8 +396,7 @@ class LayerConfig:
 
     def build_kernel(self) -> InductionKernel:
         radial = RadialProfileSet(self.radial_count, self.r_max, self.radial_width)
-        return build_induction_kernel(self.fiber, self.channels, self.lmax,
-                                      radial, self.m_max)
+        return build_induction_kernel(self.fiber, self.channels, self.lmax, radial)
 
 
 @dataclass(frozen=True)

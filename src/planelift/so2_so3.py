@@ -97,6 +97,9 @@ class Rotation3:
     gamma: float
 
     def __post_init__(self):
+        for name, angle in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
+            if not math.isfinite(angle):
+                raise ValueError(f"rotation angle {name} must be finite, got {angle}")
         a = float(self.alpha) % _TWO_PI
         g = float(self.gamma) % _TWO_PI
         b = float(self.beta)

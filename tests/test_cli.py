@@ -111,6 +111,7 @@ def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
     (["kernel-basis", "--in", "0:0"], "count"),
     (["kernel-basis", "--in", "0:-1"], "count"),
     (["kernel-basis", "--channels", "-2"], "out_channels"),
+    (["demo", "pose", "--angle", "nan"], "angle"),
 ])
 def test_bad_numeric_or_label_input_is_usage_error(capsys, argv, message):
     code = main(argv)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,12 @@ def test_spec_dimensions():
 def test_spec_rejects_negative_frequency():
     with pytest.raises(ValueError):
         SO2RepSpec((-1,))
+
+
+@pytest.mark.parametrize("freq", [1.5, 0.25, float("nan"), float("inf")])
+def test_spec_rejects_non_integer_frequency(freq):
+    with pytest.raises(ValueError, match=f"non-negative integers, got {freq}"):
+        SO2RepSpec((0, freq))
 
 
 def test_tensor_change_of_basis():
@@ -208,9 +216,13 @@ def test_evaluate_all_matches_per_element_formula(rin, rout, profiles, r_max, po
 
 
 def test_empty_basis_evaluates_to_no_elements():
-    # frequency 2 against a scalar output needs m = 2; m_max = 1 leaves
-    # degree 0 with no solution at all, degree 1 with two
-    kernel = build_induction_kernel(SO2RepSpec((2,)), 1, 1, RadialProfileSet(1, 0.45), m_max=1)
+    # frequency 2 against a scalar output needs m = 2; re-solving every
+    # degree at m_max = 1 leaves degree 0 with no solution at all, degree 1
+    # with two
+    radial = RadialProfileSet(1, 0.45)
+    solved = build_induction_kernel(SO2RepSpec((2,)), 1, 1, radial)
+    kernel = replace(solved, bases=tuple(solve_so2_basis(b.in_rep, b.out_rep, radial, m_max=1)
+                                         for b in solved.bases))
     assert [b.count for b in kernel.bases] == [0, 2]
     pts = np.random.default_rng(12).normal(size=(5, 2)) * 0.3
     empty = kernel.bases[0]
@@ -362,6 +374,29 @@ def test_per_degree_basis_dimensions_match_oracle():
     for kernel in (sphere, so3):
         for basis in kernel.bases:
             assert basis.n_angular == grid_nullspace_dimension(basis.in_rep, basis.out_rep)
+
+
+_OUT_SCALAR = SO2RepSpec((0,))
+
+
+@pytest.mark.parametrize("build, fiber, out_spec, lmax", [
+    (lambda r: build_induction_kernel(SO2RepSpec((0, 1, 2)), 1, 2, r),
+     SO2RepSpec((0, 1, 2)), _OUT_SCALAR, 2),
+    (lambda r: build_so3_kernel(SO2RepSpec((0, 1)), (1,), 1, r),
+     SO2RepSpec((0, 1)), SO2RepSpec((0, 1)), 1),
+    (lambda r: build_volume_kernel(SO2RepSpec((0, 1, 2)), (0, 1), (0.0,), r),
+     SO2RepSpec((0, 1, 2)), SO2RepSpec((0, 0, 1)), 0),
+], ids=["sphere", "so3", "volume"])
+def test_kernel_cutoff_is_derived_and_tight(build, fiber, out_spec, lmax):
+    # an irrep pair needs frequencies up to the sum of its frequencies, so
+    # every degree is solved at the top degree's need and nothing is lost
+    kernel = build(RadialProfileSet(1, 0.5))
+    cutoff = lmax + fiber.max_freq + out_spec.max_freq
+    for basis in kernel.bases:
+        assert basis.out_rep == out_spec
+        assert basis.m_max == cutoff
+        assert basis.n_angular == grid_nullspace_dimension(basis.in_rep, basis.out_rep)
+    assert max(sol.m for sol in kernel.bases[-1].angular) == cutoff
 
 
 def test_so3_kernel_equivariance():

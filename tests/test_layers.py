@@ -60,6 +60,24 @@ def test_bad_spacing_rejected(spacing):
         PlanarFeatureField(np.ones((8, 8, 1)), spacing, SO2RepSpec((0,)))
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_rotation_angle_rejected(theta):
+    field = AnalyticField(lambda pts: pts[:, :1], SO2RepSpec((0,)))
+    for target in (field, field.sample(8, 0.1)):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            rotate_field(target, theta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    kernel = _small_kernel()
+    field = PlanarFeatureField(np.ones((8, 8, 1)), 0.1, SO2RepSpec((0,)))
+    weights = np.ones((1, kernel.weight_count))
+    weights[0, -1] = bad
+    with pytest.raises(ValueError, match="weights must be finite"):
+        induction_forward(field, kernel, weights)
+
+
 def test_fiber_mismatch_rejected():
     kernel = _small_kernel(fiber=(0, 1))
     field = PlanarFeatureField(np.zeros((8, 8, 1)), 0.1, SO2RepSpec((0,)))

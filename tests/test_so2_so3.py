@@ -84,6 +84,17 @@ def test_from_matrix_rejects_non_rotations(mat):
         Rotation3.from_matrix(mat)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Rotation3(np.nan, 0.0, 0.0), "alpha"),
+    (lambda: Rotation3(0.0, np.nan, 0.0), "beta"),
+    (lambda: Rotation3(0.0, 0.5, -np.inf), "gamma"),
+    (lambda: Rotation3.about_z(np.inf), "alpha"),
+], ids=["alpha", "beta", "gamma", "about-z"])
+def test_rotation_rejects_non_finite_angles(make, name):
+    with pytest.raises(ValueError, match=f"rotation angle {name} must be finite"):
+        make()
+
+
 def test_rotation_inverse_and_canonical_ranges():
     rng = np.random.default_rng(2)
     for _ in range(20):
