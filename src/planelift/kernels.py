@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so2_so3 import Rotation3, SphericalHarmonicBasis, restrict_wigner, so2_block, wigner_d
+from .so2_so3 import (
+    MAX_ELL,
+    Rotation3,
+    SphericalHarmonicBasis,
+    restrict_wigner,
+    so2_block,
+    wigner_d,
+)
 
 __all__ = [
     "SO2RepSpec",
@@ -338,20 +345,24 @@ def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
     band-limited interpolant through them; the constraint is imposed at two
     fixed irrational rotation angles whose action on grid values is the
     spectral shift matrix. Completely bypasses the per-frequency solver.
+
+    The shift is diagonal in the grid's DFT index, so the system splits
+    into one (2dd, dd) block per grid frequency k with the factor
+    ``exp(i k theta)``; the shift acts on real values, so the unpaired
+    Nyquist frequency -32 gets its real part ``cos(32 theta)``. The blocks'
+    singular values are the whole system's, thresholded against the largest.
     """
     dd, n_grid = out_rep.dim * in_rep.dim, 64
     freqs = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
-    dft = np.fft.fft(np.eye(n_grid), axis=0)
-    idft = np.conj(dft).T / n_grid
-    rows = []
+    blocks = []
     for theta in (2.0 * np.pi * 0.6180339887498949, 2.0 * np.pi * 0.41421356237309515):
-        shift = (idft @ np.diag(np.exp(1j * freqs * theta)) @ dft).real
+        shift = np.exp(1j * freqs * theta)
+        shift[n_grid // 2] = shift[n_grid // 2].real
         conj = np.kron(out_rep.matrix(theta), in_rep.matrix(theta))
-        rows.append(np.kron(shift, np.eye(dd)) - np.kron(np.eye(n_grid), conj))
-    system = np.vstack(rows)
-    svals = np.linalg.svd(system, compute_uv=False)
-    smax = max(svals[0], 1.0)
-    return int(np.sum(svals <= NULL_TOL * smax)) + system.shape[1] - len(svals)
+        blocks.append(shift[:, None, None] * np.eye(dd) - conj)
+    svals = np.linalg.svd(np.concatenate(blocks, axis=1), compute_uv=False)
+    smax = max(svals.max(), 1.0)
+    return int(np.sum(svals <= NULL_TOL * smax))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +433,8 @@ class InductionKernel:
 
 def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1) -> None:
     """Reject a layer shape whose kernel would be vacuous."""
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
+    if not 0 <= lmax <= MAX_ELL:
+        raise ValueError(f"lmax must lie in [0, MAX_ELL = {MAX_ELL}], got {lmax}")
     if out_channels < 1:
         raise ValueError(f"out_channels must be at least 1, got {out_channels}")
     if not fiber_in.freqs:

@@ -17,6 +17,8 @@ independent and may run in parallel.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .so2_so3 import (
     Rotation3,
     SphericalHarmonicBasis,
     _wigner_dot,
+    _wigner_grid_dot,
     sphere_quadrature,
     wigner_d,
 )
@@ -46,6 +49,7 @@ __all__ = [
     "induction_forward",
     "spherical_nonlinearity",
     "sphere_to_so3_correlation",
+    "SO3Grid",
     "so3_equiangular_grid",
     "LayerConfig",
     "HarnessReport",
@@ -294,15 +298,54 @@ def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
 # ---------------------------------------------------------------------------
 # rotation-group signals
 
+class SO3Grid(Sequence):
+    """ZYZ product grid of rotations, stored as its three angle axes.
+
+    Item ``i`` is ``Rotation3(alphas[a], betas[b], gammas[g])`` with ``i``
+    running over ``(a, b, g)`` in row-major order; items are built on demand.
+    """
+
+    def __init__(self, alphas, betas, gammas):
+        axes = []
+        for axis in (alphas, betas, gammas):
+            arr = np.array(axis, dtype=float).ravel()
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("grid angles must be finite")
+            arr.setflags(write=False)
+            axes.append(arr)
+        self.alphas, self.betas, self.gammas = axes
+        if np.any((self.betas < 0.0) | (self.betas > np.pi)):
+            raise ValueError("grid betas must lie in [0, pi]")
+
+    def __len__(self) -> int:
+        return len(self.alphas) * len(self.betas) * len(self.gammas)
+
+    def __getitem__(self, index: int) -> Rotation3:
+        n, i = len(self), operator.index(index)
+        i = i + n if i < 0 else i
+        if not 0 <= i < n:
+            raise IndexError(f"grid index {index} out of range for {n} cells")
+        ab, g = divmod(i, len(self.gammas))
+        a, b = divmod(ab, len(self.betas))
+        return Rotation3(self.alphas[a], self.betas[b], self.gammas[g])
+
+    def __iter__(self):
+        for a in self.alphas:
+            for b in self.betas:
+                for g in self.gammas:
+                    yield Rotation3(a, b, g)
+
+
 @dataclass(frozen=True)
 class SO3Signal:
     """Band-limited function on the rotation group, one matrix coefficient
     per degree: ``f(g) = sum_l sum(D_l(g) * blocks[l])``.
 
-    ``evaluate`` reads all rotations in one batched pass per degree: the
-    ``beta`` factor of ``D_l = Z_l(alpha) Y_l(beta) Z_l(gamma)`` is built once
-    per distinct ``beta`` (a product grid has only a few), and the ``alpha``
-    and ``gamma`` z-factors act on chunks of rows of bounded size.
+    ``evaluate`` reads an ``SO3Grid`` separably, per degree: ``Y_l(beta)``
+    of ``D_l = Z_l(alpha) Y_l(beta) Z_l(gamma)`` once per grid beta, then one
+    matrix product folding in the alpha factors and one applying the gamma
+    factors. Any other sequence of rotations is read in chunks of rows of
+    bounded size, one ``Y_l`` per rotation.
     """
 
     lmax: int
@@ -320,7 +363,13 @@ class SO3Signal:
                 raise ValueError(f"block {ell} has non-finite entries")
         object.__setattr__(self, "blocks", blocks)
 
-    def evaluate(self, rotations: list[Rotation3]) -> np.ndarray:
+    def evaluate(self, rotations: Sequence[Rotation3]) -> np.ndarray:
+        if isinstance(rotations, SO3Grid):
+            axes = (rotations.alphas, rotations.betas, rotations.gammas)
+            out = np.zeros(len(rotations))
+            for ell, blk in enumerate(self.blocks):
+                out += _wigner_grid_dot(ell, *axes, blk)
+            return out
         angles = np.array([(g.alpha, g.beta, g.gamma) for g in rotations]).reshape(-1, 3)
         out = np.zeros(len(angles))
         for ell, blk in enumerate(self.blocks):
@@ -354,14 +403,13 @@ def sphere_to_so3_correlation(signal: SphericalSignal,
 
 
 def so3_equiangular_grid(n_alpha: int = 24, n_beta: int = 12,
-                         n_gamma: int = 24) -> list[Rotation3]:
+                         n_gamma: int = 24) -> SO3Grid:
     """ZYZ product grid including the identity cell; used only for readout."""
     if min(n_alpha, n_beta, n_gamma) < 1:
         raise ValueError("grid counts must be at least 1")
-    alphas = np.arange(n_alpha) * (2.0 * np.pi / n_alpha)
-    betas = np.linspace(0.0, np.pi, n_beta)
-    gammas = np.arange(n_gamma) * (2.0 * np.pi / n_gamma)
-    return [Rotation3(a, b, g) for a in alphas for b in betas for g in gammas]
+    return SO3Grid(np.arange(n_alpha) * (2.0 * np.pi / n_alpha),
+                   np.linspace(0.0, np.pi, n_beta),
+                   np.arange(n_gamma) * (2.0 * np.pi / n_gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ carrying y to z, built once per degree by exact quadrature of the
 harmonics. Degrees 0..``MAX_ELL`` are supported; orthogonality and
 homomorphism errors stay below 1e-13 over that range. Independent
 matrix-action oracles for degrees one and two live in the test suite.
-``_wigner_dot`` applies the same factorisation to many rotations at once,
-for the rotation-group readout.
+The rotation-group readout applies the same factorisation to many
+rotations at once: ``_wigner_grid_dot`` to a ZYZ product grid, separably
+(one ``Y_l`` per grid beta, then one matrix product per z-factor), and
+``_wigner_dot`` to a scattered list, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -214,20 +216,34 @@ _CHUNK_ELEMENTS = 1 << 15
 
 
 def _wigner_dot(ell: int, angles: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``sum(wigner_d(ell, g) * block)`` for every ZYZ row ``g`` of ``angles`` (N, 3).
-
-    ``Y_l`` is built once per distinct beta; the alpha and gamma z-factors
-    act on a chunk of rows at once.
-    """
-    betas, where = np.unique(angles[:, 1], return_inverse=True)
-    ys = _wigner_y(ell, betas)
+    """``sum(wigner_d(ell, g) * block)`` for every ZYZ row ``g`` of ``angles`` (N, 3),
+    a chunk of rows at a time."""
     step = max(1, _CHUNK_ELEMENTS // (2 * ell + 1) ** 2)
     out = np.empty(len(angles))
     for lo in range(0, len(angles), step):
-        rows = slice(lo, lo + step)
-        d = _z_sandwich(ell, angles[rows, 0], ys[where[rows]], angles[rows, 2])
-        out[rows] = d.reshape(len(d), -1) @ block.ravel()
+        rows = angles[lo:lo + step]
+        d = _z_sandwich(ell, rows[:, 0], _wigner_y(ell, rows[:, 1]), rows[:, 2])
+        out[lo:lo + step] = d.reshape(len(d), -1) @ block.ravel()
     return out
+
+
+def _wigner_grid_dot(ell: int, alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray,
+                     block: np.ndarray) -> np.ndarray:
+    """``sum(wigner_d(ell, (a, b, g)) * block)`` over the product grid of the
+    three angle axes, flattened with ``a`` slowest and ``g`` fastest.
+
+    ``Z_l(a)`` mixes rows ``i`` and ``-i`` of ``Y_l(b)`` and ``Z_l(g)`` mixes
+    columns ``j`` and ``-j``, so the sum separates: one product folds the
+    alpha factors and ``block`` into a (cos|sin of gamma) coefficient per
+    (a, b) cell, and a second applies the gamma factors.
+    """
+    y = _wigner_y(ell, betas)
+    rows = np.concatenate([y, y[:, ::-1]], axis=1)  # (n_beta, 2 (2l+1), 2l+1)
+    folded = np.concatenate([rows, rows[:, :, ::-1]], axis=2) * np.tile(block, (2, 2))
+    size = 2 * (2 * ell + 1)
+    per_cell = (np.hstack(_z_factor(ell, alphas))
+                @ folded.transpose(1, 0, 2).reshape(size, -1)).reshape(-1, size)
+    return (per_cell @ np.hstack(_z_factor(ell, np.negative(gammas))).T).ravel()
 
 
 def _check_ell(ell: int) -> None:

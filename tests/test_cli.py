@@ -112,6 +112,7 @@ def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
     (["kernel-basis", "--in", "0:-1"], "count"),
     (["kernel-basis", "--channels", "-2"], "out_channels"),
     (["demo", "pose", "--angle", "nan"], "angle"),
+    (["demo", "pose", "--lmax", "40"], "lmax"),
 ])
 def test_bad_numeric_or_label_input_is_usage_error(capsys, argv, message):
     code = main(argv)
@@ -163,6 +164,38 @@ def test_demo_pose_prints_canonical_pose(capsys):
     assert payload["argmax"] == {"alpha_deg": "90.000", "beta_deg": "0.000",
                                  "gamma_deg": "0.000"}
     assert payload["estimated_in_plane_deg"] == "90.000"
+
+
+@pytest.mark.parametrize("pattern, angle, estimate", [
+    ("wedge", "40", "45.000"),
+    ("blobs", "133", "135.000"),
+    ("wedge", "271.5", "270.000"),
+    ("wedge", "7.25", "0.000"),
+    ("wedge", "90", "90.000"),
+])
+def test_demo_pose_default_readout_is_pinned(capsys, pattern, angle, estimate):
+    # the readout's arithmetic may change its last digits, never the pose the demo prints
+    code, out = _run(capsys, ["demo", "pose", "--pattern", pattern, "--angle", angle])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["argmax"] == {"alpha_deg": estimate, "beta_deg": "0.000",
+                                 "gamma_deg": "0.000"}
+    assert payload["estimated_in_plane_deg"] == estimate
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "pose", "--lmax", "1", "--grid-n", "16", "--grid-alpha", "4",
+     "--grid-beta", "3", "--dump-dist"],
+    ["kernel-basis", "--out-lmax", "1", "--radial", "1", "--dump"],
+    ["decompose", "--group", "A4", "--characters-csv"],
+], ids=["dump-dist", "dump", "characters-csv"])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        f"error: cannot write {path}: No such file or directory"]
 
 
 def test_output_dir_env_var(capsys, tmp_path, monkeypatch):

@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planelift.kernels import (
+    NULL_TOL,
     RadialProfileSet,
     SO2RepSpec,
     analytic_basis_count,
@@ -164,6 +165,46 @@ def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
     assert got == analytic_basis_count(rin, rout, m_max)
     if m_max == full:  # nothing truncated
         assert got == grid_nullspace_dimension(rin, rout)
+
+
+def _dense_grid_nullspace_dimension(in_rep, out_rep):
+    """The grid oracle as one dense real system over all 64 grid values."""
+    dd, n_grid = out_rep.dim * in_rep.dim, 64
+    freqs = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
+    dft = np.fft.fft(np.eye(n_grid), axis=0)
+    idft = np.conj(dft).T / n_grid
+    rows = []
+    for theta in (2.0 * np.pi * 0.6180339887498949, 2.0 * np.pi * 0.41421356237309515):
+        shift = (idft @ np.diag(np.exp(1j * freqs * theta)) @ dft).real
+        conj = np.kron(out_rep.matrix(theta), in_rep.matrix(theta))
+        rows.append(np.kron(shift, np.eye(dd)) - np.kron(np.eye(n_grid), conj))
+    system = np.vstack(rows)
+    svals = np.linalg.svd(system, compute_uv=False)
+    smax = max(svals[0], 1.0)
+    return int(np.sum(svals <= NULL_TOL * smax)) + system.shape[1] - len(svals)
+
+
+# frequencies past the grid's Nyquist frequency 32 alias, which both forms must agree on
+WIDE_SPECS = st.lists(st.integers(0, 36), min_size=1, max_size=2).map(
+    lambda ks: SO2RepSpec(tuple(ks)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rin=WIDE_SPECS, rout=WIDE_SPECS.filter(lambda spec: len(spec.freqs) == 1))
+@example(rin=SO2RepSpec((16,)), rout=SO2RepSpec((16,)))
+@example(rin=SO2RepSpec((0, 32)), rout=SO2RepSpec((32,)))
+def test_grid_oracle_per_frequency_matches_dense_system(rin, rout):
+    assert grid_nullspace_dimension(rin, rout) == _dense_grid_nullspace_dimension(rin, rout)
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: build_so3_kernel(SO2RepSpec((0, 1)), (0, 1), 3, r),
+    lambda r: build_induction_kernel(SO2RepSpec((0, 1, 2)), 1, 6, r),
+], ids=["so3-fiber01-out01-lmax3", "sphere-fiber012-lmax6"])
+def test_grid_oracle_counts_every_degree_of_library_kernels(build):
+    kernel = build(RadialProfileSet(1, 0.5))
+    for basis in kernel.bases:
+        assert basis.n_angular == grid_nullspace_dimension(basis.in_rep, basis.out_rep)
 
 
 def test_solutions_keep_only_their_null_block():

@@ -10,6 +10,7 @@ from planelift.layers import (
     AnalyticField,
     LayerConfig,
     PlanarFeatureField,
+    SO3Grid,
     SO3Signal,
     SphericalSignal,
     corrupt_kernel,
@@ -339,6 +340,7 @@ READOUT_SETS = st.one_of(
 @given(lmax=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), rotations=READOUT_SETS)
 @example(lmax=12, seed=0, rotations=[])
 @example(lmax=12, seed=1, rotations=[Rotation3(1.0, np.pi, 2.0)])
+@example(lmax=6, seed=2, rotations=so3_equiangular_grid(24, 12, 24))
 def test_batched_readout_matches_pointwise_wigner(lmax, seed, rotations):
     rng = np.random.default_rng(seed)
     signal = SO3Signal(lmax, tuple(rng.normal(size=(2 * l + 1, 2 * l + 1))
@@ -347,6 +349,28 @@ def test_batched_readout_matches_pointwise_wigner(lmax, seed, rotations):
     assert got.shape == (len(rotations),)
     scale = np.sqrt(sum(float(np.sum(blk ** 2)) for blk in signal.blocks))
     assert np.abs(got - _pointwise_readout(signal, rotations)).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_so3_grid_builds_the_product_list_on_demand():
+    alphas = np.arange(5) * (2.0 * np.pi / 5)
+    betas = np.linspace(0.0, np.pi, 4)
+    gammas = np.arange(3) * (2.0 * np.pi / 3)
+    expected = [Rotation3(a, b, g) for a in alphas for b in betas for g in gammas]
+    grid = so3_equiangular_grid(5, 4, 3)
+    assert len(grid) == len(expected) == 60
+    assert grid[0] == expected[0]
+    assert grid[-1] == grid[len(grid) - 1] == expected[-1]
+    assert grid[-60] == expected[0]
+    with pytest.raises(IndexError):
+        grid[len(grid)]
+    with pytest.raises(IndexError):
+        grid[-61]
+    assert list(grid) == expected
+    assert [grid[i] for i in range(len(grid))] == expected
+    with pytest.raises(ValueError, match="betas"):
+        SO3Grid([0.0], [-0.5], [0.0])
+    with pytest.raises(ValueError, match="finite"):
+        SO3Grid([np.nan], [0.0], [0.0])
 
 
 @pytest.mark.parametrize("blocks, message", [
