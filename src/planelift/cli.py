@@ -8,6 +8,7 @@ codes: 0 on success or PASS, 1 on a failed check, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -134,12 +135,8 @@ def _cmd_branch(args) -> int:
 
 def _cmd_induce(args) -> int:
     emb = named_embedding(getattr(args, "from"), args.to)
-    cos = coset_decomposition(emb)
-    table = induction_table(cos)
-    if args.irrep not in table.rows:
-        print(f"unknown irrep {args.irrep!r}; available: {', '.join(table.rows)}",
-              file=sys.stderr)
-        return _USAGE_ERROR
+    irrep_table(emb.sub).by_label(args.irrep)  # rejects an unknown label before the table
+    table = induction_table(coset_decomposition(emb))
     r = table.rows.index(args.irrep)
     mults = {c: int(v) for c, v in zip(table.cols, table.entries[r]) if v}
     if args.format == "csv":
@@ -250,9 +247,8 @@ _PATTERNS = {
 
 def _cmd_demo_pose(args) -> int:
     if args.pattern not in _PATTERNS:
-        print(f"unknown pattern {args.pattern!r}; available: {', '.join(sorted(_PATTERNS))}",
-              file=sys.stderr)
-        return _USAGE_ERROR
+        raise ValueError(f"unknown pattern {args.pattern!r}; "
+                         f"available: {', '.join(sorted(_PATTERNS))}")
     grid = so3_equiangular_grid(args.grid_alpha, args.grid_beta, args.grid_alpha)
     config = LayerConfig(lmax=args.lmax, grid_n=args.grid_n)
     kernel = config.build_kernel()
@@ -273,8 +269,9 @@ def _cmd_demo_pose(args) -> int:
     if args.dump_dist:
         with open(_out_path(args.dump_dist), "w") as fh:
             fh.write("alpha,beta,gamma,prob\n")
-            for g, p in zip(grid, probs):
-                fh.write(f"{g.alpha:.8f},{g.beta:.8f},{g.gamma:.8f},{p:.10e}\n")
+            axes = [[f"{x:.8f}" for x in axis] for axis in (grid.alphas, grid.betas, grid.gammas)]
+            for (a, b, g), p in zip(itertools.product(*axes), probs):
+                fh.write(f"{a},{b},{g},{p:.10e}\n")
     # At a pole every cell with the same alpha +/- gamma is one rotation, and
     # rounding picks which of them wins; the canonical triple has gamma = 0.
     pose = Rotation3.from_matrix(best.matrix())

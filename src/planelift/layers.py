@@ -33,8 +33,8 @@ from .kernels import (
 from .so2_so3 import (
     Rotation3,
     SphericalHarmonicBasis,
-    _wigner_dot,
     _wigner_grid_dot,
+    so2_block,
     sphere_quadrature,
     wigner_d,
 )
@@ -143,11 +143,6 @@ class AnalyticField:
         return AnalyticField(evaluate, fiber)
 
 
-def _rotation2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def rotate_field(field, theta: float):
     """Planar rotation action: move sample positions and mix fibers.
 
@@ -157,7 +152,7 @@ def rotate_field(field, theta: float):
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
     if isinstance(field, AnalyticField):
-        rot_back = _rotation2(-theta)
+        rot_back = so2_block(1, -theta)
         mix = field.fiber_rep.matrix(theta)
 
         def rotated(points: np.ndarray) -> np.ndarray:
@@ -169,7 +164,7 @@ def rotate_field(field, theta: float):
         from scipy.ndimage import map_coordinates
 
         h, w = field.shape
-        pts = field.positions() @ _rotation2(-theta).T
+        pts = field.positions() @ so2_block(1, -theta).T
         rows = pts[:, 0] / field.spacing + (h - 1) / 2.0
         cols = pts[:, 1] / field.spacing + (w - 1) / 2.0
         stacked = np.stack([
@@ -329,12 +324,6 @@ class SO3Grid(Sequence):
         a, b = divmod(ab, len(self.betas))
         return Rotation3(self.alphas[a], self.betas[b], self.gammas[g])
 
-    def __iter__(self):
-        for a in self.alphas:
-            for b in self.betas:
-                for g in self.gammas:
-                    yield Rotation3(a, b, g)
-
 
 @dataclass(frozen=True)
 class SO3Signal:
@@ -344,8 +333,8 @@ class SO3Signal:
     ``evaluate`` reads an ``SO3Grid`` separably, per degree: ``Y_l(beta)``
     of ``D_l = Z_l(alpha) Y_l(beta) Z_l(gamma)`` once per grid beta, then one
     matrix product folding in the alpha factors and one applying the gamma
-    factors. Any other sequence of rotations is read in chunks of rows of
-    bounded size, one ``Y_l`` per rotation.
+    factors. Any other sequence is read one rotation at a time, each as a
+    one-cell grid.
     """
 
     lmax: int
@@ -364,16 +353,13 @@ class SO3Signal:
         object.__setattr__(self, "blocks", blocks)
 
     def evaluate(self, rotations: Sequence[Rotation3]) -> np.ndarray:
-        if isinstance(rotations, SO3Grid):
-            axes = (rotations.alphas, rotations.betas, rotations.gammas)
-            out = np.zeros(len(rotations))
-            for ell, blk in enumerate(self.blocks):
-                out += _wigner_grid_dot(ell, *axes, blk)
-            return out
-        angles = np.array([(g.alpha, g.beta, g.gamma) for g in rotations]).reshape(-1, 3)
-        out = np.zeros(len(angles))
+        if not isinstance(rotations, SO3Grid):
+            return np.array([self.evaluate(SO3Grid([g.alpha], [g.beta], [g.gamma]))[0]
+                             for g in rotations], dtype=float)
+        axes = (rotations.alphas, rotations.betas, rotations.gammas)
+        out = np.zeros(len(rotations))
         for ell, blk in enumerate(self.blocks):
-            out += _wigner_dot(ell, angles, blk)
+            out += _wigner_grid_dot(ell, *axes, blk)
         return out
 
     def left_rotate(self, rot: Rotation3) -> "SO3Signal":
@@ -415,6 +401,16 @@ def so3_equiangular_grid(n_alpha: int = 24, n_beta: int = 12,
 # ---------------------------------------------------------------------------
 # certification harness
 
+# Every layer built from a ``LayerConfig`` shares these: radial profiles on
+# [0, R_MAX] of width RADIAL_WIDTH, a grid spanning [-EXTENT, EXTENT]^2, and
+# harness fields of angular band FIELD_BAND.
+R_MAX = 0.45
+RADIAL_WIDTH = 0.09
+EXTENT = 1.0
+FIELD_BAND = 2
+FD_STEP = 1e-5  # central-difference step of ``gradient_check``
+
+
 @dataclass(frozen=True)
 class LayerConfig:
     """Everything needed to instantiate a lifting layer for testing."""
@@ -423,11 +419,7 @@ class LayerConfig:
     fiber_freqs: tuple[int, ...] = (0,)
     channels: int = 1
     radial_count: int = 2
-    r_max: float = 0.45
-    radial_width: float = 0.09
     grid_n: int = 64
-    extent: float = 1.0
-    field_band: int = 2
 
     def __post_init__(self):
         if self.grid_n < 2:
@@ -440,10 +432,10 @@ class LayerConfig:
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.extent / (self.grid_n - 1)
+        return 2.0 * EXTENT / (self.grid_n - 1)
 
     def build_kernel(self) -> InductionKernel:
-        radial = RadialProfileSet(self.radial_count, self.r_max, self.radial_width)
+        radial = RadialProfileSet(self.radial_count, R_MAX, RADIAL_WIDTH)
         return build_induction_kernel(self.fiber, self.channels, self.lmax, radial)
 
 
@@ -484,13 +476,14 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
         raise ValueError("need at least one trial")
     if theta_samples < 1:
         raise ValueError("need at least one rotation angle per trial")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     rng = np.random.default_rng(seed)
     kernel = kernel or config.build_kernel()
     residuals = []
     for _ in range(trials):
         w = rng.normal(size=(kernel.out_channels, kernel.weight_count))
-        fld = AnalyticField.random_band_limited(config.fiber, rng,
-                                                m_band=config.field_band)
+        fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=FIELD_BAND)
         base = induction_forward(fld.sample(config.grid_n, config.spacing), kernel, w)
         scale = max(base.norm(), 1e-30)
         worst = 0.0
@@ -544,12 +537,12 @@ def _loss_and_grad(kernel: InductionKernel, field: PlanarFeatureField,
 
 
 def gradient_check(config: LayerConfig, nonlinearity: str | None = "softplus",
-                   seed: int = 0, step: float = 1e-5) -> float:
+                   seed: int = 0) -> float:
     """Max relative error between the analytic gradient and central
     differences of the public forward pass (plus nonlinearity)."""
     rng = np.random.default_rng(seed)
     kernel = config.build_kernel()
-    fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=config.field_band)
+    fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=FIELD_BAND)
     sampled = fld.sample(config.grid_n, config.spacing)
     w = rng.normal(size=(kernel.out_channels, kernel.weight_count))
     _, grad = _loss_and_grad(kernel, sampled, w, nonlinearity)
@@ -565,7 +558,7 @@ def gradient_check(config: LayerConfig, nonlinearity: str | None = "softplus",
     flat = w.ravel()
     for idx in rng.choice(flat.size, size=min(24, flat.size), replace=False):
         bump = np.zeros_like(flat)
-        bump[idx] = step
-        fd = (public_loss(flat + bump) - public_loss(flat - bump)) / (2.0 * step)
+        bump[idx] = FD_STEP
+        fd = (public_loss(flat + bump) - public_loss(flat - bump)) / (2.0 * FD_STEP)
         worst = max(worst, abs(fd - grad.ravel()[idx]) / scale)
     return worst

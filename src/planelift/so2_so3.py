@@ -20,10 +20,10 @@ carrying y to z, built once per degree by exact quadrature of the
 harmonics. Degrees 0..``MAX_ELL`` are supported; orthogonality and
 homomorphism errors stay below 1e-13 over that range. Independent
 matrix-action oracles for degrees one and two live in the test suite.
-The rotation-group readout applies the same factorisation to many
-rotations at once: ``_wigner_grid_dot`` to a ZYZ product grid, separably
-(one ``Y_l`` per grid beta, then one matrix product per z-factor), and
-``_wigner_dot`` to a scattered list, a chunk of rows at a time.
+The rotation-group readout applies the same factorisation to a whole ZYZ
+product grid at once: ``_wigner_grid_dot`` reads it separably (one ``Y_l``
+per grid beta, then one matrix product per z-factor); a single rotation is
+the one-cell grid.
 """
 
 from __future__ import annotations
@@ -208,23 +208,6 @@ def _z_sandwich(ell: int, alphas, y: np.ndarray, gammas) -> np.ndarray:
     cg, sg = _z_factor(ell, np.negative(gammas))
     left = ca[:, :, None] * y + sa[:, :, None] * y[:, ::-1]
     return left * cg[:, None, :] + left[:, :, ::-1] * sg[:, None, :]
-
-
-# Rows per chunk of ``_wigner_dot`` keep each temporary under this many
-# doubles (256 KB), so a chunk's few temporaries stay in a core's L2 cache.
-_CHUNK_ELEMENTS = 1 << 15
-
-
-def _wigner_dot(ell: int, angles: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``sum(wigner_d(ell, g) * block)`` for every ZYZ row ``g`` of ``angles`` (N, 3),
-    a chunk of rows at a time."""
-    step = max(1, _CHUNK_ELEMENTS // (2 * ell + 1) ** 2)
-    out = np.empty(len(angles))
-    for lo in range(0, len(angles), step):
-        rows = angles[lo:lo + step]
-        d = _z_sandwich(ell, rows[:, 0], _wigner_y(ell, rows[:, 1]), rows[:, 2])
-        out[lo:lo + step] = d.reshape(len(d), -1) @ block.ravel()
-    return out
 
 
 def _wigner_grid_dot(ell: int, alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray,

@@ -113,6 +113,10 @@ def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
     (["kernel-basis", "--channels", "-2"], "out_channels"),
     (["demo", "pose", "--angle", "nan"], "angle"),
     (["demo", "pose", "--lmax", "40"], "lmax"),
+    (["equivariance", "--lmax", "1", "--tolerance", "nan"], "tolerance"),
+    (["equivariance", "--lmax", "1", "--tolerance", "-1"], "tolerance"),
+    (["demo", "pose", "--pattern", "nope"], "error: unknown pattern 'nope'"),
+    (["induce", "--from", "Z3", "--to", "A4", "--irrep", "nope"], "error: unknown irrep 'nope'"),
 ])
 def test_bad_numeric_or_label_input_is_usage_error(capsys, argv, message):
     code = main(argv)

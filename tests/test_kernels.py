@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planelift import kernels
 from planelift.kernels import (
     NULL_TOL,
     RadialProfileSet,
@@ -195,6 +196,17 @@ WIDE_SPECS = st.lists(st.integers(0, 36), min_size=1, max_size=2).map(
 @example(rin=SO2RepSpec((0, 32)), rout=SO2RepSpec((32,)))
 def test_grid_oracle_per_frequency_matches_dense_system(rin, rout):
     assert grid_nullspace_dimension(rin, rout) == _dense_grid_nullspace_dimension(rin, rout)
+
+
+def test_grid_oracle_count_is_insensitive_to_its_threshold(monkeypatch):
+    # null singular values stay below 1.5e-14 and all others above 0.48, so any
+    # threshold between 1e-13 and 1e-3 gives every single-irrep pair one count
+    pairs = [(SO2RepSpec((ki,)), SO2RepSpec((ko,))) for ki in range(37) for ko in range(37)]
+    counts = {}
+    for tol in (1e-13, 1e-3):
+        monkeypatch.setattr(kernels, "NULL_TOL", tol)
+        counts[tol] = [grid_nullspace_dimension(rin, rout) for rin, rout in pairs]
+    assert counts[1e-13] == counts[1e-3]
 
 
 @pytest.mark.parametrize("build", [
