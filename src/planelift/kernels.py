@@ -1,4 +1,4 @@
-"""Planar steerable kernel solver and the four lifted kernel families.
+"""Planar steerable kernel solver and the one lifted kernel type.
 
 A kernel basis element is a matrix-valued function on the plane constrained
 to intertwine two planar-rotation representations:
@@ -7,29 +7,30 @@ to intertwine two planar-rotation representations:
 
 The solver expands the angular dependence in trigonometric modes up to a
 cutoff, samples the constraint over a circle of rotation angles, and reads
-the admissible coefficient combinations off the SVD nullspace. The four
-lifted kernel families (plane to sphere, plane to the rotation group, plane
-to volume slices, plane to translation-times-sphere) are one per-degree
-construction with a derived cutoff, the volume family being its degree 0;
-an analytic frequency-matching count and a grid-discretized nullspace
-oracle serve as independent checks.
+the admissible coefficient combinations off the SVD nullspace. An analytic
+frequency-matching count and a grid-discretized nullspace oracle serve as
+independent checks.
+
+Every lifted kernel is one ``InductionKernel``: one per-degree solve with a
+derived cutoff, read on SO(3) through all 2l+1 weight rows of each degree or
+on the sphere through row m = 0. The plane-to-sphere, plane-to-rotation-group,
+plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
+builders differ only in that data and in the heights the one solve serves.
 
 ``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
-The height coordinate is inert under in-plane rotation, so the two
-height-sliced families solve their basis once and share that one object
-across every slice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .so2_so3 import (
     MAX_ELL,
     Rotation3,
-    SphericalHarmonicBasis,
     restrict_wigner,
     so2_block,
     wigner_d,
@@ -45,9 +46,6 @@ __all__ = [
     "analytic_basis_count",
     "grid_nullspace_dimension",
     "InductionKernel",
-    "SO3Kernel",
-    "VolumeKernel",
-    "R3S2Kernel",
     "build_induction_kernel",
     "build_so3_kernel",
     "build_volume_kernel",
@@ -366,7 +364,7 @@ def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# kernel families
+# the lifted kernel
 
 def _tensor_with_harmonics(ell: int, fiber: SO2RepSpec) -> tuple[SO2RepSpec, np.ndarray]:
     """Input structure at degree ell: harmonic index (outer) times fiber (inner)."""
@@ -379,223 +377,160 @@ def _tensor_with_harmonics(ell: int, fiber: SO2RepSpec) -> tuple[SO2RepSpec, np.
 
 @dataclass(frozen=True)
 class InductionKernel:
-    """Plane-to-sphere kernel: per-degree steerable bases for scalar output fibers.
+    """Lifted kernel from the plane to SO(3) or to the sphere SO(3)/SO(2).
 
-    ``weight_count`` parameters per output channel; the assembled kernel
-    ``kappa(nhat, r)`` maps input fibers to channel values and satisfies
-    ``kappa(Rz(t) nhat, Rz(t) r) = kappa(nhat, r) rho_in(t)^{-1}``.
+    At degree l the matrix Fourier coefficient has 2l+1 weight rows, each an
+    independent steerable kernel from the degree-l harmonics times
+    ``fiber_in`` to the restricted output fiber ``out_ells``. ``kappa(w, g,
+    r)`` contracts row k with row k of ``D_l(g^-1)``. An ``"so3"`` kernel
+    fills every row. A ``"sphere"`` kernel has the scalar output fiber and
+    fills row m = 0 alone, once per output channel, scaled by
+    ``sqrt((2l+1)/4pi)`` so that it reads ``Y_l(g e_z)``; it then satisfies
+    ``kappa(Rz(t) g, Rz(t) r) = kappa(g, r) rho_in(t)^{-1}``.
+
+    The height coordinate is inert under in-plane rotation, so one solve
+    serves every slice in ``heights``.
     """
 
     fiber_in: SO2RepSpec
-    out_channels: int
+    out_ells: tuple[int, ...]
     lmax: int
     radial: RadialProfileSet
     bases: tuple[SteerableKernelBasis, ...]
     transforms: tuple[np.ndarray, ...]  # canonical <- (harmonic x fiber), per degree
+    out_transform: np.ndarray           # stacked output harmonics <- canonical
+    out_channels: int
+    space: str  # "sphere" or "so3"
+    heights: tuple[float, ...]
+
+    @property
+    def out_dim(self) -> int:
+        return sum(2 * ell + 1 for ell in self.out_ells)
+
+    def _rows(self, ell: int) -> tuple[range, float]:
+        """Degree ell's weight rows, as rows of ``D_l(g^-1)``, and their scale."""
+        if self.space == "sphere":
+            return range(ell, ell + 1), np.sqrt((2 * ell + 1) / (4.0 * np.pi))
+        return range(2 * ell + 1), 1.0
 
     @property
     def weight_count(self) -> int:
-        return sum(b.count for b in self.bases)
+        """Weights per output channel: ``count_l`` per weight row of each degree."""
+        return sum(len(self._rows(ell)[0]) * b.count for ell, b in enumerate(self.bases))
+
+    def _split(self, weights: np.ndarray) -> list[np.ndarray]:
+        """Per-degree weight blocks, shape (out_channels, rows, count_l).
+
+        Sphere weights have shape (out_channels, weight_count); SO(3)
+        weights are one vector, row-major (2l+1, count_l) per degree.
+        """
+        shape = ((self.out_channels, self.weight_count) if self.space == "sphere"
+                 else (self.weight_count,))
+        w = np.asarray(weights, dtype=float)
+        if w.shape != shape:
+            raise ValueError(f"weights must have shape {shape}, got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        w = w.reshape(self.out_channels, -1)
+        out, pos = [], 0
+        for ell, basis in enumerate(self.bases):
+            rows = len(self._rows(ell)[0])
+            block = w[:, pos:pos + rows * basis.count]
+            out.append(block.reshape(self.out_channels, rows, basis.count))
+            pos += block.shape[1]
+        return out
 
     def coefficient_blocks(self, weights: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
         """Per-degree kernel coefficient stacks F_l at the given points.
 
-        ``weights`` has shape (out_channels, weight_count); the returned
-        list holds arrays of shape (channels, N, 2l+1, d_in).
+        Returns one array per degree, shape (out_channels * rows * out_dim,
+        N, 2l+1, d_in) with the stack index channel-major; for a sphere
+        kernel that is (out_channels, N, 2l+1, d_in).
         """
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.out_channels, self.weight_count):
-            raise ValueError("weights must have shape (out_channels, weight_count)")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = self.fiber_in.dim
         out = []
-        pos = 0
-        for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
-            vals = basis.evaluate_all(pts)  # (count, N, 1, d_can)
-            wl = w[:, pos:pos + basis.count]
-            pos += basis.count
-            can = np.einsum("cb,bnij->cnij", wl, vals)[:, :, 0, :]  # (C, N, d_can)
-            tensor = can @ t.T                                       # (C, N, (2l+1)*d)
-            out.append(tensor.reshape(w.shape[0], pts.shape[0], 2 * ell + 1, d))
+        for ell, (w, basis, t) in enumerate(zip(self._split(weights), self.bases,
+                                                self.transforms)):
+            can = np.einsum("crb,bnij->crnij", w, basis.evaluate_all(pts))
+            # output rows to harmonic coordinates, columns to harmonic-times-fiber
+            fl = np.einsum("oi,crnij,pj->cronp", self.out_transform, can, t)
+            out.append(fl.reshape(-1, pts.shape[0], 2 * ell + 1, d))
         return out
 
-    def kappa(self, weights: np.ndarray, nhat: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Assembled kernel values, shape (N, out_channels, d_in)."""
-        y = SphericalHarmonicBasis(self.lmax).evaluate(np.asarray(nhat, dtype=float))
+    def kappa(self, weights: np.ndarray, rot: Rotation3, points: np.ndarray) -> np.ndarray:
+        """Assembled kernel at ``rot``, shape (N, out_channels * out_dim, d_in);
+        a sphere kernel reads it at ``rot e_z``."""
+        ginv = rot.inverse()
         blocks = self.coefficient_blocks(weights, points)
-        total = None
+        n, d = blocks[0].shape[1], self.fiber_in.dim
+        total = np.zeros((n, self.out_channels, self.out_dim, d))
         for ell, fl in enumerate(blocks):
-            ysl = y[SphericalHarmonicBasis.slice_of(ell)]
-            term = np.einsum("cnkv,k->ncv", fl, ysl)
-            total = term if total is None else total + term
-        return total
+            rows, scale = self._rows(ell)
+            fl = fl.reshape(self.out_channels, len(rows), self.out_dim, n, 2 * ell + 1, d)
+            total += np.einsum("cronKv,rK->ncov", fl, scale * wigner_d(ell, ginv)[rows])
+        return total.reshape(n, -1, d)
 
 
-def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1) -> None:
-    """Reject a layer shape whose kernel would be vacuous."""
+def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1,
+                       heights: tuple[float, ...] = (0.0,)) -> None:
+    """Reject a layer shape whose kernel would be vacuous or ill-defined."""
+    for name, value in (("lmax", lmax), ("out_channels", out_channels)):
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= lmax <= MAX_ELL:
         raise ValueError(f"lmax must lie in [0, MAX_ELL = {MAX_ELL}], got {lmax}")
     if out_channels < 1:
         raise ValueError(f"out_channels must be at least 1, got {out_channels}")
     if not fiber_in.freqs:
         raise ValueError("the input fiber needs at least one frequency")
+    if not (isinstance(heights, tuple) and heights
+            and all(isinstance(z, Real) and math.isfinite(z) for z in heights)):
+        raise ValueError(f"heights must be a non-empty tuple of finite reals, got {heights!r}")
 
 
-def _degree_bases(fiber_in: SO2RepSpec, out_spec: SO2RepSpec, lmax: int,
-                  radial: RadialProfileSet) -> tuple[tuple, tuple]:
-    """Bases and transforms of degrees 0..lmax: at degree l, the degree-l
-    harmonics times ``fiber_in`` to ``out_spec``, solved at the top degree's need.
+def _build(fiber_in: SO2RepSpec, out_ells: tuple[int, ...], lmax: int, radial: RadialProfileSet,
+           out_channels: int, space: str, heights: tuple[float, ...]) -> InductionKernel:
+    """Solve degrees 0..lmax: at degree l, the degree-l harmonics times
+    ``fiber_in`` to the restricted output fiber, at the top degree's need.
 
     An irrep pair needs frequencies up to the sum of its frequencies, so
     ``lmax + fiber_in.max_freq + out_spec.max_freq`` truncates nothing.
     """
+    _check_layer_shape(fiber_in, lmax, out_channels, heights)
+    out_spec, out_t = so3_fiber_restriction(tuple(out_ells))
     m_max = lmax + fiber_in.max_freq + out_spec.max_freq
     bases, transforms = [], []
     for ell in range(lmax + 1):
         spec, t = _tensor_with_harmonics(ell, fiber_in)
         bases.append(solve_so2_basis(spec, out_spec, radial, m_max))
         transforms.append(t)
-    return tuple(bases), tuple(transforms)
+    return InductionKernel(fiber_in, tuple(out_ells), lmax, radial, tuple(bases),
+                           tuple(transforms), out_t, out_channels, space,
+                           tuple(float(z) for z in heights))
 
 
 def build_induction_kernel(fiber_in: SO2RepSpec, out_channels: int, lmax: int,
                            radial: RadialProfileSet) -> InductionKernel:
-    """Solve the plane-to-sphere constraint degree by degree.
-
-    The degree-l coefficient kernel intertwines the tensor of the input
-    fiber with the degree-l harmonic restriction on the input side and the
-    scalar output fiber on the output side.
-    """
-    _check_layer_shape(fiber_in, lmax, out_channels)
-    bases, transforms = _degree_bases(fiber_in, SO2RepSpec((0,)), lmax, radial)
-    return InductionKernel(fiber_in, out_channels, lmax, radial, bases, transforms)
-
-
-@dataclass(frozen=True)
-class SO3Kernel:
-    """Plane-to-rotation-group kernel.
-
-    At degree l the matrix Fourier coefficient carries a free row index of
-    size 2l+1 (the coefficient's second harmonic index), each row being an
-    independent steerable kernel from the fiber-times-harmonics input to
-    the restricted output fiber.
-    """
-
-    fiber_in: SO2RepSpec
-    out_ells: tuple[int, ...]
-    lmax: int
-    radial: RadialProfileSet
-    bases: tuple[SteerableKernelBasis, ...]
-    in_transforms: tuple[np.ndarray, ...]
-    out_spec: SO2RepSpec
-    out_transform: np.ndarray
-
-    @property
-    def out_dim(self) -> int:
-        return sum(2 * ell + 1 for ell in self.out_ells)
-
-    def weight_shape(self, ell: int) -> tuple[int, int]:
-        return (2 * ell + 1, self.bases[ell].count)
-
-    @property
-    def weight_count(self) -> int:
-        return sum((2 * ell + 1) * b.count for ell, b in enumerate(self.bases))
-
-    def split_weights(self, flat: np.ndarray) -> list[np.ndarray]:
-        if len(flat) != self.weight_count:
-            raise ValueError(f"weight vector has length {len(flat)}, "
-                             f"expected {self.weight_count}")
-        out, pos = [], 0
-        for ell in range(self.lmax + 1):
-            shape = self.weight_shape(ell)
-            n = shape[0] * shape[1]
-            out.append(np.asarray(flat[pos:pos + n], dtype=float).reshape(shape))
-            pos += n
-        return out
-
-    def kappa(self, flat_weights: np.ndarray, rot: Rotation3, points: np.ndarray) -> np.ndarray:
-        """Assembled kernel, shape (N, out_dim, d_in)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = self.split_weights(flat_weights)
-        d = self.fiber_in.dim
-        ginv = rot.inverse()
-        total = np.zeros((pts.shape[0], self.out_dim, d))
-        for ell, (basis, t_in, w) in enumerate(zip(self.bases, self.in_transforms, weights)):
-            vals = basis.evaluate_all(pts)          # (count, N, d_out_can, d_in_can)
-            dmat = wigner_d(ell, ginv)
-            # row slot k gets its own weighted combination, columns back to
-            # harmonic-times-fiber coordinates, output rows to harmonic coords
-            can = np.einsum("kb,bnij->knij", w, vals)
-            sh = np.einsum("oi,knij,pj->knop", self.out_transform, can, t_in)
-            fl = sh.reshape(2 * ell + 1, pts.shape[0], self.out_dim, 2 * ell + 1, d)
-            # contract the two harmonic indices with the Wigner matrix of g^{-1}
-            total = total + np.einsum("knoKv,kK->nov", fl, dmat)
-        return total
+    """The plane-to-sphere kernel: scalar output, one weight row per degree."""
+    return _build(fiber_in, (0,), lmax, radial, out_channels, "sphere", (0.0,))
 
 
 def build_so3_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...], lmax: int,
-                     radial: RadialProfileSet) -> SO3Kernel:
-    _check_layer_shape(fiber_in, lmax)
-    out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
-    bases, transforms = _degree_bases(fiber_in, out_spec, lmax, radial)
-    return SO3Kernel(fiber_in, tuple(fiber_out_ells), lmax, radial,
-                     bases, transforms, out_spec, out_t)
-
-
-@dataclass(frozen=True)
-class VolumeKernel:
-    """Plane-to-volume kernel: the same steerable basis at every height slice."""
-
-    fiber_in: SO2RepSpec
-    out_ells: tuple[int, ...]
-    z_samples: tuple[float, ...]
-    radial: RadialProfileSet
-    bases: tuple[SteerableKernelBasis, ...]
-    out_spec: SO2RepSpec
-    out_transform: np.ndarray
-
-    def kappa_slice(self, z_index: int, weights: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Kernel values on one slice, shape (N, out_dim, d_in)."""
-        basis = self.bases[z_index]
-        vals = basis.evaluate_all(np.atleast_2d(points))
-        can = np.einsum("b,bnij->nij", np.asarray(weights, dtype=float), vals)
-        return np.einsum("oi,nij->noj", self.out_transform, can)
+                     radial: RadialProfileSet) -> InductionKernel:
+    """The plane-to-rotation-group kernel with the given output degrees."""
+    return _build(fiber_in, fiber_out_ells, lmax, radial, 1, "so3", (0.0,))
 
 
 def build_volume_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...],
-                        z_samples: tuple[float, ...], radial: RadialProfileSet) -> VolumeKernel:
-    if not z_samples:
-        raise ValueError("need at least one height sample")
-    _check_layer_shape(fiber_in)
-    out_spec, out_t = so3_fiber_restriction(tuple(fiber_out_ells))
-    # degree 0 alone: the degree-0 harmonic times the fiber is the fiber
-    (basis,), _ = _degree_bases(fiber_in, out_spec, 0, radial)
-    return VolumeKernel(fiber_in, tuple(fiber_out_ells), tuple(z_samples),
-                        radial, (basis,) * len(z_samples), out_spec, out_t)
-
-
-@dataclass(frozen=True)
-class R3S2Kernel:
-    """Six-degree-of-freedom kernel: plane to translation-times-sphere.
-
-    The height coordinate is inert under in-plane rotation, so every slice
-    poses the same plane-to-sphere problem; it is solved once and shared.
-    """
-
-    fiber_in: SO2RepSpec
-    lmax: int
-    z_samples: tuple[float, ...]
-    radial: RadialProfileSet
-    slices: tuple[InductionKernel, ...]
-
-    def kappa(self, z_index: int, weights: np.ndarray, nhat: np.ndarray,
-              points: np.ndarray) -> np.ndarray:
-        return self.slices[z_index].kappa(weights, nhat, points)
+                        z_samples: tuple[float, ...], radial: RadialProfileSet) -> InductionKernel:
+    """The plane-to-volume kernel: the rotation-group kernel at degree 0,
+    shared by every height slice."""
+    return _build(fiber_in, fiber_out_ells, 0, radial, 1, "so3", z_samples)
 
 
 def build_r3s2_kernel(fiber_in: SO2RepSpec, lmax: int, z_samples: tuple[float, ...],
-                      radial: RadialProfileSet, out_channels: int = 1) -> R3S2Kernel:
-    if not z_samples:
-        raise ValueError("need at least one height sample")
-    kernel = build_induction_kernel(fiber_in, out_channels, lmax, radial)
-    return R3S2Kernel(fiber_in, lmax, tuple(z_samples), radial, (kernel,) * len(z_samples))
+                      radial: RadialProfileSet, out_channels: int = 1) -> InductionKernel:
+    """The plane to translation-times-sphere kernel: the sphere kernel,
+    shared by every height slice."""
+    return _build(fiber_in, (0,), lmax, radial, out_channels, "sphere", z_samples)

@@ -227,6 +227,8 @@ def _lift_response(field: PlanarFeatureField, kernel: InductionKernel) -> np.nda
     its values against the fiber values, mapped through the degree's
     transform to harmonic-times-fiber coordinates and times the cell area.
     """
+    if kernel.space != "sphere":
+        raise ValueError(f"the lift reads a sphere kernel, got output space {kernel.space!r}")
     pts = field.positions()
     vals = field.flat_values()
     d = kernel.fiber_in.dim

@@ -217,6 +217,7 @@ def test_criterion_06_kernel_solver():
     pts = rng.normal(size=(10, 2)) * 0.4
     nhat = np.array([0.3, -0.5, 0.81])
     nhat /= np.linalg.norm(nhat)
+    pole = Rotation3(np.arctan2(nhat[1], nhat[0]), np.arccos(nhat[2]), 0.0)  # e_z to nhat
     worst_fam = 0.0
 
     def rot2(theta):
@@ -227,8 +228,8 @@ def test_criterion_06_kernel_solver():
     w = rng.normal(size=(1, sphere.weight_count))
     for theta in rng.uniform(0, 2 * np.pi, size=4):
         hz = Rotation3.about_z(theta)
-        lhs = sphere.kappa(w, hz.matrix() @ nhat, pts @ rot2(theta).T)
-        rhs = np.einsum("ncv,wv->ncw", sphere.kappa(w, nhat, pts), fiber.matrix(theta))
+        lhs = sphere.kappa(w, hz.compose(pole), pts @ rot2(theta).T)
+        rhs = np.einsum("ncv,wv->ncw", sphere.kappa(w, pole, pts), fiber.matrix(theta))
         worst_fam = max(worst_fam, float(np.abs(lhs - rhs).max()))
 
     so3 = build_so3_kernel(fiber, (0, 1), 2, RadialProfileSet(1, 0.5, width=0.15))
@@ -248,21 +249,21 @@ def test_criterion_06_kernel_solver():
 
     volume = build_volume_kernel(fiber, (1,), (-0.3, 0.4), RadialProfileSet(2, 0.5))
     wv = rng.normal(size=volume.bases[0].count)
-    for z_index in range(2):
+    for _ in volume.heights:  # every height reads the one kernel
         for theta in rng.uniform(0, 2 * np.pi, size=3):
-            lhs = volume.kappa_slice(z_index, wv, pts @ rot2(theta).T)
+            lhs = volume.kappa(wv, g, pts @ rot2(theta).T)
             rhs = np.einsum("ou,nuv,wv->now", wigner_d_z(1, theta),
-                            volume.kappa_slice(z_index, wv, pts), fiber.matrix(theta))
+                            volume.kappa(wv, g, pts), fiber.matrix(theta))
             worst_fam = max(worst_fam, float(np.abs(lhs - rhs).max()))
 
     r3s2 = build_r3s2_kernel(SO2RepSpec((0,)), 2, (0.0, 0.7),
                              RadialProfileSet(2, 0.5, width=0.12))
-    wr = rng.normal(size=(1, r3s2.slices[0].weight_count))
-    for z_index in range(2):
-        base = r3s2.kappa(z_index, wr, nhat, pts)
+    wr = rng.normal(size=(1, r3s2.weight_count))
+    for _ in r3s2.heights:
+        base = r3s2.kappa(wr, pole, pts)
         for theta in rng.uniform(0, 2 * np.pi, size=3):
             hz = Rotation3.about_z(theta)
-            lhs = r3s2.kappa(z_index, wr, hz.matrix() @ nhat, pts @ rot2(theta).T)
+            lhs = r3s2.kappa(wr, hz.compose(pole), pts @ rot2(theta).T)
             worst_fam = max(worst_fam, float(np.abs(lhs - base).max()))
 
     _report("criterion 6: kernel solver vs oracle and family constraints",

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,12 +22,18 @@ from planelift.kernels import (
     solve_so2_basis,
 )
 from planelift.layers import AnalyticField, LayerConfig, induction_forward
-from planelift.so2_so3 import Rotation3, wigner_d, wigner_d_z
+from planelift.so2_so3 import Rotation3, SphericalHarmonicBasis, wigner_d, wigner_d_z
 
 
 def _rot2(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _toward(nhat):
+    """A rotation taking the north pole e_z to the unit vector ``nhat``."""
+    x, y, z = nhat
+    return Rotation3(np.arctan2(y, x), np.arccos(np.clip(z, -1.0, 1.0)), 0.0)
 
 
 def _random_spec(rng, max_freq=4, max_irreps=2):
@@ -356,8 +363,8 @@ def test_induction_kernel_degree_zero_is_isotropic():
     rng = np.random.default_rng(6)
     w = rng.normal(size=(1, 2))
     pts = rng.normal(size=(10, 2)) * 0.3
-    n1 = np.array([0.0, 0.0, 1.0])
-    n2 = np.array([0.0, 1.0, 0.0])
+    n1 = _toward(np.array([0.0, 0.0, 1.0]))
+    n2 = _toward(np.array([0.0, 1.0, 0.0]))
     assert np.abs(kernel.kappa(w, n1, pts) - kernel.kappa(w, n2, pts)).max() < 1e-12
 
 
@@ -392,11 +399,11 @@ def test_induction_kernel_equivariance():
     w = rng.normal(size=(2, kernel.weight_count))
     pts = rng.normal(size=(12, 2)) * 0.4
     nhat = np.array([0.3, -0.5, 0.81])
-    nhat /= np.linalg.norm(nhat)
+    g = _toward(nhat / np.linalg.norm(nhat))
     for theta in rng.uniform(0, 2 * np.pi, size=6):
         hz = Rotation3.about_z(theta)
-        lhs = kernel.kappa(w, hz.matrix() @ nhat, pts @ _rot2(theta).T)
-        rhs = np.einsum("ncv,wv->ncw", kernel.kappa(w, nhat, pts), fiber.matrix(theta))
+        lhs = kernel.kappa(w, hz.compose(g), pts @ _rot2(theta).T)
+        rhs = np.einsum("ncv,wv->ncw", kernel.kappa(w, g, pts), fiber.matrix(theta))
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
@@ -406,9 +413,9 @@ def test_induction_kernel_linear_in_weights():
     w1 = rng.normal(size=(1, kernel.weight_count))
     w2 = rng.normal(size=(1, kernel.weight_count))
     pts = rng.normal(size=(9, 2)) * 0.4
-    nhat = np.array([0.0, 0.6, 0.8])
-    combined = kernel.kappa(w1 + w2, nhat, pts)
-    split = kernel.kappa(w1, nhat, pts) + kernel.kappa(w2, nhat, pts)
+    g = _toward(np.array([0.0, 0.6, 0.8]))
+    combined = kernel.kappa(w1 + w2, g, pts)
+    split = kernel.kappa(w1, g, pts) + kernel.kappa(w2, g, pts)
     assert np.abs(combined - split).max() < 1e-12
 
 
@@ -477,28 +484,31 @@ def test_so3_kernel_equivariance():
 def test_so3_split_weights_checks_length_first(extra):
     kernel = build_so3_kernel(SO2RepSpec((0,)), (0,), 1, RadialProfileSet(1, 0.5))
     n = kernel.weight_count
-    assert sum(w.size for w in kernel.split_weights(np.zeros(n))) == n
-    with pytest.raises(ValueError, match=f"length {n + extra}, expected {n}"):
-        kernel.split_weights(np.zeros(n + extra))
+    pts = np.zeros((1, 2))
+    assert kernel.kappa(np.zeros(n), Rotation3.identity(), pts).shape == (1, 1, 1)
+    with pytest.raises(ValueError, match=rf"shape \({n},\), got \({n + extra},\)"):
+        kernel.kappa(np.zeros(n + extra), Rotation3.identity(), pts)
 
 
-def test_volume_kernel_slices():
+def test_volume_kernel_heights_share_one_solve():
     fiber = SO2RepSpec((0, 1))
     kernel = build_volume_kernel(fiber, (1,), (-0.5, 0.0, 0.5),
                                  RadialProfileSet(2, 0.5))
-    assert len(kernel.bases) == 3
-    # the constraint does not involve the height: one solve, shared
-    assert all(b is kernel.bases[0] for b in kernel.bases)
+    # the constraint does not involve the height: one degree-0 solve serves
+    # every height
+    assert kernel.heights == (-0.5, 0.0, 0.5) and kernel.lmax == 0
+    assert len(kernel.bases) == 1
     rng = np.random.default_rng(10)
     w = rng.normal(size=kernel.bases[0].count)
     pts = rng.normal(size=(14, 2)) * 0.4
-    for z_index in range(3):
-        base = kernel.kappa_slice(z_index, w, pts)
-        for theta in rng.uniform(0, 2 * np.pi, size=4):
-            lhs = kernel.kappa_slice(z_index, w, pts @ _rot2(theta).T)
-            out_rot = wigner_d_z(1, theta)
-            rhs = np.einsum("ou,nuv,wv->now", out_rot, base, fiber.matrix(theta))
-            assert np.abs(lhs - rhs).max() < 1e-8
+    g = Rotation3.random(rng)  # D_0 = 1: the volume kernel ignores the rotation
+    base = kernel.kappa(w, g, pts)
+    assert np.array_equal(base, kernel.kappa(w, Rotation3.identity(), pts))
+    for theta in rng.uniform(0, 2 * np.pi, size=4):
+        lhs = kernel.kappa(w, g, pts @ _rot2(theta).T)
+        out_rot = wigner_d_z(1, theta)
+        rhs = np.einsum("ou,nuv,wv->now", out_rot, base, fiber.matrix(theta))
+        assert np.abs(lhs - rhs).max() < 1e-8
 
 
 def test_volume_kernel_isotropic_single_slice():
@@ -512,21 +522,20 @@ def test_r3s2_kernel_consistency():
     radial = RadialProfileSet(2, 0.5, width=0.12)
     single = build_r3s2_kernel(fiber, 2, (0.0,), radial)
     sphere = build_induction_kernel(fiber, 1, 2, radial)
-    assert single.slices[0].weight_count == sphere.weight_count
+    assert single.weight_count == sphere.weight_count
     multi = build_r3s2_kernel(fiber, 2, (-1.0, 0.0, 1.0), radial)
-    assert len(multi.slices) == 3
-    assert all(s is multi.slices[0] for s in multi.slices)  # solved once, shared
+    assert multi.heights == (-1.0, 0.0, 1.0)
+    assert len(multi.bases) == 3  # one solve per degree, shared by every height
 
     rng = np.random.default_rng(11)
-    w = rng.normal(size=(1, single.slices[0].weight_count))
+    w = rng.normal(size=(1, single.weight_count))
     pts = rng.normal(size=(10, 2)) * 0.4
-    nhat = np.array([0.6, 0.0, 0.8])
+    g = _toward(np.array([0.6, 0.0, 0.8]))
     for theta in rng.uniform(0, 2 * np.pi, size=4):
         hz = Rotation3.about_z(theta)
-        for z_index in range(3):
-            lhs = multi.kappa(z_index, w, hz.matrix() @ nhat, pts @ _rot2(theta).T)
-            rhs = multi.kappa(z_index, w, nhat, pts)  # trivial in/out fibers
-            assert np.abs(lhs - rhs).max() < 1e-8
+        lhs = multi.kappa(w, hz.compose(g), pts @ _rot2(theta).T)
+        rhs = multi.kappa(w, g, pts)  # trivial in/out fibers
+        assert np.abs(lhs - rhs).max() < 1e-8
 
 
 def test_empty_height_samples_rejected():
@@ -549,12 +558,88 @@ _SCALAR, _EMPTY, _RADIAL = SO2RepSpec((0,)), SO2RepSpec(()), RadialProfileSet(1,
     lambda: build_so3_kernel(_SCALAR, (), 1, _RADIAL),
     lambda: build_volume_kernel(_SCALAR, (), (0.0,), _RADIAL),
     lambda: build_volume_kernel(_EMPTY, (0,), (0.0,), _RADIAL),
+    lambda: build_volume_kernel(_SCALAR, (0,), (float("nan"),), _RADIAL),
+    lambda: build_volume_kernel(_SCALAR, (0,), ("a",), _RADIAL),
+    lambda: build_r3s2_kernel(_SCALAR, 1, (float("inf"),), _RADIAL),
+    lambda: build_induction_kernel(_SCALAR, 1.5, 1, _RADIAL),
+    lambda: build_induction_kernel(_SCALAR, 1, 1.5, _RADIAL),
     lambda: LayerConfig(lmax=-1),
     lambda: LayerConfig(channels=0),
     lambda: LayerConfig(fiber_freqs=()),
 ], ids=["lmax", "channels", "empty-fiber", "r3s2-lmax", "so3-lmax", "so3-empty-fiber",
-        "so3-no-out-degrees", "volume-no-out-degrees", "volume-empty-fiber", "config-lmax",
-        "config-channels", "config-empty-fiber"])
+        "so3-no-out-degrees", "volume-no-out-degrees", "volume-empty-fiber", "volume-nan-height",
+        "volume-text-height", "r3s2-inf-height", "fractional-channels", "fractional-lmax",
+        "config-lmax", "config-channels", "config-empty-fiber"])
 def test_degenerate_layer_shapes_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_kappa_rejects_misshapen_or_non_finite_weights():
+    pts = np.zeros((1, 2))
+    volume = build_volume_kernel(_SCALAR, (0,), (0.0,), _RADIAL)
+    assert volume.weight_count == 1
+    with pytest.raises(ValueError, match=r"shape \(1,\), got \(7,\)"):
+        volume.kappa(np.ones(7), Rotation3.identity(), pts)
+    sphere = build_induction_kernel(_SCALAR, 2, 1, _RADIAL)
+    n = sphere.weight_count
+    with pytest.raises(ValueError, match=rf"shape \(2, {n}\), got \({n},\)"):
+        sphere.kappa(np.ones(n), Rotation3.identity(), pts)
+    w = np.ones((2, n))
+    w[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sphere.kappa(w, Rotation3.identity(), pts)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_so3_kernel(_SCALAR, (0,), 1, _RADIAL),
+    lambda: build_volume_kernel(_SCALAR, (0,), (0.0,), _RADIAL),
+], ids=["so3", "volume"])
+def test_lift_rejects_a_rotation_group_kernel(build):
+    # the same type as a sphere kernel, but its weights fill every row
+    kernel = build()
+    field = AnalyticField.random_band_limited(_SCALAR, np.random.default_rng(0)).sample(8, 0.1)
+    with pytest.raises(ValueError, match="sphere kernel"):
+        induction_forward(field, kernel, np.ones((1, kernel.weight_count)))
+
+
+@lru_cache(maxsize=None)
+def _oracle_sphere(fiber, lmax):
+    return build_induction_kernel(SO2RepSpec(fiber), 1, lmax, RadialProfileSet(2, 0.45))
+
+
+@settings(max_examples=25, deadline=None)
+@given(fiber=st.sampled_from([(0,), (1,), (0, 1), (2, 0)]), lmax=st.integers(0, 4),
+       channels=st.integers(1, 3), alpha=st.floats(0.0, 2 * np.pi), beta=st.floats(0.0, np.pi),
+       gamma=st.floats(0.0, 2 * np.pi), out_ells=st.sampled_from([(0,), (1,), (0, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lifted_kernels_are_one_construction(fiber, lmax, channels, alpha, beta, gamma,
+                                             out_ells, seed):
+    rng = np.random.default_rng(seed)
+    g = Rotation3(alpha, beta, gamma)
+    pts = rng.normal(size=(6, 2)) * 0.3
+    # the sphere kernel at g reads the harmonics at g e_z, evaluated
+    # independently of the Wigner matrices kappa contracts with
+    sphere = replace(_oracle_sphere(fiber, lmax), out_channels=channels)
+    w = rng.normal(size=(channels, sphere.weight_count))
+    y = SphericalHarmonicBasis(lmax).evaluate(g.apply(np.array([0.0, 0.0, 1.0])))
+    expected = sum(np.einsum("cnkv,k->ncv", fl, y[SphericalHarmonicBasis.slice_of(ell)])
+                   for ell, fl in enumerate(sphere.coefficient_blocks(w, pts)))
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.abs(sphere.kappa(w, g, pts) - expected).max() <= 1e-12 * scale
+    # and it is the SO(3) reading of the same solve with weights in row m = 0 alone
+    rows, pos = [], 0
+    for ell, basis in enumerate(sphere.bases):
+        block = np.zeros((2 * ell + 1, basis.count))
+        block[ell] = np.sqrt((2 * ell + 1) / (4 * np.pi)) * w[0, pos:pos + basis.count]
+        rows.append(block.ravel())
+        pos += basis.count
+    so3 = replace(sphere, out_channels=1, space="so3")
+    got = so3.kappa(np.concatenate(rows), g, pts)
+    assert np.abs(got - expected[:, :1]).max() <= 1e-12 * scale
+    # the volume family is the SO(3) kernel at degree 0, for any rotation
+    fiber_in, radial = SO2RepSpec(fiber), RadialProfileSet(2, 0.45)
+    volume = build_volume_kernel(fiber_in, out_ells, (0.0, 0.3), radial)
+    degree0 = build_so3_kernel(fiber_in, out_ells, 0, radial)
+    wv = rng.normal(size=volume.weight_count)
+    assert np.array_equal(volume.kappa(wv, g, pts), degree0.kappa(wv, g, pts))
