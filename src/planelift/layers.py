@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class PlanarFeatureField:
             raise ValueError("values must be (H, W, fiber_dim)")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        if not 0.0 < self.spacing < np.inf:
-            raise ValueError("spacing must be finite and positive")
+        _check_spacing(self.spacing)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -87,14 +87,22 @@ class PlanarFeatureField:
 
     def positions(self) -> np.ndarray:
         """Flattened sample positions, shape (H*W, 2)."""
-        h, w = self.shape
-        xs = (np.arange(h) - (h - 1) / 2.0) * self.spacing
-        ys = (np.arange(w) - (w - 1) / 2.0) * self.spacing
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
+        return _grid_positions(*self.shape, self.spacing)
 
     def flat_values(self) -> np.ndarray:
         return self.values.reshape(-1, self.fiber_rep.dim)
+
+
+def _check_spacing(spacing: float) -> None:
+    if not 0.0 < spacing < np.inf:
+        raise ValueError("spacing must be finite and positive")
+
+
+def _grid_positions(h: int, w: int, spacing: float) -> np.ndarray:
+    xs = (np.arange(h) - (h - 1) / 2.0) * spacing
+    ys = (np.arange(w) - (w - 1) / 2.0) * spacing
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 @dataclass(frozen=True)
@@ -105,20 +113,40 @@ class AnalyticField:
     fiber_rep: SO2RepSpec
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(np.atleast_2d(points)), dtype=float)
+        pts = np.atleast_2d(points)
+        out = np.asarray(self.func(pts), dtype=float)
+        expected = (pts.shape[0], self.fiber_rep.dim)
+        if out.shape != expected:
+            raise ValueError(f"field function returned shape {out.shape}, "
+                             f"expected (points, fiber dim) = {expected}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("field function returned non-finite values")
+        return out
 
     def sample(self, n: int, spacing: float) -> PlanarFeatureField:
-        empty = PlanarFeatureField(np.zeros((n, n, self.fiber_rep.dim)),
-                                   spacing, self.fiber_rep)
-        vals = self(empty.positions()).reshape(n, n, self.fiber_rep.dim)
-        return PlanarFeatureField(vals, spacing, self.fiber_rep)
+        """Sample on the n x n grid of the given spacing centered on the origin."""
+        if not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"grid size n must be an integer >= 1, got {n!r}")
+        _check_spacing(spacing)
+        vals = self(_grid_positions(n, n, spacing))
+        return PlanarFeatureField(vals.reshape(n, n, -1), spacing, self.fiber_rep)
 
     @staticmethod
     def random_band_limited(fiber: SO2RepSpec, rng: np.random.Generator,
                             m_band: int = 2) -> "AnalyticField":
-        """Random finite sum of Bessel-times-trigonometric modes: two radial
-        wavenumbers in [1, 6) per angular frequency up to ``m_band``."""
-        from scipy.special import jv
+        """Random finite sum of modes ``J_m(k r) (a cos(m phi) + b sin(m phi))``:
+        two radial wavenumbers in [1, 6) per angular frequency m up to
+        ``m_band``, drawn as ``ks``, then the cosine, then the sine amplitudes.
+
+        ``J_0`` and ``J_1`` come from ``scipy.special.j0``/``j1``, ``J_2`` from
+        one recurrence step ``2 J_1(x)/x - J_0(x)`` (exact to ~1e-15 on the
+        sampled range), and the general-order ``jv`` only from m = 3 on, where
+        upward recurrence loses accuracy. The field is one product of the
+        stacked mode values with the stacked amplitudes.
+        """
+        if not isinstance(m_band, Integral) or m_band < 0:
+            raise ValueError(f"m_band must be a non-negative integer, got {m_band!r}")
+        from scipy.special import j0, j1, jv
 
         d, n_radial = fiber.dim, 2
         ms = np.arange(m_band + 1)
@@ -126,19 +154,25 @@ class AnalyticField:
         amp_c = rng.normal(size=(m_band + 1, n_radial, d))
         amp_s = rng.normal(size=(m_band + 1, n_radial, d))
         amp_s[0] = 0.0
+        amps = np.concatenate([amp_c, amp_s]).reshape(-1, d)  # (2 (M+1) 2, d)
 
         def evaluate(points: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(points)
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            phi = np.arctan2(pts[:, 1], pts[:, 0])
-            out = np.zeros((pts.shape[0], d))
-            for m in ms:
-                cm, sm = np.cos(m * phi), np.sin(m * phi)
-                for j in range(n_radial):
-                    bess = jv(m, ks[m, j] * r)
-                    out += bess[:, None] * (cm[:, None] * amp_c[m, j]
-                                            + sm[:, None] * amp_s[m, j])
-            return out
+            r = np.hypot(points[:, 0], points[:, 1])
+            phi = np.arctan2(points[:, 1], points[:, 0])
+            x = ks[..., None] * r  # (M+1, 2, N)
+            bess = np.empty_like(x)
+            bess[0] = j0(x[0])
+            if m_band >= 1:
+                bess[1] = j1(x[1])
+            if m_band >= 2:
+                ratio = np.divide(2.0 * j1(x[2]), x[2], out=np.ones_like(x[2]),
+                                  where=x[2] != 0.0)  # 2 J_1(x)/x -> 1 at x = 0
+                bess[2] = ratio - j0(x[2])
+                bess[3:] = jv(ms[3:, None, None], x[3:])
+            mphi = ms[:, None] * phi
+            trig = np.stack([np.cos(mphi), np.sin(mphi)])[:, :, None, :]  # (2, M+1, 1, N)
+            modes = (trig * bess).reshape(len(amps), -1)  # (2 (M+1) 2, N)
+            return modes.T @ amps
 
         return AnalyticField(evaluate, fiber)
 

@@ -159,6 +159,96 @@ def test_forward_matches_coefficient_blocks_and_is_bilinear(fiber, lmax, channel
 
 
 # ---------------------------------------------------------------------------
+# band-limited test fields
+
+def _per_mode_jv_field(fiber, rng, m_band):
+    """The field drawn in the same order and summed one ``jv`` call per mode."""
+    from scipy.special import jv
+
+    d = fiber.dim
+    ks = rng.uniform(1.0, 6.0, size=(m_band + 1, 2))
+    amp_c = rng.normal(size=(m_band + 1, 2, d))
+    amp_s = rng.normal(size=(m_band + 1, 2, d))
+    amp_s[0] = 0.0
+
+    def evaluate(pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        out = np.zeros((len(pts), d))
+        for m in range(m_band + 1):
+            cm, sm = np.cos(m * phi), np.sin(m * phi)
+            for j in range(2):
+                out += jv(m, ks[m, j] * r)[:, None] * (cm[:, None] * amp_c[m, j]
+                                                       + sm[:, None] * amp_s[m, j])
+        return out
+
+    return evaluate
+
+
+@pytest.mark.parametrize("fiber", [(0,), (0, 1)])
+@pytest.mark.parametrize("m_band", range(6))
+def test_band_limited_field_matches_per_mode_jv(m_band, fiber):
+    spec = SO2RepSpec(fiber)
+    rng = np.random.default_rng(100 + m_band)
+    pts = np.vstack([rng.uniform(-1.0, 1.0, size=(400, 2)),
+                     [[0.0, 0.0], [1e-8, 0.0], [0.0, -1e-8], [-3e-7, 4e-7], [1e-4, -1e-4]]])
+    for seed in range(4):
+        fast = AnalyticField.random_band_limited(spec, np.random.default_rng(seed), m_band)
+        slow = _per_mode_jv_field(spec, np.random.default_rng(seed), m_band)
+        assert np.abs(fast(pts) - slow(pts)).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_band=st.integers(0, 5), radius=st.floats(1e-3, 1.4),
+       fiber=st.sampled_from([(0,), (0, 1), (2,)]), seed=st.integers(0, 2**31 - 1))
+def test_band_limited_field_is_band_limited_on_circles(m_band, radius, fiber, seed):
+    field = AnalyticField.random_band_limited(SO2RepSpec(fiber), np.random.default_rng(seed),
+                                              m_band)
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    spectrum = np.fft.rfft(field(radius * np.stack([np.cos(angles), np.sin(angles)], 1)), axis=0)
+    above = np.linalg.norm(spectrum[m_band + 1:])
+    assert above <= 1e-13 * np.linalg.norm(spectrum)
+
+
+@pytest.mark.parametrize("m_band", [-1, 2.5, "2", None])
+def test_band_limited_field_rejects_bad_band(m_band):
+    with pytest.raises(ValueError, match="m_band must be a non-negative integer"):
+        AnalyticField.random_band_limited(SO2RepSpec((0,)), np.random.default_rng(0), m_band)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, "8"])
+def test_sample_rejects_bad_grid_size(n):
+    field = AnalyticField(lambda p: p[:, :1], SO2RepSpec((0,)))
+    with pytest.raises(ValueError, match="grid size n must be an integer >= 1"):
+        field.sample(n, 0.1)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan, np.inf])
+def test_sample_rejects_bad_spacing(spacing):
+    field = AnalyticField(lambda p: p[:, :1], SO2RepSpec((0,)))
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        field.sample(8, spacing)
+
+
+@pytest.mark.parametrize("func, shape", [
+    (lambda p: p, r"\(5, 2\)"),          # two components for a three-dim fiber
+    (lambda p: p[:, 0], r"\(5,\)"),      # flat output
+    (lambda p: np.ones((4, 3)), r"\(4, 3\)"),  # one row short
+])
+def test_field_call_rejects_wrong_output_shape(func, shape):
+    field = AnalyticField(func, SO2RepSpec((0, 1)))
+    pts = np.random.default_rng(0).normal(size=(5, 2))
+    with pytest.raises(ValueError, match=shape + r".*expected .*\(5, 3\)"):
+        field(pts)
+
+
+def test_field_call_rejects_non_finite_values():
+    field = AnalyticField(lambda p: 1.0 / p[:, :1], SO2RepSpec((0,)))
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
+        field(np.array([[0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
 # field rotation
 
 def test_rotate_field_zero_angle_identity():
