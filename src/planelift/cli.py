@@ -56,6 +56,10 @@ def _deg(rad: float) -> str:
     return f"{round(float(np.rad2deg(rad)), 3) % 360.0:.3f}"
 
 
+def _exact_zero(x: float) -> float:
+    return 0.0 if abs(x) < 1e-12 else x  # rounding noise and -0.0 print as 0
+
+
 def _parse_rep_spec(text: str) -> SO2RepSpec:
     freqs: list[int] = []
     for part in text.split(","):
@@ -107,7 +111,8 @@ def _cmd_decompose(args) -> int:
             classes = [group.labels[c[0]] for c in group.conjugacy_classes]
             fh.write("irrep," + ",".join(classes) + "\n")
             for irr, row in zip(table.irreps, table.characters):
-                cells = ",".join(f"{v.real:.12g}{v.imag:+.12g}j" for v in row)
+                cells = ",".join(f"{_exact_zero(v.real):.12g}{_exact_zero(v.imag):+.12g}j"
+                                 for v in row)
                 fh.write(f"{irr.label},{cells}\n")
     _emit({"group": group.name, "rep": args.rep,
            "multiplicities": dict(sorted(dec.multiplicities.items()))})

@@ -279,12 +279,20 @@ def build_group(spec: str | np.ndarray) -> FiniteGroup:
     return _finish_group("custom", table, labels)
 
 
+def _check_indices(indices, parent: FiniteGroup, what: str) -> None:
+    """Reject caller-supplied element indices that are not integers in [0, order)."""
+    for x in indices:
+        if not isinstance(x, (int, np.integer)) or not 0 <= x < parent.order:
+            raise ValueError(f"{what} {x} is not an element index in [0, {parent.order})")
+
+
 def subgroup_embedding(sub: FiniteGroup, parent: FiniteGroup,
                        embed: list[int] | np.ndarray) -> SubgroupEmbedding:
     """Wrap and validate an injective homomorphism ``sub -> parent``."""
-    embed = np.asarray(embed, dtype=np.int64)
-    if embed.shape != (sub.order,):
+    if np.shape(embed) != (sub.order,):
         raise ValueError("embedding must map every subgroup element")
+    _check_indices(embed, parent, "embedding image")
+    embed = np.asarray(embed, dtype=np.int64)
     if len(set(embed.tolist())) != sub.order:
         raise ValueError("embedding is not injective")
     if embed[sub.identity] != parent.identity:
@@ -352,6 +360,7 @@ def coset_decomposition(embedding: SubgroupEmbedding,
     if reps is None:
         chosen = auto_reps
     else:
+        _check_indices(reps, parent, "representative")
         if sorted(int(coset_of[r]) for r in reps) != list(range(m)):
             raise ValueError("explicit representatives must cover each coset exactly once")
         chosen = [int(r) for r in reps]

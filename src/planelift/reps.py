@@ -2,8 +2,11 @@
 
 Representations are stored as dense complex matrices, one per group element,
 so the homomorphism property can be checked exhaustively. Irrep tables are
-built from explicit constructions for the named groups (cyclic groups, A4,
-A5); character inner products then decompose arbitrary representations.
+built for the named groups (cyclic groups, A4, A5). The linear irreps are
+written down; every non-linear A4/A5 irrep is the multiplicity-one isotypic
+component of a coset permutation representation (A4 on the cosets of Z3,
+A5 on the cosets of Z5) or, for A5's ``std4``, of ``icosa3a * icosa3b``.
+Character inner products then decompose arbitrary representations.
 
 Everything is immutable after construction.
 """
@@ -120,16 +123,6 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # irrep constructions
 
-def _helmert(n: int) -> np.ndarray:
-    """Orthonormal basis (n x (n-1)) of the sum-zero subspace of R^n."""
-    out = np.zeros((n, n - 1))
-    for k in range(1, n):
-        out[:k, k - 1] = 1.0
-        out[k, k - 1] = -k
-        out[:, k - 1] /= np.sqrt(k * (k + 1))
-    return out
-
-
 def _point_action_matrices(group: FiniteGroup, orbit_of: np.ndarray, n_points: int) -> np.ndarray:
     """Permutation matrices for a left action given as ``orbit_of[g, point]``."""
     mats = np.zeros((group.order, n_points, n_points))
@@ -137,69 +130,38 @@ def _point_action_matrices(group: FiniteGroup, orbit_of: np.ndarray, n_points: i
     return mats
 
 
-def _perm_images(group: FiniteGroup) -> np.ndarray | None:
-    """Recover 0-based image tuples from cycle labels of a permutation group."""
-    if not (group.name.startswith("A") or group.name.startswith("S")):
-        return None
-    n = int(group.name[1])
-    images = np.empty((group.order, n), dtype=np.int64)
-    for idx, lbl in enumerate(group.labels):
-        img = list(range(n))
-        if lbl != "e":
-            for cyc in lbl[1:-1].split(")("):
-                pts = [int(x) - 1 for x in cyc.split(",")]
-                for a, b in zip(pts, pts[1:] + pts[:1]):
-                    img[a] = b
-        images[idx] = img
-    return images
+def _coset_action(group: FiniteGroup, generator: str) -> Representation:
+    """Permutation rep on the left cosets of the cyclic subgroup generated by the
+    element labelled ``generator``: the trivial irrep of that subgroup, induced."""
+    gen = group.element_index(generator)
+    powers = [group.identity]
+    while (nxt := int(group.mul[powers[-1], gen])) != group.identity:
+        powers.append(nxt)
+    cosets = coset_decomposition(subgroup_embedding(build_group(f"Z{len(powers)}"), group, powers))
+    return Representation(group, _point_action_matrices(group, cosets.perm, cosets.n_cosets))
 
 
-def _natural_point_rep(group: FiniteGroup) -> np.ndarray:
-    """Permutation rep of A_n/S_n on its n points, ``e_x -> e_{g^{-1}(x)}``."""
-    images = _perm_images(group)
-    n = images.shape[1]
-    orbit = np.empty((group.order, n), dtype=np.int64)
-    for g in range(group.order):
-        ginv = images[group.inv[g]]
-        orbit[g] = ginv  # point x goes to g^{-1}(x)
-    return _point_action_matrices(group, orbit, n)
-
-
-def _pair_point_rep(group: FiniteGroup) -> np.ndarray:
-    """Permutation rep on unordered pairs of points."""
-    images = _perm_images(group)
-    n = images.shape[1]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_idx = {p: k for k, p in enumerate(pairs)}
-    orbit = np.empty((group.order, len(pairs)), dtype=np.int64)
-    for g in range(group.order):
-        ginv = images[group.inv[g]]
-        for k, (i, j) in enumerate(pairs):
-            a, b = int(ginv[i]), int(ginv[j])
-            orbit[g, k] = pair_idx[(min(a, b), max(a, b))]
-    return _point_action_matrices(group, orbit, len(pairs))
-
-
-def _project_irrep(group: FiniteGroup, perm_rep: np.ndarray,
-                   class_char: np.ndarray, dim: int, label: str) -> Representation:
-    """Extract a multiplicity-one irrep from a real permutation rep.
+def _project_irrep(rep: Representation, class_char: np.ndarray,
+                   dim: int, label: str) -> Representation:
+    """Extract a multiplicity-one irrep from a real representation.
 
     Uses the isotypic projector ``(d/|G|) sum_g conj(chi(g)) rho(g)`` and
     restricts the action to an orthonormal basis of its range.
     """
+    group = rep.group
     char_per_elem = np.empty(group.order, dtype=np.complex128)
     for c, cls in enumerate(group.conjugacy_classes):
         for g in cls:
             char_per_elem[g] = class_char[c]
-    proj = np.einsum("g,gij->ij", char_per_elem.conj(), perm_rep) * (dim / group.order)
+    proj = np.einsum("g,gij->ij", char_per_elem.conj(), rep.matrices) * (dim / group.order)
     proj = proj.real
     u, s, _ = np.linalg.svd(proj)
     rank = int((s > 0.5).sum())
     if rank != dim:
         raise ValueError(f"isotypic projector for {label} has rank {rank}, expected {dim}")
     q = u[:, :dim]
-    mats = np.einsum("pi,gpq,qj->gij", q, perm_rep, q)
-    return Representation(group, mats.astype(np.complex128), label)
+    mats = np.einsum("pi,gpq,qj->gij", q, rep.matrices, q)
+    return Representation(group, mats, label)
 
 
 def _cyclic_table(group: FiniteGroup) -> IrrepTable:
@@ -224,9 +186,9 @@ def _a4_table(group: FiniteGroup) -> IrrepTable:
     triv = trivial_representation(group)
     chi_p = Representation(group, np.array([[[omega ** k]] for k in t]), "omega_plus")
     chi_m = Representation(group, np.array([[[omega ** (-k)]] for k in t]), "omega_minus")
-    perm = _natural_point_rep(group)
-    q = _helmert(4)
-    std = Representation(group, np.einsum("pi,gpq,qj->gij", q, perm, q).astype(np.complex128), "std3")
+    # A4 on the 4 cosets of Z3 is triv + std3
+    cosets4 = _coset_action(group, "(1,2,3)")
+    std = _project_irrep(cosets4, cosets4.character() - 1, 3, "std3")
     irreps = (triv, chi_p, chi_m, std)
     chars = np.array([r.character() for r in irreps])
     return IrrepTable(group, irreps, chars)
@@ -235,10 +197,6 @@ def _a4_table(group: FiniteGroup) -> IrrepTable:
 def _a5_table(group: FiniteGroup) -> IrrepTable:
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     triv = trivial_representation(group)
-
-    perm5 = _natural_point_rep(group)
-    q = _helmert(5)
-    std4 = Representation(group, np.einsum("pi,gpq,qj->gij", q, perm5, q).astype(np.complex128), "std4")
 
     # identify classes by element order plus which class holds the reference 5-cycle
     orders = []
@@ -259,19 +217,18 @@ def _a5_table(group: FiniteGroup) -> IrrepTable:
             out[c] = v
         return out
 
-    chi5 = char_vec({0: 5, class2: 1, class3: -1, five_a: 0, five_b: 0})
     chi3a = char_vec({0: 3, class2: -1, class3: 0, five_a: phi, five_b: 1 - phi})
     chi3b = char_vec({0: 3, class2: -1, class3: 0, five_a: 1 - phi, five_b: phi})
+    chi4 = char_vec({0: 4, class2: 0, class3: 1, five_a: -1, five_b: -1})
+    chi5 = char_vec({0: 5, class2: 1, class3: -1, five_a: 0, five_b: 0})
 
-    pairs10 = _pair_point_rep(group)
-    irr5 = _project_irrep(group, pairs10, chi5, 5, "pair5")
-
-    gen5 = group.element_index("(1,2,3,4,5)")
-    z5 = [group.power(gen5, k) for k in range(5)]
-    cosets = coset_decomposition(subgroup_embedding(build_group("Z5"), group, z5))
-    cosets12 = _point_action_matrices(group, cosets.perm, cosets.n_cosets)
-    irr3a = _project_irrep(group, cosets12, chi3a, 3, "icosa3a")
-    irr3b = _project_irrep(group, cosets12, chi3b, 3, "icosa3b")
+    # A5 on the 12 cosets of Z5 is triv + icosa3a + icosa3b + pair5, and
+    # icosa3a * icosa3b is std4 + pair5
+    cosets12 = _coset_action(group, "(1,2,3,4,5)")
+    irr3a = _project_irrep(cosets12, chi3a, 3, "icosa3a")
+    irr3b = _project_irrep(cosets12, chi3b, 3, "icosa3b")
+    irr5 = _project_irrep(cosets12, chi5, 5, "pair5")
+    std4 = _project_irrep(tensor_product(irr3a, irr3b), chi4, 4, "std4")
 
     irreps = (triv, irr3a, irr3b, std4, irr5)
     chars = np.array([r.character() for r in irreps])

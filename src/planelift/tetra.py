@@ -58,10 +58,6 @@ class TriangleFilterBank:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def width(self) -> int:
-        return int(self.values.shape[2])
-
 
 @dataclass(frozen=True)
 class TetraFunction:
@@ -69,13 +65,6 @@ class TetraFunction:
 
     values: np.ndarray  # (12, 4, K) complex
     cosets: CosetDecomposition
-
-    @property
-    def width(self) -> int:
-        return int(self.values.shape[2])
-
-    def stacked(self, g: int) -> np.ndarray:
-        return self.values[g].reshape(-1)
 
 
 def bank_from_irrep(label: str, coeffs: np.ndarray,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import planelift
-from planelift.cli import main
+from planelift.cli import _exact_zero, main
 
 
 def _run(capsys, argv):
@@ -35,6 +35,37 @@ def test_decompose_regular(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("irrep,")
     assert len(lines) == 5
+
+
+CHARACTERS_CSV = {
+    "A4": """irrep,e,(2,3,4),(2,4,3),(1,2)(3,4)
+triv,1+0j,1+0j,1+0j,1+0j
+omega_plus,1+0j,-0.5-0.866025403784j,-0.5+0.866025403784j,1+0j
+omega_minus,1+0j,-0.5+0.866025403784j,-0.5-0.866025403784j,1+0j
+std3,3+0j,0+0j,0+0j,-1+0j
+""",
+    "A5": """irrep,e,(3,4,5),(2,3)(4,5),(1,2,3,4,5),(1,2,3,5,4)
+triv,1+0j,1+0j,1+0j,1+0j,1+0j
+icosa3a,3+0j,0+0j,-1+0j,1.61803398875+0j,-0.61803398875+0j
+icosa3b,3+0j,0+0j,-1+0j,-0.61803398875+0j,1.61803398875+0j
+std4,4+0j,1+0j,0+0j,-1+0j,-1+0j
+pair5,5+0j,-1+0j,1+0j,0+0j,0+0j
+""",
+}
+
+
+@pytest.mark.parametrize("group", sorted(CHARACTERS_CSV))
+def test_characters_csv_prints_exact_zeros(capsys, tmp_path, group):
+    csv_path = tmp_path / "chars.csv"
+    code, _ = _run(capsys, ["decompose", "--group", group,
+                            "--characters-csv", str(csv_path)])
+    assert code == 0
+    assert csv_path.read_text() == CHARACTERS_CSV[group]
+
+
+def test_exact_zero_is_never_negative():
+    cells = [f"{_exact_zero(x):+.12g}" for x in (-0.0, -1e-13, 1e-13, -1e-11)]
+    assert cells == ["+0", "+0", "+0", "-1e-11"]
 
 
 def test_branch_json_and_csv(capsys):

@@ -74,6 +74,19 @@ def test_embedding_validation():
         subgroup_embedding(z3, a4, [a4.identity, gen, wrong_square])
 
 
+@pytest.mark.parametrize("bad", [-3, 99, 2.5])
+def test_coset_representatives_must_be_element_indices(bad):
+    emb = named_embedding("Z3", "A4")
+    with pytest.raises(ValueError, match=f"representative {bad} is not an element index"):
+        coset_decomposition(emb, reps=[0, 1, 2, bad])
+
+
+def test_embedding_images_must_be_element_indices():
+    z3, a4 = build_group("Z3"), build_group("A4")
+    with pytest.raises(ValueError, match="embedding image -8 is not an element index"):
+        subgroup_embedding(z3, a4, [0, -8, 6])
+
+
 def test_z3_in_a4_cosets():
     emb = named_embedding("Z3", "A4")
     cos = coset_decomposition(emb)

@@ -44,6 +44,45 @@ def test_a4_irrep_dimensions_and_characters():
     assert np.isclose(std_row[0], 3.0)
 
 
+PHI = (1 + np.sqrt(5)) / 2
+
+# Standard character tables, keyed by irrep label and by the label of each
+# class's representative (its smallest element index). In A4, (2,3,4) is
+# conjugate to (1,3,2) and (2,4,3) to (1,2,3); in A5, (1,2,3,5,4) is
+# conjugate to (1,2,3,4,5)^2.
+TEXTBOOK_CHARACTERS = {
+    "A4": {
+        "triv": {"e": 1, "(2,3,4)": 1, "(2,4,3)": 1, "(1,2)(3,4)": 1},
+        "omega_plus": {"e": 1, "(2,3,4)": OMEGA ** 2, "(2,4,3)": OMEGA, "(1,2)(3,4)": 1},
+        "omega_minus": {"e": 1, "(2,3,4)": OMEGA, "(2,4,3)": OMEGA ** 2, "(1,2)(3,4)": 1},
+        "std3": {"e": 3, "(2,3,4)": 0, "(2,4,3)": 0, "(1,2)(3,4)": -1},
+    },
+    "A5": {
+        "triv": {"e": 1, "(3,4,5)": 1, "(2,3)(4,5)": 1, "(1,2,3,4,5)": 1, "(1,2,3,5,4)": 1},
+        "icosa3a": {"e": 3, "(3,4,5)": 0, "(2,3)(4,5)": -1,
+                    "(1,2,3,4,5)": PHI, "(1,2,3,5,4)": 1 - PHI},
+        "icosa3b": {"e": 3, "(3,4,5)": 0, "(2,3)(4,5)": -1,
+                    "(1,2,3,4,5)": 1 - PHI, "(1,2,3,5,4)": PHI},
+        "std4": {"e": 4, "(3,4,5)": 1, "(2,3)(4,5)": 0, "(1,2,3,4,5)": -1, "(1,2,3,5,4)": -1},
+        "pair5": {"e": 5, "(3,4,5)": -1, "(2,3)(4,5)": 1, "(1,2,3,4,5)": 0, "(1,2,3,5,4)": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTBOOK_CHARACTERS))
+def test_characters_match_textbook_table(name):
+    group = build_group(name)
+    table = irrep_table(group)
+    expected = TEXTBOOK_CHARACTERS[name]
+    classes = [group.labels[cls[0]] for cls in group.conjugacy_classes]
+    assert set(table.labels()) == set(expected)
+    for label, row in zip(table.labels(), table.characters):
+        assert set(expected[label]) == set(classes)
+        want = np.array([expected[label][c] for c in classes])
+        assert np.abs(row - want).max() < 1e-12, label
+        assert np.abs(table.by_label(label).character() - want).max() < 1e-12, label
+
+
 @pytest.mark.parametrize("name", ["Z3", "Z5", "A4", "A5"])
 def test_irrep_tables_validate(name):
     group = build_group(name)
