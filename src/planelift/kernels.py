@@ -6,10 +6,12 @@ to intertwine two planar-rotation representations:
     F(rotate(theta) @ r) = rho_out(theta) @ F(r) @ rho_in(theta)^T
 
 The solver expands the angular dependence in trigonometric modes up to a
-cutoff, samples the constraint over a circle of rotation angles, and reads
-the admissible coefficient combinations off the SVD nullspace. An analytic
-frequency-matching count and a grid-discretized nullspace oracle serve as
-independent checks.
+cutoff and samples the constraint over a circle of rotation angles, one tall
+system per frequency. It reduces that system to its square QR factor R,
+which has the same singular values and right singular vectors (Chan's
+R-SVD), and reads the admissible coefficient combinations off the SVD
+nullspace of R. An analytic frequency-matching count and a grid-discretized
+nullspace oracle, sized from the spec, serve as independent checks.
 
 Every lifted kernel is one ``InductionKernel``: one per-degree solve with a
 derived cutoff, read on SO(3) through all 2l+1 weight rows of each degree or
@@ -64,7 +66,7 @@ class SO2RepSpec:
 
     def __post_init__(self):
         for k in self.freqs:
-            if not (np.isfinite(k) and k >= 0 and k == int(k)):
+            if not (isinstance(k, Real) and np.isfinite(k) and k >= 0 and k == int(k)):
                 raise ValueError(f"frequencies must be non-negative integers, got {k!r}")
         object.__setattr__(self, "freqs", tuple(int(k) for k in self.freqs))
 
@@ -181,8 +183,8 @@ class RadialProfileSet:
     width: float | None = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("need at least one radial profile")
+        if not (isinstance(self.count, Integral) and self.count >= 1):
+            raise ValueError(f"radial count must be a positive integer, got {self.count!r}")
         if not 0.0 < self.r_max < np.inf:
             raise ValueError("r_max must be finite and positive")
         if self.width is None:
@@ -270,6 +272,11 @@ class SteerableKernelBasis:
         return out.reshape(self.count, n, *shape)
 
 
+def _check_cutoff(m_max: int) -> None:  # the angular frequency cutoff
+    if not (isinstance(m_max, Integral) and m_max >= 0):
+        raise ValueError(f"m_max must be a non-negative integer, got {m_max!r}")
+
+
 def _angle_samples(m_max: int, in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> np.ndarray:
     # enough samples to kill aliasing among all exponents that can appear
     n = max(4 * (m_max + 1), 2 * (m_max + in_rep.max_freq + out_rep.max_freq) + 3)
@@ -282,10 +289,13 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
 
     For each angular frequency ``m <= m_max`` the constraint couples only
     the cosine and sine coefficient matrices of that frequency; sampling it
-    over a circle of angles yields a linear system whose SVD nullspace
-    spans the admissible coefficients. Null directions are taken at
-    relative singular value below ``NULL_TOL``.
+    over a circle of angles yields one tall linear system, built in a single
+    broadcast over the angles. Its square QR factor ``R`` has the system's
+    singular values and right singular vectors, so the SVD of ``R`` gives
+    the nullspace without forming the tall left factor. Null directions are
+    taken at relative singular value below ``NULL_TOL``.
     """
+    _check_cutoff(m_max)
     d_out, d_in = out_rep.dim, in_rep.dim
     dd = d_out * d_in
     thetas = _angle_samples(m_max, in_rep, out_rep)
@@ -295,17 +305,13 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     eye = np.eye(dd)
     zero = np.zeros((d_out, d_in))  # the sine block of every m = 0 solution
     for m in range(m_max + 1):
-        rows = []
-        for t, conj in zip(thetas, conjugations):
-            c, s = np.cos(m * t), np.sin(m * t)
-            if m == 0:
-                rows.append(eye - conj)
-            else:
-                top = np.hstack([c * eye - conj, s * eye])
-                bot = np.hstack([-s * eye, c * eye - conj])
-                rows.append(np.vstack([top, bot]))
-        system = np.vstack(rows)
-        _, svals, vt = np.linalg.svd(system, full_matrices=False)
+        # each angle's rows act on the cosine coefficients, at m > 0 stacked with the sine ones
+        rows = np.cos(m * thetas)[:, None, None] * eye - conjugations
+        if m:
+            off = np.sin(m * thetas)[:, None, None] * eye
+            rows = np.block([[rows, off], [-off, rows]])
+        r = np.linalg.qr(np.concatenate(rows), mode="r")
+        _, svals, vt = np.linalg.svd(r, full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
         # a copy, so the solutions do not keep the whole of ``vt`` alive
         null = vt[np.sum(svals > NULL_TOL * smax):].copy()
@@ -323,6 +329,7 @@ def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) ->
     collapsing to one solution for the scalar-scalar pair and to two for
     scalar-vs-vector pairs.
     """
+    _check_cutoff(m_max)
     total = 0
     for ko in out_rep.freqs:
         for ki in in_rep.freqs:
@@ -339,18 +346,20 @@ def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) ->
 def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
     """Brute-force constraint nullity on an angle grid.
 
-    Unknowns are raw kernel values at 64 angles, identified with the
+    Unknowns are raw kernel values at n angles, identified with the
     band-limited interpolant through them; the constraint is imposed at two
     fixed irrational rotation angles whose action on grid values is the
     spectral shift matrix. Completely bypasses the per-frequency solver.
+    n is the smallest even n >= 64 whose Nyquist frequency n/2 exceeds
+    ``in_rep.max_freq + out_rep.max_freq``, so no irrep pair's solution aliases.
 
     The shift is diagonal in the grid's DFT index, so the system splits
     into one (2dd, dd) block per grid frequency k with the factor
     ``exp(i k theta)``; the shift acts on real values, so the unpaired
-    Nyquist frequency -32 gets its real part ``cos(32 theta)``. The blocks'
-    singular values are the whole system's, thresholded against the largest.
+    Nyquist frequency -n/2 gets its real part ``cos(n theta / 2)``. The
+    blocks' singular values are the whole system's, thresholded against the largest.
     """
-    dd, n_grid = out_rep.dim * in_rep.dim, 64
+    dd, n_grid = out_rep.dim * in_rep.dim, max(64, 2 * (in_rep.max_freq + out_rep.max_freq) + 2)
     freqs = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
     blocks = []
     for theta in (2.0 * np.pi * 0.6180339887498949, 2.0 * np.pi * 0.41421356237309515):

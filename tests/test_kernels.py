@@ -58,9 +58,9 @@ def test_spec_rejects_negative_frequency():
         SO2RepSpec((-1,))
 
 
-@pytest.mark.parametrize("freq", [1.5, 0.25, float("nan"), float("inf")])
+@pytest.mark.parametrize("freq", [1.5, 0.25, float("nan"), float("inf"), "a", None])
 def test_spec_rejects_non_integer_frequency(freq):
-    with pytest.raises(ValueError, match=f"non-negative integers, got {freq}"):
+    with pytest.raises(ValueError, match=f"non-negative integers, got {freq!r}"):
         SO2RepSpec((0, freq))
 
 
@@ -114,6 +114,12 @@ def test_radial_set_rejects_bad_width(width):
         RadialProfileSet(2, 0.5, width=width)
 
 
+@pytest.mark.parametrize("count", [2.5, 0, -1, "2"])
+def test_radial_set_rejects_bad_count(count):
+    with pytest.raises(ValueError, match="radial count must be a positive integer"):
+        RadialProfileSet(count, 0.45)
+
+
 # ---------------------------------------------------------------------------
 # the solver
 
@@ -127,6 +133,16 @@ def test_isotropic_scalar_kernel():
     radii = np.hypot(pts[:, 0], pts[:, 1])
     ref = basis.evaluate_all(np.stack([radii, np.zeros_like(radii)], axis=1))[0]
     assert np.abs(vals - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("m_max", [-1, 2.5, "3", None])
+def test_solver_and_count_reject_a_bad_cutoff(m_max):
+    # at m_max = -1 the solver found no solution where the count found one
+    scalar = SO2RepSpec((0,))
+    with pytest.raises(ValueError, match="m_max must be a non-negative integer"):
+        solve_so2_basis(scalar, scalar, RadialProfileSet(1, 1.0), m_max)
+    with pytest.raises(ValueError, match="m_max must be a non-negative integer"):
+        analytic_basis_count(scalar, scalar, m_max)
 
 
 def test_scalar_to_vector_count():
@@ -175,9 +191,76 @@ def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
         assert got == grid_nullspace_dimension(rin, rout)
 
 
+def _full_svd_null_space(in_rep, out_rep, m_max):
+    """Reference for the QR-reduced solve: per frequency, the SVD of the whole
+    stacked system, built angle by angle. Returns ``{m: (count, projector)}``."""
+    dd = out_rep.dim * in_rep.dim
+    eye = np.eye(dd)
+    out = {}
+    for m in range(m_max + 1):
+        rows = []
+        for t in kernels._angle_samples(m_max, in_rep, out_rep):
+            conj = np.kron(out_rep.matrix(t), in_rep.matrix(t))
+            c, s = np.cos(m * t), np.sin(m * t)
+            if m == 0:
+                rows.append(eye - conj)
+            else:
+                top = np.hstack([c * eye - conj, s * eye])
+                bot = np.hstack([-s * eye, c * eye - conj])
+                rows.append(np.vstack([top, bot]))
+        _, svals, vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
+        smax = max(svals[0], 1.0) if len(svals) else 1.0
+        null = vt[np.sum(svals > NULL_TOL * smax):]
+        out[m] = (len(null), null.T @ null)
+    return out
+
+
+def _assert_solve_matches_full_svd(basis):
+    """Same solution count per m, and null-space projectors within 1e-12."""
+    for m, (count, projector) in _full_svd_null_space(basis.in_rep, basis.out_rep,
+                                                      basis.m_max).items():
+        sols = [s for s in basis.angular if s.m == m]
+        assert len(sols) == count, m
+        vecs = np.array([np.concatenate([s.cos_coeff.ravel(), s.sin_coeff.ravel()]) if m
+                         else s.cos_coeff.ravel() for s in sols]).reshape(count, len(projector))
+        assert np.abs(vecs.T @ vecs - projector).max(initial=0.0) <= 1e-12, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(rin=SPECS, rout=SPECS, m_max=st.integers(0, 8))
+def test_reduced_solve_matches_full_svd(rin, rout, m_max):
+    _assert_solve_matches_full_svd(solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max))
+
+
+_SCALAR, _VECTOR = SO2RepSpec((0,)), SO2RepSpec((0, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: build_induction_kernel(_SCALAR, 1, 10, r),
+    lambda r: build_induction_kernel(SO2RepSpec((0, 1, 2)), 1, 6, r),
+    lambda r: build_so3_kernel(_VECTOR, (0, 1), 3, r),
+    lambda r: build_volume_kernel(_VECTOR, (0, 1), (-0.2, 0.3), r),
+    lambda r: build_r3s2_kernel(_SCALAR, 6, (-0.2, 0.3), r),
+], ids=["sphere-lmax10", "sphere-fiber012-lmax6", "so3-lmax3", "volume", "r3s2-lmax6"])
+def test_reduced_solve_matches_full_svd_on_every_bench_degree(build):
+    # the five kernels one pass of the benchmark's kernel_solve workload builds
+    for basis in build(RadialProfileSet(2, 0.45, 0.09)).bases:
+        _assert_solve_matches_full_svd(basis)
+
+
+@pytest.mark.parametrize("k_in, k_out", [(32, 0), (20, 13), (16, 16), (32, 32)])
+def test_grid_oracle_counts_pairs_past_a_64_angle_grid(k_in, k_out):
+    # 64 angles alias frequencies from 32 on: 32 -> 0 read 0, 20 -> 13 and 16 -> 16 read 2
+    rin, rout = SO2RepSpec((k_in,)), SO2RepSpec((k_out,))
+    assert grid_nullspace_dimension(rin, rout) == analytic_basis_count(rin, rout, k_in + k_out)
+
+
 def _dense_grid_nullspace_dimension(in_rep, out_rep):
-    """The grid oracle as one dense real system over all 64 grid values."""
-    dd, n_grid = out_rep.dim * in_rep.dim, 64
+    """The grid oracle as one dense real system over all grid values, on the
+    smallest even grid of at least 64 angles whose Nyquist frequency exceeds
+    the pair's summed top frequency."""
+    dd = out_rep.dim * in_rep.dim
+    n_grid = max(64, 2 * (in_rep.max_freq + out_rep.max_freq) + 2)
     freqs = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
     dft = np.fft.fft(np.eye(n_grid), axis=0)
     idft = np.conj(dft).T / n_grid
@@ -192,7 +275,7 @@ def _dense_grid_nullspace_dimension(in_rep, out_rep):
     return int(np.sum(svals <= NULL_TOL * smax)) + system.shape[1] - len(svals)
 
 
-# frequencies past the grid's Nyquist frequency 32 alias, which both forms must agree on
+# frequencies past 32 need a grid of more than 64 angles, which both forms must size alike
 WIDE_SPECS = st.lists(st.integers(0, 36), min_size=1, max_size=2).map(
     lambda ks: SO2RepSpec(tuple(ks)))
 
