@@ -2,7 +2,9 @@
 
 Every subcommand emits JSON with sorted keys (or CSV where offered) so that
 repeated runs with the same arguments and seed are byte-identical. Exit
-codes: 0 on success or PASS, 1 on a failed check, 2 on usage errors.
+codes: 0 on success or PASS, 1 on a failed check, 2 on usage errors. The
+finite-group modules are imported inside the commands that use them, so
+``demo pose`` loads only ``so2_so3``, ``kernels`` and ``layers``.
 """
 
 from __future__ import annotations
@@ -15,26 +17,17 @@ import sys
 
 import numpy as np
 
-from . import tetra
-from .groups import build_group, coset_decomposition, named_embedding
-from .induce_restrict import (
-    branching_table,
-    check_frobenius,
-    completeness_check,
-    induction_table,
-)
 from .kernels import RadialProfileSet, SO2RepSpec, analytic_basis_count, build_induction_kernel
 from .layers import (
     AnalyticField,
     LayerConfig,
     equivariance_harness,
     gradient_check,
-    induction_forward,
+    induction_forward_many,
     rotate_field,
     so3_equiangular_grid,
     sphere_to_so3_correlation,
 )
-from .reps import decompose, irrep_table, regular_representation, trivial_representation
 from .so2_so3 import Rotation3
 
 _USAGE_ERROR = 2
@@ -75,6 +68,8 @@ def _parse_rep_spec(text: str) -> SO2RepSpec:
 # subcommands
 
 def _cmd_groups(args) -> int:
+    from .groups import build_group, coset_decomposition, named_embedding
+
     group = build_group(args.name)
     payload = {
         "name": group.name,
@@ -96,6 +91,9 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .groups import build_group
+    from .reps import decompose, irrep_table, regular_representation, trivial_representation
+
     group = build_group(args.group)
     table = irrep_table(group)
     if args.rep == "regular":
@@ -120,6 +118,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _tables(args):
+    from .groups import coset_decomposition, named_embedding
+    from .induce_restrict import branching_table, induction_table
+
     emb = named_embedding(args.subgroup, args.group)
     cos = coset_decomposition(emb)
     return emb, cos, branching_table(emb), induction_table(cos)
@@ -139,6 +140,10 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .groups import coset_decomposition, named_embedding
+    from .induce_restrict import induction_table
+    from .reps import irrep_table
+
     emb = named_embedding(getattr(args, "from"), args.to)
     irrep_table(emb.sub).by_label(args.irrep)  # rejects an unknown label before the table
     table = induction_table(coset_decomposition(emb))
@@ -155,6 +160,8 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_frobenius(args) -> int:
+    from .induce_restrict import check_frobenius
+
     _, _, branching, induction = _tables(args)
     ok, mismatch = check_frobenius(branching, induction)
     _emit({"group": args.group, "subgroup": args.subgroup,
@@ -164,8 +171,10 @@ def _cmd_frobenius(args) -> int:
 
 
 def _cmd_completeness(args) -> int:
-    emb = named_embedding(args.subgroup, args.group)
-    ok = completeness_check(emb)
+    from .groups import named_embedding
+    from .induce_restrict import completeness_check
+
+    ok = completeness_check(named_embedding(args.subgroup, args.group))
     _emit({"group": args.group, "subgroup": args.subgroup,
            "completeness": "PASS" if ok else "FAIL"})
     return 0 if ok else 1
@@ -223,6 +232,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_tetra_demo(args) -> int:
+    from . import tetra
+
     cos = tetra.fixture_cosets()
     a4 = cos.embedding.parent
     z3 = cos.embedding.sub
@@ -262,10 +273,9 @@ def _cmd_demo_pose(args) -> int:
     pattern = AnalyticField(_PATTERNS[args.pattern], config.fiber)
     theta = np.deg2rad(args.angle)
 
-    reference = induction_forward(pattern.sample(config.grid_n, config.spacing),
-                                  kernel, weights)
-    observed = induction_forward(rotate_field(pattern, theta).sample(
-        config.grid_n, config.spacing), kernel, weights)
+    reference, observed = induction_forward_many(
+        [f.sample(config.grid_n, config.spacing) for f in (pattern, rotate_field(pattern, theta))],
+        kernel, weights)
     corr = sphere_to_so3_correlation(observed, reference)
     values = corr.evaluate(grid)
     probs = np.exp(values - values.max())

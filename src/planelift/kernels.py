@@ -6,10 +6,10 @@ to intertwine two planar-rotation representations:
     F(rotate(theta) @ r) = rho_out(theta) @ F(r) @ rho_in(theta)^T
 
 The solver expands the angular dependence in trigonometric modes up to a
-cutoff and samples the constraint over a circle of rotation angles, one tall
-system per frequency. It reduces that system to its square QR factor R,
-which has the same singular values and right singular vectors (Chan's
-R-SVD), and reads the admissible coefficient combinations off the SVD
+cutoff and samples the constraint at angles on a circle (every angle's
+``kron(rho_out, rho_in)`` in one einsum), one tall system per frequency,
+whose square QR factor R has the same singular values and right singular
+vectors (Chan's R-SVD); the admissible coefficient combinations are the SVD
 nullspace of R. An analytic frequency-matching count and a grid-discretized
 nullspace oracle, sized from the spec, serve as independent checks.
 
@@ -91,11 +91,13 @@ class SO2RepSpec:
             pos += 1 if k == 0 else 2
         return offs
 
-    def matrix(self, theta: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
+    def matrix(self, theta) -> np.ndarray:
+        """The representation, stacked over any array of angles."""
+        t = np.asarray(theta, dtype=float)
+        out = np.zeros(t.shape + (self.dim, self.dim))
         for k, off in zip(self.freqs, self.offsets()):
-            blk = so2_block(k, theta)
-            out[off:off + blk.shape[0], off:off + blk.shape[0]] = blk
+            blk = so2_block(k, t)
+            out[..., off:off + blk.shape[-1], off:off + blk.shape[-1]] = blk
         return out
 
 
@@ -299,7 +301,9 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     d_out, d_in = out_rep.dim, in_rep.dim
     dd = d_out * d_in
     thetas = _angle_samples(m_max, in_rep, out_rep)
-    conjugations = np.stack([np.kron(out_rep.matrix(t), in_rep.matrix(t)) for t in thetas])
+    # kron(out_rep(t), in_rep(t)) at every sampled angle t, in one einsum
+    conjugations = np.einsum("tik,tjl->tijkl", out_rep.matrix(thetas),
+                             in_rep.matrix(thetas)).reshape(len(thetas), dd, dd)
 
     solutions: list[_AngularSolution] = []
     eye = np.eye(dd)

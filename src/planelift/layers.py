@@ -3,7 +3,8 @@
 The lift is bilinear in (weights, field). For a given field and kernel it
 is one weight-response map ``R`` with ``coeffs = weights @ R``; the forward
 pass and the analytic gradient both go through that map, so the layer users
-run is the layer the gradient check certifies.
+run is the layer the gradient check certifies. Fields on one grid share one
+basis pass (``induction_forward_many``); one field is its one-field case.
 
 Spherical signals live purely in harmonic coefficient space, so rotating
 them is an exact matrix action; grids appear only inside the pointwise
@@ -48,6 +49,7 @@ __all__ = [
     "rotate_field",
     "rotate_signal",
     "induction_forward",
+    "induction_forward_many",
     "spherical_nonlinearity",
     "sphere_to_so3_correlation",
     "SO3Grid",
@@ -93,6 +95,11 @@ class PlanarFeatureField:
         return self.values.reshape(-1, self.fiber_rep.dim)
 
 
+def _check_count(name: str, value, low: int) -> None:  # sizes, degrees and counts
+    if not (isinstance(value, Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_spacing(spacing: float) -> None:
     if not 0.0 < spacing < np.inf:
         raise ValueError("spacing must be finite and positive")
@@ -125,8 +132,7 @@ class AnalyticField:
 
     def sample(self, n: int, spacing: float) -> PlanarFeatureField:
         """Sample on the n x n grid of the given spacing centered on the origin."""
-        if not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"grid size n must be an integer >= 1, got {n!r}")
+        _check_count("grid size n", n, 1)
         _check_spacing(spacing)
         vals = self(_grid_positions(n, n, spacing))
         return PlanarFeatureField(vals.reshape(n, n, -1), spacing, self.fiber_rep)
@@ -222,6 +228,7 @@ class SphericalSignal:
     coeffs: np.ndarray  # (channels, (lmax+1)^2)
 
     def __post_init__(self):
+        _check_count("lmax", self.lmax, 0)
         c = np.ascontiguousarray(np.atleast_2d(self.coeffs), dtype=float)
         if c.shape[1] != (self.lmax + 1) ** 2 or not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite with (lmax+1)^2 entries per channel")
@@ -254,45 +261,59 @@ def rotate_signal(signal: SphericalSignal, rot: Rotation3) -> SphericalSignal:
     return SphericalSignal(signal.lmax, out)
 
 
-def _lift_response(field: PlanarFeatureField, kernel: InductionKernel) -> np.ndarray:
-    """Weight-response map of the lift, shape (weight_count, (lmax+1)^2).
+def _lift_response(fields: Sequence[PlanarFeatureField], kernel: InductionKernel) -> np.ndarray:
+    """Weight-response maps of the lift, shape (fields, weight_count, (lmax+1)^2).
 
-    Row ``b`` is the output of basis element ``b`` alone: the grid sum of
-    its values against the fiber values, mapped through the degree's
+    Row ``b`` of a map is the output of basis element ``b`` alone: the grid
+    sum of its values against the fiber values, mapped through the degree's
     transform to harmonic-times-fiber coordinates and times the cell area.
+    The fields share one grid, so each degree's basis is evaluated once and
+    contracted against every field's values in one ``tensordot``.
     """
     if kernel.space != "sphere":
         raise ValueError(f"the lift reads a sphere kernel, got output space {kernel.space!r}")
-    pts = field.positions()
-    vals = field.flat_values()
-    d = kernel.fiber_in.dim
-    response = np.zeros((kernel.weight_count, (kernel.lmax + 1) ** 2))
+    if not fields:
+        raise ValueError("need at least one field to lift")
+    if any(field.fiber_rep.freqs != kernel.fiber_in.freqs for field in fields):
+        raise ValueError("field fiber representation does not match the kernel")
+    if len({(field.shape, field.spacing) for field in fields}) > 1:
+        raise ValueError("fields lifted together must share grid shape and spacing")
+    pts = fields[0].positions()
+    d, nf = kernel.fiber_in.dim, len(fields)
+    vals = np.concatenate([field.flat_values() for field in fields], axis=1)  # (N, fields * d)
+    response = np.zeros((nf, kernel.weight_count, (kernel.lmax + 1) ** 2))
     pos = 0
     for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
         bvals = basis.evaluate_all(pts)[:, :, 0, :]           # (count, N, d_can)
-        moments = np.tensordot(bvals, vals, axes=([1], [0]))  # (count, d_can, d)
-        block = np.einsum("bjv,kvj->bk", moments, t.reshape(2 * ell + 1, d, -1))
-        response[pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
+        moments = np.tensordot(bvals, vals, axes=([1], [0]))  # (count, d_can, fields * d)
+        moments = moments.reshape(*moments.shape[:2], nf, d)
+        block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
+        response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
         pos += basis.count
-    return field.spacing ** 2 * response
+    return fields[0].spacing ** 2 * response
 
 
-def induction_forward(field: PlanarFeatureField, kernel: InductionKernel,
-                      weights: np.ndarray) -> SphericalSignal:
-    """Lift a planar field to a spherical signal.
+def induction_forward_many(fields: Sequence[PlanarFeatureField], kernel: InductionKernel,
+                           weights: np.ndarray) -> list[SphericalSignal]:
+    """Lift planar fields that share one grid and fiber to spherical signals.
 
-    Discretizes the lifting integral as a Riemann sum over the field's
-    grid: the output coefficients are ``weights @ R`` for the field's
-    weight-response map ``R``. Linear in both the field and the weights.
+    The lifting integral is a Riemann sum over the grid: field ``i`` lifts to
+    ``weights @ R_i`` for its weight-response map ``R_i``, linear in both the
+    field and the weights. One basis pass per degree serves every field.
     """
-    if field.fiber_rep.freqs != kernel.fiber_in.freqs:
-        raise ValueError("field fiber representation does not match the kernel")
+    response = _lift_response(fields, kernel)
     w = np.asarray(weights, dtype=float)
     if w.shape != (kernel.out_channels, kernel.weight_count):
         raise ValueError("weights must have shape (out_channels, weight_count)")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    return SphericalSignal(kernel.lmax, w @ _lift_response(field, kernel))
+    return [SphericalSignal(kernel.lmax, w @ r) for r in response]
+
+
+def induction_forward(field: PlanarFeatureField, kernel: InductionKernel,
+                      weights: np.ndarray) -> SphericalSignal:
+    """Lift one planar field: the one-field case of ``induction_forward_many``."""
+    return induction_forward_many([field], kernel, weights)[0]
 
 
 def _sphere_grid(lmax: int, band: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +334,7 @@ def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
     """
     if grid_band is None:
         grid_band = 2 * signal.lmax
+    _check_count("grid_band", grid_band, 0)
     if grid_band < signal.lmax:
         raise ValueError("oversampling band must be at least the signal band")
     y, wts = _sphere_grid(signal.lmax, grid_band)
@@ -427,8 +449,8 @@ def sphere_to_so3_correlation(signal: SphericalSignal,
 def so3_equiangular_grid(n_alpha: int = 24, n_beta: int = 12,
                          n_gamma: int = 24) -> SO3Grid:
     """ZYZ product grid including the identity cell; used only for readout."""
-    if min(n_alpha, n_beta, n_gamma) < 1:
-        raise ValueError("grid counts must be at least 1")
+    for n in (n_alpha, n_beta, n_gamma):
+        _check_count("grid counts", n, 1)
     return SO3Grid(np.arange(n_alpha) * (2.0 * np.pi / n_alpha),
                    np.linspace(0.0, np.pi, n_beta),
                    np.arange(n_gamma) * (2.0 * np.pi / n_gamma))
@@ -458,8 +480,7 @@ class LayerConfig:
     grid_n: int = 64
 
     def __post_init__(self):
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        _check_count("grid_n", self.grid_n, 2)
         _check_layer_shape(self.fiber, self.lmax, self.channels)
 
     @property
@@ -508,10 +529,8 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     against rotating the lifted signal. Fields rotate in closed form, so
     the measured residual isolates kernel and quadrature error.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if theta_samples < 1:
-        raise ValueError("need at least one rotation angle per trial")
+    _check_count("trials", trials, 1)
+    _check_count("rotation angles per trial", theta_samples, 1)
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     rng = np.random.default_rng(seed)
@@ -520,15 +539,13 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     for _ in range(trials):
         w = rng.normal(size=(kernel.out_channels, kernel.weight_count))
         fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=FIELD_BAND)
-        base = induction_forward(fld.sample(config.grid_n, config.spacing), kernel, w)
-        scale = max(base.norm(), 1e-30)
-        worst = 0.0
-        for theta in rng.uniform(0.0, 2.0 * np.pi, size=theta_samples):
-            lifted = induction_forward(
-                rotate_field(fld, theta).sample(config.grid_n, config.spacing), kernel, w)
-            rotated = rotate_signal(base, Rotation3.about_z(theta))
-            worst = max(worst, float(np.linalg.norm(lifted.coeffs - rotated.coeffs)) / scale)
-        residuals.append(worst)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=theta_samples)
+        base, *lifted = induction_forward_many(
+            [f.sample(config.grid_n, config.spacing)
+             for f in [fld, *(rotate_field(fld, theta) for theta in thetas)]], kernel, w)
+        errors = [np.linalg.norm(out.coeffs - rotate_signal(base, Rotation3.about_z(t)).coeffs)
+                  for t, out in zip(thetas, lifted)]
+        residuals.append(float(max(errors)) / max(base.norm(), 1e-30))
     return HarnessReport(tuple(residuals), tolerance)
 
 
@@ -559,7 +576,7 @@ def _loss_and_grad(kernel: InductionKernel, field: PlanarFeatureField,
                    weights: np.ndarray, nonlinearity: str | None) -> tuple[float, np.ndarray]:
     """Half squared norm of the (optionally softplus-mapped) output, with
     the analytic weight gradient."""
-    response = _lift_response(field, kernel)
+    response = _lift_response([field], kernel)[0]
     coeffs = np.asarray(weights, dtype=float) @ response  # (channels, ncoef)
     if nonlinearity is None:
         return 0.5 * float(np.sum(coeffs ** 2)), coeffs @ response.T

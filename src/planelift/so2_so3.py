@@ -158,11 +158,12 @@ class Rotation3:
         return points @ self.matrix().T
 
 
-def so2_block(k: int, theta: float) -> np.ndarray:
+def so2_block(k: int, theta) -> np.ndarray:
+    """Frequency-k planar rotation, stacked over any array of angles."""
     if k == 0:
-        return np.array([[1.0]])
+        return np.ones(np.shape(theta) + (1, 1))
     c, s = np.cos(k * theta), np.sin(k * theta)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,34 @@ def test_byte_identical_reruns(capsys):
 
 def test_demo_pose_imports_no_scipy():
     # cold start pays for numpy alone: scipy serves only Bessel test fields
-    # and resampled sampled-field rotations, neither of which demo pose uses
-    script = ("import contextlib, io, sys\n"
+    # and resampled sampled-field rotations, neither of which demo pose uses;
+    # the package resolves its exports lazily and the CLI imports the
+    # finite-group modules inside the commands that use them
+    script = ("import contextlib, io, json, sys\n"
               "import planelift.cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert planelift.cli.main(['demo', 'pose']) == 0\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.split('.')[0] in ('scipy', 'planelift'))))\n")
     src = str(Path(planelift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = json.loads(out.stdout)
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert "planelift.layers" in loaded
+    for name in ("groups", "reps", "induce_restrict", "tetra"):
+        assert f"planelift.{name}" not in loaded
+
+
+def test_package_exports_resolve_lazily():
+    namespace = {}
+    exec("from planelift import *", namespace)
+    assert planelift.__all__ and len(set(planelift.__all__)) == len(planelift.__all__)
+    for name in planelift.__all__:
+        value = getattr(planelift, name)
+        assert namespace[name] is value
+        assert getattr(value, "__module__", "").startswith("planelift.")
+    assert "induction_forward_many" in planelift.__all__
+    with pytest.raises(AttributeError, match="no attribute 'not_an_export'"):
+        planelift.not_an_export

@@ -53,6 +53,24 @@ def test_spec_dimensions():
     assert np.abs(m @ m.T - np.eye(spec.dim)).max() < 1e-14
 
 
+@settings(max_examples=30, deadline=None)
+@given(freqs=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       angles=st.lists(st.floats(-20.0, 20.0), min_size=0, max_size=6))
+def test_spec_matrix_stacks_scalar_calls_exactly(freqs, angles):
+    spec = SO2RepSpec(tuple(freqs))
+    stacked = spec.matrix(np.array(angles))
+    assert stacked.shape == (len(angles), spec.dim, spec.dim)
+    for t, got in zip(angles, stacked):
+        assert np.array_equal(got, spec.matrix(t))
+        # the block-diagonal matrix built one irrep at a time
+        want = np.zeros((spec.dim, spec.dim))
+        for k, off in zip(spec.freqs, spec.offsets()):
+            blk = np.array([[1.0]]) if k == 0 else np.array(
+                [[np.cos(k * t), -np.sin(k * t)], [np.sin(k * t), np.cos(k * t)]])
+            want[off:off + len(blk), off:off + len(blk)] = blk
+        assert np.array_equal(got, want)
+
+
 def test_spec_rejects_negative_frequency():
     with pytest.raises(ValueError):
         SO2RepSpec((-1,))
@@ -213,6 +231,38 @@ def _full_svd_null_space(in_rep, out_rep, m_max):
         null = vt[np.sum(svals > NULL_TOL * smax):]
         out[m] = (len(null), null.T @ null)
     return out
+
+
+def _per_angle_kron_solve(in_rep, out_rep, m_max):
+    """The solver with its conjugations built one ``np.kron`` per angle:
+    ``(m, cos block, sin block)`` per solution."""
+    dd = out_rep.dim * in_rep.dim
+    thetas = kernels._angle_samples(m_max, in_rep, out_rep)
+    conjugations = np.stack([np.kron(out_rep.matrix(t), in_rep.matrix(t)) for t in thetas])
+    eye, out = np.eye(dd), []
+    for m in range(m_max + 1):
+        rows = np.cos(m * thetas)[:, None, None] * eye - conjugations
+        if m:
+            off = np.sin(m * thetas)[:, None, None] * eye
+            rows = np.block([[rows, off], [-off, rows]])
+        _, svals, vt = np.linalg.svd(np.linalg.qr(np.concatenate(rows), mode="r"),
+                                     full_matrices=False)
+        smax = max(svals[0], 1.0) if len(svals) else 1.0
+        for vec in vt[np.sum(svals > NULL_TOL * smax):]:
+            out.append((m, vec[:dd], vec[dd:] if m else np.zeros(dd)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(rin=SPECS, rout=SPECS, m_max=st.integers(0, 8))
+def test_broadcast_conjugations_solve_bit_identically(rin, rout, m_max):
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max)
+    want = _per_angle_kron_solve(rin, rout, m_max)
+    assert len(basis.angular) == len(want)
+    for sol, (m, cos, sin) in zip(basis.angular, want):
+        assert sol.m == m
+        assert np.array_equal(sol.cos_coeff.ravel(), cos)
+        assert np.array_equal(sol.sin_coeff.ravel(), sin)
 
 
 def _assert_solve_matches_full_svd(basis):

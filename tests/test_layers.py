@@ -17,6 +17,7 @@ from planelift.layers import (
     equivariance_harness,
     gradient_check,
     induction_forward,
+    induction_forward_many,
     rotate_field,
     rotate_signal,
     so3_equiangular_grid,
@@ -156,6 +157,58 @@ def test_forward_matches_coefficient_blocks_and_is_bilinear(fiber, lmax, channel
                        (induction_forward(mixed_f, kernel, w1).coeffs, other_f)):
         scale = abs(a) * np.abs(out).max() + abs(b) * np.abs(other).max()
         assert np.abs(lhs - (a * out + b * other)).max() <= 1e-12 * max(scale, 1e-300)
+
+
+def _one_field_response(field, kernel):
+    """The one-field weight-response map as it was built before the lift
+    took several fields: one basis pass per field."""
+    pts = field.positions()
+    vals = field.flat_values()
+    d = kernel.fiber_in.dim
+    response = np.zeros((kernel.weight_count, (kernel.lmax + 1) ** 2))
+    pos = 0
+    for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
+        bvals = basis.evaluate_all(pts)[:, :, 0, :]
+        moments = np.tensordot(bvals, vals, axes=([1], [0]))
+        block = np.einsum("bjv,kvj->bk", moments, t.reshape(2 * ell + 1, d, -1))
+        response[pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
+        pos += basis.count
+    return field.spacing ** 2 * response
+
+
+@settings(max_examples=20, deadline=None)
+@given(fiber=st.sampled_from([(0,), (0, 1), (0, 1, 2)]), lmax=st.integers(0, 4),
+       count=st.integers(1, 4), n=st.integers(16, 32), channels=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_many_field_lift_matches_one_field_lifts(fiber, lmax, count, n, channels, seed):
+    kernel = _cached_kernel(fiber, lmax, channels)
+    rng = np.random.default_rng(seed)
+    spec = SO2RepSpec(fiber)
+    fields = [PlanarFeatureField(rng.normal(size=(n, n, spec.dim)), 2.0 / (n - 1), spec)
+              for _ in range(count)]
+    w = rng.normal(size=(channels, kernel.weight_count))
+    many = induction_forward_many(fields, kernel, w)
+    assert len(many) == count
+    for field, got in zip(fields, many):
+        one = induction_forward(field, kernel, w)
+        assert np.array_equal(one.coeffs, w @ _one_field_response(field, kernel))
+        scale = max(float(np.abs(one.coeffs).max()), 1e-300)
+        assert np.abs(got.coeffs - one.coeffs).max() <= 1e-13 * scale
+
+
+def test_many_field_lift_rejects_mismatched_or_no_fields():
+    kernel = _small_kernel(fiber=(0, 1))
+    spec = SO2RepSpec((0, 1))
+    base = PlanarFeatureField(np.ones((8, 8, 3)), 0.1, spec)
+    w = np.ones((1, kernel.weight_count))
+    for other, message in ((PlanarFeatureField(np.ones((9, 8, 3)), 0.1, spec), "grid shape"),
+                           (PlanarFeatureField(np.ones((8, 8, 3)), 0.2, spec), "spacing"),
+                           (PlanarFeatureField(np.ones((8, 8, 3)), 0.1, SO2RepSpec((0, 0, 0))),
+                            "fiber")):
+        with pytest.raises(ValueError, match=message):
+            induction_forward_many([base, other], kernel, w)
+    with pytest.raises(ValueError, match="at least one field"):
+        induction_forward_many([], kernel, w)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +419,19 @@ def test_unknown_nonlinearity_rejected():
         spherical_nonlinearity(sig, "tanh")
 
 
+def test_nonlinearity_rejects_non_integer_band():
+    sig = SphericalSignal(2, np.ones((1, 9)))
+    with pytest.raises(ValueError, match="grid_band must be an integer"):
+        spherical_nonlinearity(sig, "relu", 2.5)
+
+
+@pytest.mark.parametrize("lmax, coeffs", [(2.0, np.ones((1, 9))), (-1, np.ones((1, 0)))],
+                         ids=["float", "negative"])
+def test_signal_rejects_bad_degree(lmax, coeffs):
+    with pytest.raises(ValueError, match="lmax must be an integer >= 0"):
+        SphericalSignal(lmax, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # correlation head
 
@@ -463,6 +529,13 @@ def test_so3_grid_builds_the_product_list_on_demand():
         SO3Grid([np.nan], [0.0], [0.0])
 
 
+@pytest.mark.parametrize("counts", [(2.5, 3, 3), (3, 3.0, 3), (3, 3, 0)])
+def test_so3_grid_rejects_non_integer_counts(counts):
+    # 2.5 alphas spaced 2 pi / 2.5 would leave a 72 degree gap at the wrap
+    with pytest.raises(ValueError, match="grid counts must be an integer >= 1"):
+        so3_equiangular_grid(*counts)
+
+
 @pytest.mark.parametrize("blocks, message", [
     ((np.ones((1, 1)),), "need lmax"),
     ((np.ones((1, 1)), np.ones((3, 2))), "block 1 must have shape"),
@@ -511,6 +584,14 @@ def test_harness_requires_trials():
     # no angle means no comparison: the harness must not pass vacuously
     with pytest.raises(ValueError, match="rotation angle"):
         equivariance_harness(LayerConfig(lmax=1), trials=2, theta_samples=0)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        equivariance_harness(LayerConfig(lmax=1), trials=1.5)
+
+
+@pytest.mark.parametrize("grid_n", [48.5, 1])
+def test_layer_config_rejects_bad_grid_size(grid_n):
+    with pytest.raises(ValueError, match="grid_n must be an integer >= 2"):
+        LayerConfig(grid_n=grid_n)
 
 
 def test_gradient_check_linear_path():
