@@ -24,8 +24,8 @@ _EXPORTS = {
                "sphere_to_so3_correlation", "spherical_nonlinearity"),
     "reps": ("Decomposition", "IrrepTable", "Representation", "decompose", "direct_sum",
              "hom_dimension", "irrep_table", "regular_representation", "tensor_product"),
-    "so2_so3": ("Rotation3", "SphericalHarmonicBasis", "restrict_wigner", "sph_eval",
-                "sphere_quadrature", "wigner_d"),
+    "so2_so3": ("Rotation3", "SphericalHarmonicBasis", "restrict_wigner", "sphere_quadrature",
+                "wigner_d"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

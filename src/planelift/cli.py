@@ -195,13 +195,9 @@ def _cmd_kernel_basis(args) -> int:
         with open(path, "w") as fh:
             fh.write("ell,element,x,y,row,col,value\n")
             for ell, basis in enumerate(kernel.bases):
-                vals = basis.evaluate_all(pts)
-                for b in range(vals.shape[0]):
-                    for n, (x, y) in enumerate(pts):
-                        for i in range(vals.shape[2]):
-                            for j in range(vals.shape[3]):
-                                fh.write(f"{ell},{b},{x:.6f},{y:.6f},{i},{j},"
-                                         f"{vals[b, n, i, j]:.12g}\n")
+                for (b, n, i, j), value in np.ndenumerate(basis.evaluate_all(pts)):
+                    x, y = pts[n]
+                    fh.write(f"{ell},{b},{x:.6f},{y:.6f},{i},{j},{value:.12g}\n")
     _emit({"fiber": args.in_rep, "lmax": args.out_lmax, "radial": args.radial,
            "per_ell_basis": per_ell, "per_ell_analytic": analytic,
            "weight_count": kernel.weight_count})

@@ -274,9 +274,13 @@ def build_group(spec: str | np.ndarray) -> FiniteGroup:
         if name in ("S3", "S4", "S5"):
             return _symmetric(int(name[1]))
         raise ValueError(f"unknown group name {name!r}")
-    table = np.asarray(spec, dtype=np.int64)
-    labels = tuple(f"x{i}" for i in range(table.shape[0]))
-    return _finish_group("custom", table, labels)
+    raw = np.asarray(spec)
+    exact = raw.dtype.kind not in "fc" or np.isfinite(raw) & (raw == np.trunc(raw.real))
+    if not np.all(exact):
+        at = tuple(np.argwhere(~exact)[0].tolist())
+        raise ValueError(f"invalid group table: entry {at} = {raw[at]} is not an integer")
+    table = raw.astype(np.int64)
+    return _finish_group("custom", table, tuple(f"x{i}" for i in range(table.shape[0])))
 
 
 def _check_indices(indices, parent: FiniteGroup, what: str) -> None:

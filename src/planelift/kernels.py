@@ -18,6 +18,8 @@ derived cutoff, read on SO(3) through all 2l+1 weight rows of each degree or
 on the sphere through row m = 0. The plane-to-sphere, plane-to-rotation-group,
 plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
 builders differ only in that data and in the heights the one solve serves.
+Only this module reads the kernel's storage format: the sphere lift's
+``response``, ``check_weights`` and the negative control ``corrupt_kernel``.
 
 ``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
 """
@@ -25,7 +27,7 @@ builders differ only in that data and in the heights the one solve serves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -33,6 +35,7 @@ import numpy as np
 from .so2_so3 import (
     MAX_ELL,
     Rotation3,
+    SphericalHarmonicBasis,
     restrict_wigner,
     so2_block,
     wigner_d,
@@ -48,6 +51,7 @@ __all__ = [
     "analytic_basis_count",
     "grid_nullspace_dimension",
     "InductionKernel",
+    "corrupt_kernel",
     "build_induction_kernel",
     "build_so3_kernel",
     "build_volume_kernel",
@@ -431,12 +435,10 @@ class InductionKernel:
         """Weights per output channel: ``count_l`` per weight row of each degree."""
         return sum(len(self._rows(ell)[0]) * b.count for ell, b in enumerate(self.bases))
 
-    def _split(self, weights: np.ndarray) -> list[np.ndarray]:
-        """Per-degree weight blocks, shape (out_channels, rows, count_l).
-
-        Sphere weights have shape (out_channels, weight_count); SO(3)
-        weights are one vector, row-major (2l+1, count_l) per degree.
-        """
+    def check_weights(self, weights: np.ndarray) -> np.ndarray:
+        """The weights as floats, rejected unless finite and of this kernel's
+        shape: (out_channels, weight_count) for a sphere kernel, one vector,
+        row-major (2l+1, count_l) per degree, for an SO(3) kernel."""
         shape = ((self.out_channels, self.weight_count) if self.space == "sphere"
                  else (self.weight_count,))
         w = np.asarray(weights, dtype=float)
@@ -444,7 +446,11 @@ class InductionKernel:
             raise ValueError(f"weights must have shape {shape}, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        w = w.reshape(self.out_channels, -1)
+        return w
+
+    def _split(self, weights: np.ndarray) -> list[np.ndarray]:
+        """Per-degree weight blocks, shape (out_channels, rows, count_l)."""
+        w = self.check_weights(weights).reshape(self.out_channels, -1)
         out, pos = [], 0
         for ell, basis in enumerate(self.bases):
             rows = len(self._rows(ell)[0])
@@ -483,6 +489,49 @@ class InductionKernel:
             fl = fl.reshape(self.out_channels, len(rows), self.out_dim, n, 2 * ell + 1, d)
             total += np.einsum("cronKv,rK->ncov", fl, scale * wigner_d(ell, ginv)[rows])
         return total.reshape(n, -1, d)
+
+    def response(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Sphere-lift weight-response maps, shape (fields, weight_count,
+        (lmax+1)^2), for ``values`` (N, fields, d_in) at the N points.
+
+        Row ``b`` of a map is the output of basis element ``b`` alone: the sum
+        over the points of its values against the fiber values, mapped to
+        harmonic coordinates; the caller multiplies in the cell area. Each
+        degree's basis is evaluated once, for every field in one ``tensordot``.
+        """
+        if self.space != "sphere":
+            raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        vals = np.asarray(values, dtype=float)
+        d = self.fiber_in.dim
+        if vals.ndim != 3 or vals.shape[0] != len(pts) or vals.shape[2] != d:
+            raise ValueError(f"values must have shape (points, fields, {d}) with "
+                             f"{len(pts)} points, got {vals.shape}")
+        nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
+        response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
+        pos = 0
+        for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
+            bvals = basis.evaluate_all(pts)[:, :, 0, :]           # (count, N, d_can)
+            moments = np.tensordot(bvals, vals, axes=([1], [0]))  # (count, d_can, fields * d)
+            moments = moments.reshape(*moments.shape[:2], nf, d)
+            block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
+            response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
+            pos += basis.count
+        return response
+
+
+def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> InductionKernel:
+    """Negative control: replace every angular solution by random coefficients.
+
+    The result has the same shape and radial profile structure but violates
+    the steerability constraint, so the equivariance harness must fail on it.
+    """
+    return replace(kernel, bases=tuple(
+        replace(basis, angular=tuple(
+            _AngularSolution(sol.m, rng.normal(size=sol.cos_coeff.shape),
+                             rng.normal(size=sol.sin_coeff.shape))
+            for sol in basis.angular))
+        for basis in kernel.bases))
 
 
 def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1,

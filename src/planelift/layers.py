@@ -5,6 +5,9 @@ is one weight-response map ``R`` with ``coeffs = weights @ R``; the forward
 pass and the analytic gradient both go through that map, so the layer users
 run is the layer the gradient check certifies. Fields on one grid share one
 basis pass (``induction_forward_many``); one field is its one-field case.
+That map is the kernel's ``response`` times the cell area: this module reads
+a kernel only through ``fiber_in``, ``lmax``, ``out_channels``,
+``weight_count`` and methods, and re-exports its ``corrupt_kernel``.
 
 Spherical signals live purely in harmonic coefficient space, so rotating
 them is an exact matrix action; grids appear only inside the pointwise
@@ -31,6 +34,7 @@ from .kernels import (
     SO2RepSpec,
     _check_layer_shape,
     build_induction_kernel,
+    corrupt_kernel,
 )
 from .so2_so3 import (
     Rotation3,
@@ -230,8 +234,8 @@ class SphericalSignal:
     def __post_init__(self):
         _check_count("lmax", self.lmax, 0)
         c = np.ascontiguousarray(np.atleast_2d(self.coeffs), dtype=float)
-        if c.shape[1] != (self.lmax + 1) ** 2 or not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite with (lmax+1)^2 entries per channel")
+        if c.ndim != 2 or c.shape[1] != (self.lmax + 1) ** 2 or not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite, one channel or (channels, (lmax+1)^2)")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -262,35 +266,16 @@ def rotate_signal(signal: SphericalSignal, rot: Rotation3) -> SphericalSignal:
 
 
 def _lift_response(fields: Sequence[PlanarFeatureField], kernel: InductionKernel) -> np.ndarray:
-    """Weight-response maps of the lift, shape (fields, weight_count, (lmax+1)^2).
-
-    Row ``b`` of a map is the output of basis element ``b`` alone: the grid
-    sum of its values against the fiber values, mapped through the degree's
-    transform to harmonic-times-fiber coordinates and times the cell area.
-    The fields share one grid, so each degree's basis is evaluated once and
-    contracted against every field's values in one ``tensordot``.
-    """
-    if kernel.space != "sphere":
-        raise ValueError(f"the lift reads a sphere kernel, got output space {kernel.space!r}")
+    """Weight-response maps of the lift, shape (fields, weight_count, (lmax+1)^2):
+    the kernel's response over the shared grid, times the cell area."""
     if not fields:
         raise ValueError("need at least one field to lift")
     if any(field.fiber_rep.freqs != kernel.fiber_in.freqs for field in fields):
         raise ValueError("field fiber representation does not match the kernel")
     if len({(field.shape, field.spacing) for field in fields}) > 1:
         raise ValueError("fields lifted together must share grid shape and spacing")
-    pts = fields[0].positions()
-    d, nf = kernel.fiber_in.dim, len(fields)
-    vals = np.concatenate([field.flat_values() for field in fields], axis=1)  # (N, fields * d)
-    response = np.zeros((nf, kernel.weight_count, (kernel.lmax + 1) ** 2))
-    pos = 0
-    for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
-        bvals = basis.evaluate_all(pts)[:, :, 0, :]           # (count, N, d_can)
-        moments = np.tensordot(bvals, vals, axes=([1], [0]))  # (count, d_can, fields * d)
-        moments = moments.reshape(*moments.shape[:2], nf, d)
-        block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
-        response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
-        pos += basis.count
-    return fields[0].spacing ** 2 * response
+    vals = np.stack([field.flat_values() for field in fields], axis=1)  # (N, fields, d)
+    return fields[0].spacing ** 2 * kernel.response(fields[0].positions(), vals)
 
 
 def induction_forward_many(fields: Sequence[PlanarFeatureField], kernel: InductionKernel,
@@ -302,11 +287,7 @@ def induction_forward_many(fields: Sequence[PlanarFeatureField], kernel: Inducti
     field and the weights. One basis pass per degree serves every field.
     """
     response = _lift_response(fields, kernel)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (kernel.out_channels, kernel.weight_count):
-        raise ValueError("weights must have shape (out_channels, weight_count)")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = kernel.check_weights(weights)
     return [SphericalSignal(kernel.lmax, w @ r) for r in response]
 
 
@@ -549,26 +530,6 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     return HarnessReport(tuple(residuals), tolerance)
 
 
-def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> InductionKernel:
-    """Negative control: replace every angular solution by random coefficients.
-
-    The result has the same shape and radial profile structure but violates
-    the steerability constraint, so the harness must fail on it.
-    """
-    from dataclasses import replace
-
-    from .kernels import _AngularSolution
-
-    bases = []
-    for basis in kernel.bases:
-        broken = tuple(
-            _AngularSolution(sol.m, rng.normal(size=sol.cos_coeff.shape),
-                             rng.normal(size=sol.sin_coeff.shape))
-            for sol in basis.angular)
-        bases.append(replace(basis, angular=broken))
-    return replace(kernel, bases=tuple(bases))
-
-
 # ---------------------------------------------------------------------------
 # gradient check
 
@@ -577,7 +538,7 @@ def _loss_and_grad(kernel: InductionKernel, field: PlanarFeatureField,
     """Half squared norm of the (optionally softplus-mapped) output, with
     the analytic weight gradient."""
     response = _lift_response([field], kernel)[0]
-    coeffs = np.asarray(weights, dtype=float) @ response  # (channels, ncoef)
+    coeffs = kernel.check_weights(weights) @ response  # (channels, ncoef)
     if nonlinearity is None:
         return 0.5 * float(np.sum(coeffs ** 2)), coeffs @ response.T
     if nonlinearity != "softplus":

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _same_group, build_group, coset_decomposition, subgroup_embedding
+from .groups import (FiniteGroup, SubgroupEmbedding, _same_group, coset_decomposition,
+                     named_embedding)
 
 __all__ = [
     "Representation",
@@ -130,14 +131,10 @@ def _point_action_matrices(group: FiniteGroup, orbit_of: np.ndarray, n_points: i
     return mats
 
 
-def _coset_action(group: FiniteGroup, generator: str) -> Representation:
-    """Permutation rep on the left cosets of the cyclic subgroup generated by the
-    element labelled ``generator``: the trivial irrep of that subgroup, induced."""
-    gen = group.element_index(generator)
-    powers = [group.identity]
-    while (nxt := int(group.mul[powers[-1], gen])) != group.identity:
-        powers.append(nxt)
-    cosets = coset_decomposition(subgroup_embedding(build_group(f"Z{len(powers)}"), group, powers))
+def _coset_action(group: FiniteGroup, embedding: SubgroupEmbedding) -> Representation:
+    """Permutation rep of ``group`` on the left cosets of an embedded subgroup:
+    the trivial irrep of that subgroup, induced."""
+    cosets = coset_decomposition(embedding)
     return Representation(group, _point_action_matrices(group, cosets.perm, cosets.n_cosets))
 
 
@@ -187,7 +184,7 @@ def _a4_table(group: FiniteGroup) -> IrrepTable:
     chi_p = Representation(group, np.array([[[omega ** k]] for k in t]), "omega_plus")
     chi_m = Representation(group, np.array([[[omega ** (-k)]] for k in t]), "omega_minus")
     # A4 on the 4 cosets of Z3 is triv + std3
-    cosets4 = _coset_action(group, "(1,2,3)")
+    cosets4 = _coset_action(group, named_embedding("Z3", group.name))
     std = _project_irrep(cosets4, cosets4.character() - 1, 3, "std3")
     irreps = (triv, chi_p, chi_m, std)
     chars = np.array([r.character() for r in irreps])
@@ -205,7 +202,8 @@ def _a5_table(group: FiniteGroup) -> IrrepTable:
         while g != group.identity:
             g, k = int(group.mul[g, cls[0]]), k + 1
         orders.append(k)
-    five_a = group.class_of(group.element_index("(1,2,3,4,5)"))
+    z5 = named_embedding("Z5", group.name)  # generated by the reference 5-cycle
+    five_a = group.class_of(int(z5.embed[1]))
     five_b = next(c for c, k in enumerate(orders) if k == 5 and c != five_a)
     class2 = orders.index(2)
     class3 = orders.index(3)
@@ -224,7 +222,7 @@ def _a5_table(group: FiniteGroup) -> IrrepTable:
 
     # A5 on the 12 cosets of Z5 is triv + icosa3a + icosa3b + pair5, and
     # icosa3a * icosa3b is std4 + pair5
-    cosets12 = _coset_action(group, "(1,2,3,4,5)")
+    cosets12 = _coset_action(group, z5)
     irr3a = _project_irrep(cosets12, chi3a, 3, "icosa3a")
     irr3b = _project_irrep(cosets12, chi3b, 3, "icosa3b")
     irr5 = _project_irrep(cosets12, chi5, 5, "pair5")

@@ -42,7 +42,6 @@ __all__ = [
     "wigner_d_z",
     "restrict_wigner",
     "SphericalHarmonicBasis",
-    "sph_eval",
     "sphere_quadrature",
 ]
 
@@ -315,14 +314,6 @@ class SphericalHarmonicBasis:
         single = pts.ndim == 1
         out = _harmonics(np.atleast_2d(pts), self.lmax)
         return out[0] if single else out
-
-
-def sph_eval(lmax: int, nhat: np.ndarray) -> np.ndarray:
-    """Stacked real harmonics at one unit vector; rejects non-unit input."""
-    nhat = np.asarray(nhat, dtype=float)
-    if abs(np.linalg.norm(nhat) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return SphericalHarmonicBasis(lmax).evaluate(nhat)
 
 
 def sphere_quadrature(band: int) -> tuple[np.ndarray, np.ndarray]:

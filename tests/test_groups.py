@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ def test_invalid_table_reports_failure():
     non_assoc = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
     with pytest.raises(ValueError, match="invalid group table"):
         build_group(non_assoc)
+
+
+@pytest.mark.parametrize("table, entry", [
+    ([[0, 1.5], [1.5, 0]], "(0, 1) = 1.5"),
+    ([[0.0, 1.0], [1.0, np.nan]], "(1, 1) = nan"),
+    ([[0.0, np.inf], [1.0, 0.0]], "(0, 1) = inf"),
+    ([[0, 1 + 2j], [1, 0]], "(0, 1) = (1+2j)"),
+])
+def test_non_integer_table_rejected(table, entry):
+    # truncating 1.5 to 1 would silently build Z2
+    with pytest.raises(ValueError, match=rf"entry {re.escape(entry)} is not an integer"):
+        build_group(table)
+    assert build_group(np.array([[0.0, 1.0], [1.0, 0.0]])).order == 2  # integral floats pass
 
 
 def test_explicit_table_roundtrip():

@@ -736,6 +736,21 @@ def test_lift_rejects_a_rotation_group_kernel(build):
         induction_forward(field, kernel, np.ones((1, kernel.weight_count)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_so3_kernel(_SCALAR, (0,), 1, _RADIAL),
+    lambda: build_volume_kernel(_SCALAR, (0,), (0.0,), _RADIAL),
+], ids=["so3", "volume"])
+def test_response_reads_only_sphere_kernels(build):
+    pts = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="sphere kernel"):
+        build().response(pts, np.ones((4, 1, 1)))
+    sphere = build_induction_kernel(_SCALAR, 1, 1, _RADIAL)
+    assert sphere.response(pts, np.ones((4, 3, 1))).shape == (3, sphere.weight_count, 4)
+    for values in (np.ones((4, 1)), np.ones((3, 1, 1)), np.ones((4, 1, 2))):
+        with pytest.raises(ValueError, match="values must have shape"):
+            sphere.response(pts, values)
+
+
 @lru_cache(maxsize=None)
 def _oracle_sphere(fiber, lmax):
     return build_induction_kernel(SO2RepSpec(fiber), 1, lmax, RadialProfileSet(2, 0.45))

@@ -211,6 +211,22 @@ def test_many_field_lift_rejects_mismatched_or_no_fields():
         induction_forward_many([], kernel, w)
 
 
+@pytest.mark.parametrize("bad", [np.ones((1, 7)), np.ones(7), np.full((1, 8), np.nan)],
+                         ids=["columns", "vector", "nan"])
+def test_bad_weights_raise_one_message_for_lift_and_blocks(bad):
+    # both read the kernel's one weight check; 7 and 8 bracket weight_count
+    kernel = _small_kernel(lmax=1)
+    assert kernel.weight_count == 8
+    field = PlanarFeatureField(np.ones((8, 8, 1)), 0.1, SO2RepSpec((0,)))
+    messages = []
+    for call in (lambda: induction_forward(field, kernel, bad),
+                 lambda: kernel.coefficient_blocks(bad, field.positions())):
+        with pytest.raises(ValueError, match="weights must") as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 # ---------------------------------------------------------------------------
 # band-limited test fields
 
@@ -432,6 +448,13 @@ def test_signal_rejects_bad_degree(lmax, coeffs):
         SphericalSignal(lmax, coeffs)
 
 
+def test_signal_rejects_coefficients_with_more_axes():
+    # atleast_2d leaves a 3-D array as it is; rotation and the nonlinearity
+    # would then fail late in a matrix product
+    with pytest.raises(ValueError, match="coefficients must be finite, one channel or"):
+        SphericalSignal(2, np.ones((1, 9, 1)))
+
+
 # ---------------------------------------------------------------------------
 # correlation head
 
@@ -576,6 +599,42 @@ def test_harness_fails_on_corrupted_kernel():
                                   kernel=broken)
     assert not report.passed
     assert report.max_residual > 1e-1
+
+
+def _parent_corrupt_kernel(kernel, rng):
+    """The negative control's draw loop as it was written in ``layers``."""
+    from dataclasses import replace
+
+    from planelift.kernels import _AngularSolution
+
+    bases = []
+    for basis in kernel.bases:
+        broken = tuple(
+            _AngularSolution(sol.m, rng.normal(size=sol.cos_coeff.shape),
+                             rng.normal(size=sol.sin_coeff.shape))
+            for sol in basis.angular)
+        bases.append(replace(basis, angular=broken))
+    return replace(kernel, bases=tuple(bases))
+
+
+@pytest.mark.parametrize("fiber", [(0,), (0, 1), (0, 1, 2)])
+def test_corrupt_kernel_lives_in_kernels_and_keeps_its_draws(fiber):
+    from planelift import kernels, layers
+
+    assert layers.corrupt_kernel is kernels.corrupt_kernel
+    kernel = _cached_kernel(fiber, 2, 2)
+    got = corrupt_kernel(kernel, np.random.default_rng(16))
+    want = _parent_corrupt_kernel(kernel, np.random.default_rng(16))
+    pts = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 2))
+    w = np.random.default_rng(2).normal(size=(2, kernel.weight_count))
+    for a, b in zip(got.coefficient_blocks(w, pts), want.coefficient_blocks(w, pts)):
+        assert np.array_equal(a, b)
+    for a, b in zip(got.bases, want.bases):
+        assert a.count == b.count
+        for sa, sb in zip(a.angular, b.angular):
+            assert sa.m == sb.m
+            assert np.array_equal(sa.cos_coeff, sb.cos_coeff)
+            assert np.array_equal(sa.sin_coeff, sb.sin_coeff)
 
 
 def test_harness_requires_trials():

@@ -16,7 +16,6 @@ from planelift.so2_so3 import (
     _quat_product,
     restrict_wigner,
     so2_block,
-    sph_eval,
     sphere_quadrature,
     wigner_d,
     wigner_d_z,
@@ -238,7 +237,7 @@ def test_restrict_wigner_against_diagonalization_oracle():
 
 def test_sph_eval_normalization_and_pole():
     north = np.array([0.0, 0.0, 1.0])
-    vals = sph_eval(6, north)
+    vals = SphericalHarmonicBasis(6).evaluate(north)
     assert np.isclose(vals[0], 1.0 / np.sqrt(4 * np.pi))
     for ell in range(7):
         sl = SphericalHarmonicBasis.slice_of(ell)
@@ -303,11 +302,6 @@ def test_degree_one_harmonics_keep_their_digits_near_the_poles(eps):
     got = SphericalHarmonicBasis(1).evaluate(pts)[:, 1:]
     expected = np.sqrt(3 / (4 * np.pi)) * pts[:, [1, 2, 0]]
     assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
-
-
-def test_sph_eval_rejects_non_unit_vectors():
-    with pytest.raises(ValueError, match="unit vector"):
-        sph_eval(2, np.array([0.0, 0.0, 1.1]))
 
 
 def test_harmonic_equivariance():
