@@ -57,10 +57,13 @@ def _parse_rep_spec(text: str) -> SO2RepSpec:
     freqs: list[int] = []
     for part in text.split(","):
         k, _, count = part.partition(":")
-        n = int(count or "1")
+        try:
+            k, n = int(k), int(count or "1")
+        except ValueError:
+            raise ValueError(f"--in part {part!r} is not an integer FREQ or FREQ:COUNT") from None
         if n < 1:
             raise ValueError(f"count in {part!r} must be at least 1")
-        freqs.extend([int(k)] * n)
+        freqs.extend([k] * n)
     return SO2RepSpec(tuple(freqs))
 
 

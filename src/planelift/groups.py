@@ -36,40 +36,24 @@ def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b[a[x]] for x in range(len(a)))
 
 
-def _perm_parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    parity = 0
+def _cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of ``p``, fixed points included, each from its smallest point."""
+    seen, cycles = set(), []
     for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
+        x, cyc = start, []
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x)
             x = p[x]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+        if cyc:
+            cycles.append(cyc)
+    return cycles
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
     """Canonical cycle notation, 1-based, e.g. ``(1,2,3)`` or ``(1,2)(3,4)``."""
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x + 1)
-            x = p[x]
-        cycles.append(cyc)
-    if not cycles:
-        return "e"
-    return "".join("(" + ",".join(str(x) for x in cyc) + ")" for cyc in cycles)
+    return "".join("(" + ",".join(str(x + 1) for x in cyc) + ")"
+                   for cyc in _cycles(p) if len(cyc) > 1) or "e"
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +224,8 @@ def _symmetric(n: int) -> FiniteGroup:
 
 
 def _alternating(n: int) -> FiniteGroup:
-    elems = [p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0]
+    # a permutation is even when its length and its number of cycles agree in parity
+    elems = [p for p in itertools.permutations(range(n)) if (n - len(_cycles(p))) % 2 == 0]
     return _perm_group(f"A{n}", elems)
 
 
@@ -326,18 +311,17 @@ def named_embedding(sub_name: str, parent_name: str) -> SubgroupEmbedding:
     if sub_name == parent_name:
         return subgroup_embedding(parent, parent, np.arange(parent.order))
     sub = build_group(sub_name)
-    if sub.order == 1:
-        return subgroup_embedding(sub, parent, [parent.identity])
     key = (sub_name, parent_name)
-    if key in _GENERATOR_LABEL:
+    if sub.order == 1:
+        gen = parent.identity
+    elif key in _GENERATOR_LABEL:
         gen = parent.element_index(_GENERATOR_LABEL[key])
-        embed = [parent.power(gen, k) for k in range(sub.order)]
-        return subgroup_embedding(sub, parent, embed)
-    if sub_name.startswith("Z") and parent_name.startswith("Z") \
+    elif sub_name.startswith("Z") and parent_name.startswith("Z") \
             and parent.order % sub.order == 0:
-        step = parent.order // sub.order
-        return subgroup_embedding(sub, parent, [(k * step) % parent.order for k in range(sub.order)])
-    raise ValueError(f"no canonical embedding of {sub_name!r} into {parent_name!r}")
+        gen = parent.order // sub.order  # element n/m of Zn generates Zm
+    else:
+        raise ValueError(f"no canonical embedding of {sub_name!r} into {parent_name!r}")
+    return subgroup_embedding(sub, parent, [parent.power(gen, k) for k in range(sub.order)])
 
 
 def coset_decomposition(embedding: SubgroupEmbedding,
@@ -353,26 +337,19 @@ def coset_decomposition(embedding: SubgroupEmbedding,
     n, m = parent.order, embedding.index
     back = {int(p): s for s, p in enumerate(image)}
 
-    coset_of = np.full(n, -1, dtype=np.int64)
-    auto_reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        members = parent.mul[g, image]
-        coset_of[members] = len(auto_reps)
-        auto_reps.append(int(members.min()))
-    if reps is None:
-        chosen = auto_reps
-    else:
+    explicit = reps is not None
+    if explicit:
         _check_indices(reps, parent, "representative")
-        if sorted(int(coset_of[r]) for r in reps) != list(range(m)):
-            raise ValueError("explicit representatives must cover each coset exactly once")
-        chosen = [int(r) for r in reps]
-        # renumber cosets to follow the supplied representative order
-        relabel = np.empty(m, dtype=np.int64)
-        for new, r in enumerate(chosen):
-            relabel[coset_of[r]] = new
-        coset_of = relabel[coset_of]
+    # number the cosets in the order of their representatives; scanning the
+    # elements in order, the first of a coset met is its smallest member
+    coset_of = np.full(n, -1, dtype=np.int64)
+    chosen: list[int] = []
+    for g in reps if explicit else range(n):
+        if explicit or coset_of[g] < 0:
+            coset_of[parent.mul[g, image]] = len(chosen)
+            chosen.append(int(g))
+    if len(chosen) != m or np.any(coset_of < 0):
+        raise ValueError("explicit representatives must cover each coset exactly once")
 
     perm = np.empty((n, m), dtype=np.int64)
     factor = np.empty((n, m), dtype=np.int64)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .so2_so3 import (
     MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
+    _check_int,
     restrict_wigner,
     so2_block,
     wigner_d,
@@ -70,8 +71,7 @@ class SO2RepSpec:
 
     def __post_init__(self):
         for k in self.freqs:
-            if not (isinstance(k, Real) and np.isfinite(k) and k >= 0 and k == int(k)):
-                raise ValueError(f"frequencies must be non-negative integers, got {k!r}")
+            _check_int("frequency", k)
         object.__setattr__(self, "freqs", tuple(int(k) for k in self.freqs))
 
     @property
@@ -189,8 +189,7 @@ class RadialProfileSet:
     width: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.count, Integral) and self.count >= 1):
-            raise ValueError(f"radial count must be a positive integer, got {self.count!r}")
+        _check_int("radial count", self.count, 1)
         if not 0.0 < self.r_max < np.inf:
             raise ValueError("r_max must be finite and positive")
         if self.width is None:
@@ -278,11 +277,6 @@ class SteerableKernelBasis:
         return out.reshape(self.count, n, *shape)
 
 
-def _check_cutoff(m_max: int) -> None:  # the angular frequency cutoff
-    if not (isinstance(m_max, Integral) and m_max >= 0):
-        raise ValueError(f"m_max must be a non-negative integer, got {m_max!r}")
-
-
 def _angle_samples(m_max: int, in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> np.ndarray:
     # enough samples to kill aliasing among all exponents that can appear
     n = max(4 * (m_max + 1), 2 * (m_max + in_rep.max_freq + out_rep.max_freq) + 3)
@@ -301,7 +295,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     the nullspace without forming the tall left factor. Null directions are
     taken at relative singular value below ``NULL_TOL``.
     """
-    _check_cutoff(m_max)
+    _check_int("m_max", m_max)
     d_out, d_in = out_rep.dim, in_rep.dim
     dd = d_out * d_in
     thetas = _angle_samples(m_max, in_rep, out_rep)
@@ -337,7 +331,7 @@ def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) ->
     collapsing to one solution for the scalar-scalar pair and to two for
     scalar-vs-vector pairs.
     """
-    _check_cutoff(m_max)
+    _check_int("m_max", m_max)
     total = 0
     for ko in out_rep.freqs:
         for ki in in_rep.freqs:
@@ -385,8 +379,7 @@ def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
 
 def _tensor_with_harmonics(ell: int, fiber: SO2RepSpec) -> tuple[SO2RepSpec, np.ndarray]:
     """Input structure at degree ell: harmonic index (outer) times fiber (inner)."""
-    mult, q = restrict_wigner(ell)
-    res = SO2RepSpec(tuple(sorted(mult)))  # one of each frequency 0..ell
+    res, q = so3_fiber_restriction((ell,))  # one of each frequency 0..ell
     spec, t2 = so2_tensor(res, fiber)
     t = np.kron(q, np.eye(fiber.dim)) @ t2
     return spec, t
@@ -412,7 +405,6 @@ class InductionKernel:
     fiber_in: SO2RepSpec
     out_ells: tuple[int, ...]
     lmax: int
-    radial: RadialProfileSet
     bases: tuple[SteerableKernelBasis, ...]
     transforms: tuple[np.ndarray, ...]  # canonical <- (harmonic x fiber), per degree
     out_transform: np.ndarray           # stacked output harmonics <- canonical
@@ -537,13 +529,8 @@ def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> Inducti
 def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1,
                        heights: tuple[float, ...] = (0.0,)) -> None:
     """Reject a layer shape whose kernel would be vacuous or ill-defined."""
-    for name, value in (("lmax", lmax), ("out_channels", out_channels)):
-        if not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= lmax <= MAX_ELL:
-        raise ValueError(f"lmax must lie in [0, MAX_ELL = {MAX_ELL}], got {lmax}")
-    if out_channels < 1:
-        raise ValueError(f"out_channels must be at least 1, got {out_channels}")
+    _check_int("lmax", lmax, 0, MAX_ELL)
+    _check_int("out_channels", out_channels, 1)
     if not fiber_in.freqs:
         raise ValueError("the input fiber needs at least one frequency")
     if not (isinstance(heights, tuple) and heights
@@ -567,7 +554,7 @@ def _build(fiber_in: SO2RepSpec, out_ells: tuple[int, ...], lmax: int, radial: R
         spec, t = _tensor_with_harmonics(ell, fiber_in)
         bases.append(solve_so2_basis(spec, out_spec, radial, m_max))
         transforms.append(t)
-    return InductionKernel(fiber_in, tuple(out_ells), lmax, radial, tuple(bases),
+    return InductionKernel(fiber_in, tuple(out_ells), lmax, tuple(bases),
                            tuple(transforms), out_t, out_channels, space,
                            tuple(float(z) for z in heights))
 
@@ -592,7 +579,7 @@ def build_volume_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...],
 
 
 def build_r3s2_kernel(fiber_in: SO2RepSpec, lmax: int, z_samples: tuple[float, ...],
-                      radial: RadialProfileSet, out_channels: int = 1) -> InductionKernel:
-    """The plane to translation-times-sphere kernel: the sphere kernel,
-    shared by every height slice."""
-    return _build(fiber_in, (0,), lmax, radial, out_channels, "sphere", z_samples)
+                      radial: RadialProfileSet) -> InductionKernel:
+    """The plane to translation-times-sphere kernel: the sphere kernel with
+    one output channel, shared by every height slice."""
+    return _build(fiber_in, (0,), lmax, radial, 1, "sphere", z_samples)

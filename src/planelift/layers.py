@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .kernels import (
 from .so2_so3 import (
     Rotation3,
     SphericalHarmonicBasis,
+    _check_int,
     _wigner_grid_dot,
     so2_block,
     sphere_quadrature,
@@ -99,11 +99,6 @@ class PlanarFeatureField:
         return self.values.reshape(-1, self.fiber_rep.dim)
 
 
-def _check_count(name: str, value, low: int) -> None:  # sizes, degrees and counts
-    if not (isinstance(value, Integral) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _check_spacing(spacing: float) -> None:
     if not 0.0 < spacing < np.inf:
         raise ValueError("spacing must be finite and positive")
@@ -136,7 +131,7 @@ class AnalyticField:
 
     def sample(self, n: int, spacing: float) -> PlanarFeatureField:
         """Sample on the n x n grid of the given spacing centered on the origin."""
-        _check_count("grid size n", n, 1)
+        _check_int("grid size n", n, 1)
         _check_spacing(spacing)
         vals = self(_grid_positions(n, n, spacing))
         return PlanarFeatureField(vals.reshape(n, n, -1), spacing, self.fiber_rep)
@@ -154,8 +149,7 @@ class AnalyticField:
         upward recurrence loses accuracy. The field is one product of the
         stacked mode values with the stacked amplitudes.
         """
-        if not isinstance(m_band, Integral) or m_band < 0:
-            raise ValueError(f"m_band must be a non-negative integer, got {m_band!r}")
+        _check_int("m_band", m_band)
         from scipy.special import j0, j1, jv
 
         d, n_radial = fiber.dim, 2
@@ -232,7 +226,7 @@ class SphericalSignal:
     coeffs: np.ndarray  # (channels, (lmax+1)^2)
 
     def __post_init__(self):
-        _check_count("lmax", self.lmax, 0)
+        _check_int("lmax", self.lmax)
         c = np.ascontiguousarray(np.atleast_2d(self.coeffs), dtype=float)
         if c.ndim != 2 or c.shape[1] != (self.lmax + 1) ** 2 or not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite, one channel or (channels, (lmax+1)^2)")
@@ -315,7 +309,7 @@ def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
     """
     if grid_band is None:
         grid_band = 2 * signal.lmax
-    _check_count("grid_band", grid_band, 0)
+    _check_int("grid_band", grid_band)
     if grid_band < signal.lmax:
         raise ValueError("oversampling band must be at least the signal band")
     y, wts = _sphere_grid(signal.lmax, grid_band)
@@ -431,7 +425,7 @@ def so3_equiangular_grid(n_alpha: int = 24, n_beta: int = 12,
                          n_gamma: int = 24) -> SO3Grid:
     """ZYZ product grid including the identity cell; used only for readout."""
     for n in (n_alpha, n_beta, n_gamma):
-        _check_count("grid counts", n, 1)
+        _check_int("grid counts", n, 1)
     return SO3Grid(np.arange(n_alpha) * (2.0 * np.pi / n_alpha),
                    np.linspace(0.0, np.pi, n_beta),
                    np.arange(n_gamma) * (2.0 * np.pi / n_gamma))
@@ -461,7 +455,7 @@ class LayerConfig:
     grid_n: int = 64
 
     def __post_init__(self):
-        _check_count("grid_n", self.grid_n, 2)
+        _check_int("grid_n", self.grid_n, 2)
         _check_layer_shape(self.fiber, self.lmax, self.channels)
 
     @property
@@ -510,8 +504,8 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     against rotating the lifted signal. Fields rotate in closed form, so
     the measured residual isolates kernel and quadrature error.
     """
-    _check_count("trials", trials, 1)
-    _check_count("rotation angles per trial", theta_samples, 1)
+    _check_int("trials", trials, 1)
+    _check_int("rotation angles per trial", theta_samples, 1)
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     rng = np.random.default_rng(seed)

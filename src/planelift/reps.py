@@ -68,20 +68,23 @@ class Representation:
 def validate_representation(rep: Representation, tol: float = HOM_TOL) -> None:
     """Check identity, the full homomorphism table, and unitarity.
 
-    Raises ``AssertionError`` on the first violation; meant for tests and
-    construction-time sanity checks, not hot paths.
+    Raises ``AssertionError`` on the first violation, also under ``python -O``;
+    meant for tests and construction-time sanity checks, not hot paths.
     """
     g = rep.group
     d = rep.dim
     eye = np.eye(d)
-    assert np.linalg.norm(rep.matrices[g.identity] - eye) < tol, "identity matrix wrong"
+    if not np.linalg.norm(rep.matrices[g.identity] - eye) < tol:
+        raise AssertionError("identity matrix wrong")
     for a in range(g.order):
         prod = rep.matrices[a] @ rep.matrices
         err = np.abs(prod - rep.matrices[g.mul[a]]).max()
-        assert err < tol, f"homomorphism fails at left factor {a}: {err:.2e}"
+        if not err < tol:
+            raise AssertionError(f"homomorphism fails at left factor {a}: {err:.2e}")
     for a in range(g.order):
         u = rep.matrices[a]
-        assert np.linalg.norm(u @ u.conj().T - eye) < tol, f"element {a} not unitary"
+        if not np.linalg.norm(u @ u.conj().T - eye) < tol:
+            raise AssertionError(f"element {a} not unitary")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ The rotation-group readout applies the same factorisation to a whole ZYZ
 product grid at once: ``_wigner_grid_dot`` reads it separably (one ``Y_l``
 per grid beta, then one matrix product per z-factor); a single rotation is
 the one-cell grid.
+
+The package's one integer rule lives here: ``_check_int`` rejects every degree,
+band, frequency, count and size outside its integer range, naming the parameter.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -48,6 +52,13 @@ __all__ = [
 MAX_ELL = 32
 _TWO_PI = 2.0 * np.pi
 _EPS = np.finfo(float).eps
+
+
+def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
+    """Reject ``value`` unless it is an integer in ``[low, high]`` (or ``>= low``)."""
+    if not (isinstance(value, Integral) and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _as_zyz(quat) -> tuple[float, float, float]:
@@ -229,20 +240,15 @@ def _wigner_grid_dot(ell: int, alphas: np.ndarray, betas: np.ndarray, gammas: np
     return (per_cell @ np.hstack(_z_factor(ell, np.negative(gammas))).T).ravel()
 
 
-def _check_ell(ell: int) -> None:
-    if not 0 <= ell <= MAX_ELL:
-        raise ValueError(f"degree {ell} out of supported range [0, {MAX_ELL}]")
-
-
 def wigner_d(ell: int, rot: Rotation3) -> np.ndarray:
     """Real orthogonal Wigner matrix with ``Y_l(R n) = D_l(R) Y_l(n)``."""
-    _check_ell(ell)
+    _check_int("ell", ell, 0, MAX_ELL)
     return _z_sandwich(ell, [rot.alpha], _wigner_y(ell, [rot.beta]), [rot.gamma])[0]
 
 
 def wigner_d_z(ell: int, theta: float) -> np.ndarray:
     """Wigner matrix of the rotation by ``theta`` about z: the z-factor alone."""
-    _check_ell(ell)
+    _check_int("ell", ell, 0, MAX_ELL)
     (c,), (s,) = _z_factor(ell, [theta])
     eye = np.eye(2 * ell + 1)
     return c[:, None] * eye + s[:, None] * eye[::-1]
@@ -256,7 +262,7 @@ def restrict_wigner(ell: int) -> tuple[dict[int, int], np.ndarray]:
     is block diagonal: first the frequency-0 scalar, then one standard
     rotation block per frequency 1..l.
     """
-    _check_ell(ell)
+    _check_int("ell", ell, 0, MAX_ELL)
     size = 2 * ell + 1
     q = np.zeros((size, size))
     q[ell, 0] = 1.0
@@ -300,7 +306,7 @@ class SphericalHarmonicBasis:
     """Real orthonormal spherical harmonics stacked over degrees 0..lmax."""
 
     def __init__(self, lmax: int):
-        _check_ell(lmax)
+        _check_int("lmax", lmax, 0, MAX_ELL)
         self.lmax = lmax
         self.size = (lmax + 1) ** 2
 
@@ -322,6 +328,7 @@ def sphere_quadrature(band: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (points (N, 3), weights (N,)); weights sum to the sphere area.
     """
+    _check_int("band", band)
     n_theta = band + 1
     n_phi = 2 * (band + 1)
     x, wx = np.polynomial.legendre.leggauss(n_theta)

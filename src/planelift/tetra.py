@@ -109,13 +109,13 @@ def induced_block_matrices(label: str,
     return induce(irrep_table(cosets.embedding.sub).by_label(label), cosets)
 
 
-def verify_tetra_action(fn: TetraFunction, label: str, tol: float = 1e-12) -> bool:
+def verify_tetra_action(fn: TetraFunction, label: str) -> bool:
     """Check that left translation of the lifted function matches the induced matrices.
 
     For every ``g``, the stack of the left-translated function at the
     identity (i.e. the row of ``fn`` at ``g^{-1}``) must equal the induced
-    matrix of ``g`` applied blockwise to the identity row. Holds exactly
-    when the bank transforms in the named irrep; fails otherwise.
+    matrix of ``g`` applied blockwise to the identity row, to 1e-12. Holds
+    exactly when the bank transforms in the named irrep; fails otherwise.
     """
     cosets = fn.cosets
     parent = cosets.embedding.parent
@@ -124,7 +124,7 @@ def verify_tetra_action(fn: TetraFunction, label: str, tol: float = 1e-12) -> bo
     for g in range(parent.order):
         expected = mats[g] @ base
         got = fn.values[parent.inv[g]]
-        if np.abs(got - expected).max() > tol:
+        if np.abs(got - expected).max() > 1e-12:
             return False
     return True
 

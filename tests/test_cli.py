@@ -124,6 +124,15 @@ def test_kernel_basis_command(capsys, tmp_path):
     assert dump.read_text().startswith("ell,element,x,y,row,col,value")
 
 
+@pytest.mark.parametrize("spec, part", [("0:1.5", "'0:1.5'"), ("x", "'x'"), (":2", "':2'")])
+def test_kernel_basis_names_the_bad_part_of_in(capsys, spec, part):
+    code = main(["kernel-basis", "--in", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--in part {part}" in captured.err
+
+
 @pytest.mark.parametrize("r_max", ["nan", "inf"])
 def test_kernel_basis_non_finite_r_max_is_usage_error(capsys, r_max):
     code = main(["kernel-basis", "--r-max", r_max])

@@ -96,6 +96,17 @@ def test_coset_representatives_must_be_element_indices(bad):
         coset_decomposition(emb, reps=[0, 1, 2, bad])
 
 
+def test_explicit_representatives_must_cover_each_coset_once():
+    emb = named_embedding("Z3", "A4")
+    reps = list(coset_decomposition(emb).reps)
+    same_coset = int(emb.parent.mul[reps[0], emb.embed[1]])  # reps[0] times a rotation
+    for bad in ([reps[0], same_coset, reps[2], reps[3]],  # two in one coset
+                reps[:3],                                  # three for four cosets
+                reps + [same_coset]):                      # five for four cosets
+        with pytest.raises(ValueError, match="must cover each coset exactly once"):
+            coset_decomposition(emb, reps=bad)
+
+
 def test_embedding_images_must_be_element_indices():
     z3, a4 = build_group("Z3"), build_group("A4")
     with pytest.raises(ValueError, match="embedding image -8 is not an element index"):

@@ -78,7 +78,7 @@ def test_spec_rejects_negative_frequency():
 
 @pytest.mark.parametrize("freq", [1.5, 0.25, float("nan"), float("inf"), "a", None])
 def test_spec_rejects_non_integer_frequency(freq):
-    with pytest.raises(ValueError, match=f"non-negative integers, got {freq!r}"):
+    with pytest.raises(ValueError, match=f"frequency must be an integer >= 0, got {freq!r}"):
         SO2RepSpec((0, freq))
 
 
@@ -134,7 +134,7 @@ def test_radial_set_rejects_bad_width(width):
 
 @pytest.mark.parametrize("count", [2.5, 0, -1, "2"])
 def test_radial_set_rejects_bad_count(count):
-    with pytest.raises(ValueError, match="radial count must be a positive integer"):
+    with pytest.raises(ValueError, match="radial count must be an integer >= 1"):
         RadialProfileSet(count, 0.45)
 
 
@@ -157,9 +157,9 @@ def test_isotropic_scalar_kernel():
 def test_solver_and_count_reject_a_bad_cutoff(m_max):
     # at m_max = -1 the solver found no solution where the count found one
     scalar = SO2RepSpec((0,))
-    with pytest.raises(ValueError, match="m_max must be a non-negative integer"):
+    with pytest.raises(ValueError, match="m_max must be an integer >= 0"):
         solve_so2_basis(scalar, scalar, RadialProfileSet(1, 1.0), m_max)
-    with pytest.raises(ValueError, match="m_max must be a non-negative integer"):
+    with pytest.raises(ValueError, match="m_max must be an integer >= 0"):
         analytic_basis_count(scalar, scalar, m_max)
 
 
@@ -706,6 +706,11 @@ _SCALAR, _EMPTY, _RADIAL = SO2RepSpec((0,)), SO2RepSpec(()), RadialProfileSet(1,
 def test_degenerate_layer_shapes_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_non_integer_output_degree_names_the_parameter():
+    with pytest.raises(ValueError, match=r"ell must be an integer in \[0, 32\], got 1.5"):
+        build_so3_kernel(_SCALAR, (1.5,), 1, _RADIAL)
 
 
 def test_kappa_rejects_misshapen_or_non_finite_weights():

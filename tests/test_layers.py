@@ -180,6 +180,7 @@ def _one_field_response(field, kernel):
 @given(fiber=st.sampled_from([(0,), (0, 1), (0, 1, 2)]), lmax=st.integers(0, 4),
        count=st.integers(1, 4), n=st.integers(16, 32), channels=st.integers(1, 2),
        seed=st.integers(0, 2**32 - 1))
+@example(fiber=(0, 1, 2), lmax=0, count=4, n=25, channels=1, seed=25)
 def test_many_field_lift_matches_one_field_lifts(fiber, lmax, count, n, channels, seed):
     kernel = _cached_kernel(fiber, lmax, channels)
     rng = np.random.default_rng(seed)
@@ -190,9 +191,12 @@ def test_many_field_lift_matches_one_field_lifts(fiber, lmax, count, n, channels
     many = induction_forward_many(fields, kernel, w)
     assert len(many) == count
     for field, got in zip(fields, many):
+        response = _one_field_response(field, kernel)
         one = induction_forward(field, kernel, w)
-        assert np.array_equal(one.coeffs, w @ _one_field_response(field, kernel))
-        scale = max(float(np.abs(one.coeffs).max()), 1e-300)
+        assert np.array_equal(one.coeffs, w @ response)
+        # summation order moves the last product by rounding of the terms it
+        # sums, whose size cancellation in the output can hide
+        scale = max(float((np.abs(w) @ np.abs(response)).max()), 1e-300)
         assert np.abs(got.coeffs - one.coeffs).max() <= 1e-13 * scale
 
 
@@ -281,7 +285,7 @@ def test_band_limited_field_is_band_limited_on_circles(m_band, radius, fiber, se
 
 @pytest.mark.parametrize("m_band", [-1, 2.5, "2", None])
 def test_band_limited_field_rejects_bad_band(m_band):
-    with pytest.raises(ValueError, match="m_band must be a non-negative integer"):
+    with pytest.raises(ValueError, match="m_band must be an integer >= 0"):
         AnalyticField.random_band_limited(SO2RepSpec((0,)), np.random.default_rng(0), m_band)
 
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import planelift
 
 from planelift.groups import build_group
 from planelift.reps import (
@@ -93,6 +100,24 @@ def test_irrep_tables_validate(name):
     assert np.abs(gram - np.eye(len(table.irreps))).max() < 1e-12
     for rep in table.irreps:
         validate_representation(rep)
+
+
+def test_validation_raises_under_optimization():
+    # python -O strips assert statements; the check must still reject a Z3
+    # "representation" with matrices 1, 2 and 5, which is no homomorphism
+    script = ("import numpy as np\n"
+              "from planelift.groups import build_group\n"
+              "from planelift.reps import Representation, validate_representation\n"
+              "rep = Representation(build_group('Z3'), np.array([1.0, 2.0, 5.0]).reshape(3, 1, 1))\n"
+              "try:\n"
+              "    validate_representation(rep)\n"
+              "except AssertionError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(planelift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+    assert out.stdout.startswith("homomorphism fails at left factor 1")
 
 
 def test_irreps_unavailable_for_unnamed_groups():

@@ -114,8 +114,22 @@ def test_so2_block_composition():
 def test_wigner_degree_zero_and_range_check():
     g = Rotation3.random(np.random.default_rng(3))
     assert np.array_equal(wigner_d(0, g), [[1.0]])
-    with pytest.raises(ValueError, match="out of supported range"):
+    with pytest.raises(ValueError, match=rf"ell must be an integer in \[0, {MAX_ELL}\]"):
         wigner_d(MAX_ELL + 1, g)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: wigner_d(1.5, Rotation3.identity()), "ell"),
+    (lambda: wigner_d_z(2.0, 0.3), "ell"),
+    (lambda: restrict_wigner(1.5), "ell"),
+    (lambda: SphericalHarmonicBasis(2.0), "lmax"),
+    (lambda: sphere_quadrature(2.5), "band"),
+    (lambda: sphere_quadrature(-1), "band"),
+], ids=["wigner_d", "wigner_d_z", "restrict_wigner", "harmonics", "quadrature-fraction",
+        "quadrature-negative"])
+def test_non_integer_degrees_and_bands_name_the_parameter(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer "):
+        call()
 
 
 def test_wigner_degree_one_is_conjugated_rotation_matrix():
