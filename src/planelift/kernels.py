@@ -20,6 +20,9 @@ plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
 builders differ only in that data and in the heights the one solve serves.
 Only this module reads the kernel's storage format: the sphere lift's
 ``response``, ``check_weights`` and the negative control ``corrupt_kernel``.
+``response`` evaluates each degree's basis over blocks of grid points sized
+from one byte budget, so the lift's working memory is bounded by that budget
+and does not grow with the grid.
 
 ``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
 """
@@ -60,6 +63,7 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
+_LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest of 1, 2, 4, 8 MiB
 
 
 @dataclass(frozen=True)
@@ -489,22 +493,33 @@ class InductionKernel:
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
         harmonic coordinates; the caller multiplies in the cell area. Each
-        degree's basis is evaluated once, for every field in one ``tensordot``.
+        degree's basis is evaluated once per block of points, for every field
+        in one ``tensordot`` added into that degree's moments; a block holds
+        at most ``_LIFT_BLOCK_BYTES`` of basis values (at least one point), so
+        the working memory is bounded by that budget, not by the grid.
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vals = np.asarray(values, dtype=float)
         d = self.fiber_in.dim
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
         if vals.ndim != 3 or vals.shape[0] != len(pts) or vals.shape[2] != d:
             raise ValueError(f"values must have shape (points, fields, {d}) with "
                              f"{len(pts)} points, got {vals.shape}")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+            raise ValueError("points and values must be finite")
         nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0
         for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
-            bvals = basis.evaluate_all(pts)[:, :, 0, :]           # (count, N, d_can)
-            moments = np.tensordot(bvals, vals, axes=([1], [0]))  # (count, d_can, fields * d)
+            d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
+            rows = max(1, _LIFT_BLOCK_BYTES // (8 * max(basis.count * d_can, 1)))
+            moments = np.zeros((basis.count, d_can, vals.shape[1]))
+            for i in range(0, len(pts), rows):
+                bvals = basis.evaluate_all(pts[i:i + rows])[:, :, 0, :]  # (count, rows, d_can)
+                moments += np.tensordot(bvals, vals[i:i + rows], axes=([1], [0]))
             moments = moments.reshape(*moments.shape[:2], nf, d)
             block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
             response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block

@@ -36,6 +36,7 @@ from .kernels import (
     corrupt_kernel,
 )
 from .so2_so3 import (
+    MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
     _check_int,
@@ -226,7 +227,7 @@ class SphericalSignal:
     coeffs: np.ndarray  # (channels, (lmax+1)^2)
 
     def __post_init__(self):
-        _check_int("lmax", self.lmax)
+        _check_int("lmax", self.lmax, 0, MAX_ELL)
         c = np.ascontiguousarray(np.atleast_2d(self.coeffs), dtype=float)
         if c.ndim != 2 or c.shape[1] != (self.lmax + 1) ** 2 or not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite, one channel or (channels, (lmax+1)^2)")
@@ -374,6 +375,7 @@ class SO3Signal:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        _check_int("lmax", self.lmax, 0, MAX_ELL)
         blocks = tuple(np.asarray(blk, dtype=float) for blk in self.blocks)
         if len(blocks) != self.lmax + 1:
             raise ValueError(f"need lmax + 1 = {self.lmax + 1} blocks, got {len(blocks)}")

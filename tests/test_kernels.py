@@ -11,6 +11,7 @@ from planelift.kernels import (
     NULL_TOL,
     RadialProfileSet,
     SO2RepSpec,
+    SteerableKernelBasis,
     analytic_basis_count,
     build_induction_kernel,
     build_r3s2_kernel,
@@ -754,6 +755,24 @@ def test_response_reads_only_sphere_kernels(build):
     for values in (np.ones((4, 1)), np.ones((3, 1, 1)), np.ones((4, 1, 2))):
         with pytest.raises(ValueError, match="values must have shape"):
             sphere.response(pts, values)
+
+
+def test_response_rejects_bad_points_and_non_finite_input_before_evaluating(monkeypatch):
+    sphere = build_induction_kernel(_SCALAR, 1, 1, _RADIAL)
+
+    def unreachable(basis, points):
+        raise AssertionError("the basis was evaluated before the input check")
+
+    monkeypatch.setattr(SteerableKernelBasis, "evaluate_all", unreachable)
+    pts, vals = np.full((4, 2), 0.25), np.ones((4, 1, 1))
+    # a third column would be dropped silently, lifting other points than given
+    with pytest.raises(ValueError, match=r"points must have shape \(N, 2\), got \(4, 3\)"):
+        sphere.response(np.ones((4, 3)), vals)
+    nan_pts, nan_vals = pts.copy(), vals.copy()
+    nan_pts[1, 0], nan_vals[2, 0, 0] = np.nan, np.inf
+    for p, v in ((nan_pts, vals), (pts, nan_vals)):
+        with pytest.raises(ValueError, match="points and values must be finite"):
+            sphere.response(p, v)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planelift.kernels import RadialProfileSet, SO2RepSpec, build_induction_kernel
+from planelift import kernels
+from planelift.kernels import (
+    RadialProfileSet,
+    SO2RepSpec,
+    SteerableKernelBasis,
+    build_induction_kernel,
+)
 from planelift.layers import (
     AnalyticField,
     LayerConfig,
@@ -13,6 +20,7 @@ from planelift.layers import (
     SO3Grid,
     SO3Signal,
     SphericalSignal,
+    _lift_response,
     corrupt_kernel,
     equivariance_harness,
     gradient_check,
@@ -193,11 +201,63 @@ def test_many_field_lift_matches_one_field_lifts(fiber, lmax, count, n, channels
     for field, got in zip(fields, many):
         response = _one_field_response(field, kernel)
         one = induction_forward(field, kernel, w)
-        assert np.array_equal(one.coeffs, w @ response)
         # summation order moves the last product by rounding of the terms it
-        # sums, whose size cancellation in the output can hide
+        # sums, whose size cancellation in the output can hide; the lift sums
+        # over point blocks, so it is held to the same bound as the dense map
         scale = max(float((np.abs(w) @ np.abs(response)).max()), 1e-300)
+        assert np.abs(one.coeffs - w @ response).max() <= 1e-13 * scale
         assert np.abs(got.coeffs - one.coeffs).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("fiber", [(0,), (0, 1), (0, 1, 2)])
+@pytest.mark.parametrize("n, budget", [(9, 20000), (6, 1), (1, 2 << 20)],
+                         ids=["short-last-block", "one-point-blocks", "one-point"])
+def test_blocked_lift_matches_the_dense_response(monkeypatch, fiber, n, budget):
+    kernel = _cached_kernel(fiber, 3, 1)
+    spec = SO2RepSpec(fiber)
+    field = PlanarFeatureField(np.random.default_rng(n).normal(size=(n, n, spec.dim)), 0.25, spec)
+    sizes, evaluate_all = [], SteerableKernelBasis.evaluate_all
+
+    def recording(basis, points):
+        sizes.append(len(points))
+        return evaluate_all(basis, points)
+
+    monkeypatch.setattr(kernels, "_LIFT_BLOCK_BYTES", budget)
+    monkeypatch.setattr(SteerableKernelBasis, "evaluate_all", recording)
+    got = _lift_response([field], kernel)[0]
+    monkeypatch.undo()
+    # every point is read once per degree, in blocks of the budget's size
+    per_degree, run = [], []
+    for size in sizes:
+        run.append(size)
+        if sum(run) == n * n:
+            per_degree, run = per_degree + [run], []
+    assert len(per_degree) == kernel.lmax + 1 and not run
+    if n == 9:
+        assert any(len(blocks) > 1 and blocks[-1] < blocks[0] for blocks in per_degree)
+    else:
+        assert all(set(blocks) == {1} for blocks in per_degree)
+    want = _one_field_response(field, kernel)
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_lift_memory_does_not_grow_with_the_grid():
+    # a lift holding each degree's whole basis stack grows 4x here (68.6 to 273.6 MiB)
+    kernel = _cached_kernel((0, 1, 2), 4, 1)
+    spec = SO2RepSpec((0, 1, 2))
+    w = np.ones((1, kernel.weight_count))
+    peaks = []
+    for n in (32, 64):
+        field = PlanarFeatureField(np.random.default_rng(n).normal(size=(n, n, spec.dim)),
+                                   2.0 / (n - 1), spec)
+        tracemalloc.start()
+        try:
+            induction_forward(field, kernel, w)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0] + 1e6, peaks
 
 
 def test_many_field_lift_rejects_mismatched_or_no_fields():
@@ -445,10 +505,12 @@ def test_nonlinearity_rejects_non_integer_band():
         spherical_nonlinearity(sig, "relu", 2.5)
 
 
-@pytest.mark.parametrize("lmax, coeffs", [(2.0, np.ones((1, 9))), (-1, np.ones((1, 0)))],
-                         ids=["float", "negative"])
+@pytest.mark.parametrize("lmax, coeffs", [(2.0, np.ones((1, 9))), (-1, np.ones((1, 0))),
+                                          (40, np.ones((1, 41 ** 2)))],
+                         ids=["float", "negative", "above-max-ell"])
 def test_signal_rejects_bad_degree(lmax, coeffs):
-    with pytest.raises(ValueError, match="lmax must be an integer >= 0"):
+    # at 40, rotate_signal would fail only at its 34th block, naming neither lmax nor 40
+    with pytest.raises(ValueError, match=r"lmax must be an integer in \[0, 32\]"):
         SphericalSignal(lmax, coeffs)
 
 
@@ -571,6 +633,15 @@ def test_so3_grid_rejects_non_integer_counts(counts):
 def test_so3_signal_rejects_malformed_blocks(blocks, message):
     with pytest.raises(ValueError, match=message):
         SO3Signal(1, blocks)
+
+
+@pytest.mark.parametrize("lmax", [2.0, -1, 33])
+def test_so3_signal_rejects_a_degree_outside_the_certified_range(lmax):
+    # at 33 the evaluator would build J_0..J_33, past MAX_ELL
+    ells = range(int(lmax) + 1) if lmax >= 0 else ()
+    blocks = tuple(np.eye(2 * ell + 1) for ell in ells)
+    with pytest.raises(ValueError, match=r"lmax must be an integer in \[0, 32\], got"):
+        SO3Signal(lmax, blocks)
 
 
 # ---------------------------------------------------------------------------
