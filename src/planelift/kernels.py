@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -255,6 +256,14 @@ class SteerableKernelBasis:
     def count(self) -> int:
         return self.radial.count * self.n_angular
 
+    @cached_property
+    def _constants(self) -> tuple[list[int], set[int], np.ndarray]:
+        """Each solution's m, the distinct m, and the stacked (cos, sin)
+        blocks, shape (A, 2, 1, d_out, d_in): built once per basis."""
+        ms = [sol.m for sol in self.angular]
+        blocks = np.array([(s.cos_coeff, s.sin_coeff) for s in self.angular])
+        return ms, set(ms), blocks.reshape(len(ms), 2, 1, self.out_rep.dim, self.in_rep.dim)
+
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
         """All elements at (N, 2) points, shape (count, N, d_out, d_in); each
         distinct ``r^m`` and ``cos/sin(m phi)`` is computed once per call."""
@@ -263,14 +272,13 @@ class SteerableKernelBasis:
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         a, p, n = self.n_angular, self.radial.count, len(radii)
         shape = (self.out_rep.dim, self.in_rep.dim)
-        ms = [sol.m for sol in self.angular]
+        ms, distinct, blocks = self._constants
         prof = self.radial.evaluate(radii)  # (P, N)
         scaled = radii / np.maximum(self.radial.centers, self.radial.width)[:, None]
-        powers = {m: prof * scaled ** m for m in set(ms) if m > 0}
-        trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in set(ms)}
+        powers = {m: prof * scaled ** m for m in distinct if m > 0}
+        trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in distinct}
         radial = np.array([powers[m] if m else prof for m in ms]).reshape(a, p, n)
         cos_sin = np.array([trig[m] for m in ms]).reshape(a, 2, n, 1, 1)
-        blocks = np.array([(s.cos_coeff, s.sin_coeff) for s in self.angular]).reshape(a, 2, 1, *shape)
         # build the angular factor in profile 0's slot and scale it there last
         out = np.empty((p, a, n) + shape)
         np.multiply(cos_sin[:, 0], blocks[:, 0], out=out[0])

@@ -21,6 +21,7 @@ independent and may run in parallel.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -120,7 +121,9 @@ class AnalyticField:
     fiber_rep: SO2RepSpec
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+            raise ValueError(f"points must be a finite (N, 2) array, got shape {pts.shape}")
         out = np.asarray(self.func(pts), dtype=float)
         expected = (pts.shape[0], self.fiber_rep.dim)
         if out.shape != expected:
@@ -144,15 +147,11 @@ class AnalyticField:
         two radial wavenumbers in [1, 6) per angular frequency m up to
         ``m_band``, drawn as ``ks``, then the cosine, then the sine amplitudes.
 
-        ``J_0`` and ``J_1`` come from ``scipy.special.j0``/``j1``, ``J_2`` from
-        one recurrence step ``2 J_1(x)/x - J_0(x)`` (exact to ~1e-15 on the
-        sampled range), and the general-order ``jv`` only from m = 3 on, where
-        upward recurrence loses accuracy. The field is one product of the
-        stacked mode values with the stacked amplitudes.
+        Every ``J_m`` comes from ``_bessel_j``'s backward recurrence, whose
+        cost grows linearly with the largest ``k r`` sampled. The field is one
+        product of the stacked mode values with the stacked amplitudes.
         """
         _check_int("m_band", m_band)
-        from scipy.special import j0, j1, jv
-
         d, n_radial = fiber.dim, 2
         ms = np.arange(m_band + 1)
         ks = rng.uniform(1.0, 6.0, size=(m_band + 1, n_radial))
@@ -164,16 +163,7 @@ class AnalyticField:
         def evaluate(points: np.ndarray) -> np.ndarray:
             r = np.hypot(points[:, 0], points[:, 1])
             phi = np.arctan2(points[:, 1], points[:, 0])
-            x = ks[..., None] * r  # (M+1, 2, N)
-            bess = np.empty_like(x)
-            bess[0] = j0(x[0])
-            if m_band >= 1:
-                bess[1] = j1(x[1])
-            if m_band >= 2:
-                ratio = np.divide(2.0 * j1(x[2]), x[2], out=np.ones_like(x[2]),
-                                  where=x[2] != 0.0)  # 2 J_1(x)/x -> 1 at x = 0
-                bess[2] = ratio - j0(x[2])
-                bess[3:] = jv(ms[3:, None, None], x[3:])
+            bess = _bessel_j(m_band, ks[..., None] * r)[ms, ms]  # J_m(k r), (M+1, 2, N)
             mphi = ms[:, None] * phi
             trig = np.stack([np.cos(mphi), np.sin(mphi)])[:, :, None, :]  # (2, M+1, 1, N)
             modes = (trig * bess).reshape(len(amps), -1)  # (2 (M+1) 2, N)
@@ -182,11 +172,58 @@ class AnalyticField:
         return AnalyticField(evaluate, fiber)
 
 
+_SERIES_X = 1e-4  # below this ``_bessel_j`` takes the two-term series, exact at 0
+
+
+def _bessel_j(m_max: int, x: np.ndarray) -> np.ndarray:
+    """``J_0 .. J_m_max`` at finite ``x >= 0``, shape ``(m_max + 1,) + x.shape``:
+    Miller's backward recurrence ``J_{n-1} = (2n / x) J_n - J_{n+1}`` from the
+    even order at or above ``m_max + ceil(max x) + 30``, so its cost grows
+    linearly with ``max x``, rescaled every 8 steps and normalised by
+    ``J_0 + 2 sum_k J_2k = 1``; below ``_SERIES_X`` the two-term series."""
+    start = 2 * ((m_max + math.ceil(x.max(initial=0.0)) + 31) // 2)
+    two_over_x = 2.0 / np.maximum(x, _SERIES_X)
+    out = np.zeros((m_max + 1,) + x.shape)
+    # J_{n+1}, J_n and the sum of J_2k (k >= 1), all up to one common scale
+    upper, cur, even = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for n in range(start, 0, -1):
+        if n <= m_max:
+            out[n] = cur
+        if n % 2 == 0:
+            even += cur
+        upper, cur = cur, n * two_over_x * cur - upper
+        if n % 8 == 0:  # keep the growing solution near 1
+            scale = 1.0 / (np.abs(cur) + np.abs(upper))
+            upper, cur, even = upper * scale, cur * scale, even * scale
+            out[n:] *= scale
+    out[0] = cur
+    out /= cur + 2.0 * even
+    half, term = 0.5 * x, np.ones_like(x)
+    for n in range(m_max + 1):  # term = (x/2)^n / n!
+        out[n] = np.where(x < _SERIES_X, term * (1.0 - half * half / (n + 1)), out[n])
+        term = term * half / (n + 1)
+    return out
+
+
+def _bilinear(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Bilinear samples of an (H, W, d) grid at (N, 2) fractional (row, col)
+    coordinates, shape (N, d); zero outside ``[0, H-1] x [0, W-1]``."""
+    top = np.array(values.shape[:2]) - 1
+    inside = np.all((coords >= 0) & (coords <= top), axis=1)[:, None]
+    clipped = np.clip(coords, 0, top)
+    lo = np.minimum(clipped.astype(int), np.maximum(top - 1, 0))  # the cell's first corner
+    (r0, c0), (r1, c1) = lo.T, np.minimum(lo + 1, top).T
+    fr, fc = (clipped - lo).T[..., None]
+    near = values[r0, c0] * (1 - fc) + values[r0, c1] * fc
+    far = values[r1, c0] * (1 - fc) + values[r1, c1] * fc
+    return np.where(inside, near * (1 - fr) + far * fr, 0.0)
+
+
 def rotate_field(field, theta: float):
     """Planar rotation action: move sample positions and mix fibers.
 
-    Analytic fields rotate exactly; sampled fields are resampled with
-    bilinear interpolation and therefore carry interpolation error.
+    Analytic fields rotate exactly; sampled fields are resampled by
+    ``_bilinear``, zero outside the grid, and so carry interpolation error.
     """
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
@@ -200,17 +237,10 @@ def rotate_field(field, theta: float):
         return AnalyticField(rotated, field.fiber_rep)
 
     if isinstance(field, PlanarFeatureField):
-        from scipy.ndimage import map_coordinates
-
         h, w = field.shape
         pts = field.positions() @ so2_block(1, -theta).T
-        rows = pts[:, 0] / field.spacing + (h - 1) / 2.0
-        cols = pts[:, 1] / field.spacing + (w - 1) / 2.0
-        stacked = np.stack([
-            map_coordinates(field.values[:, :, v], [rows, cols], order=1, mode="constant")
-            for v in range(field.fiber_rep.dim)
-        ], axis=1)
-        mixed = stacked @ field.fiber_rep.matrix(theta).T
+        coords = pts / field.spacing + (np.array([h, w]) - 1) / 2.0  # (row, col) per point
+        mixed = _bilinear(field.values, coords) @ field.fiber_rep.matrix(theta).T
         return PlanarFeatureField(mixed.reshape(h, w, -1), field.spacing, field.fiber_rep)
 
     raise TypeError("expected PlanarFeatureField or AnalyticField")

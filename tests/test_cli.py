@@ -262,26 +262,49 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_demo_pose_imports_no_scipy():
-    # cold start pays for numpy alone: scipy serves only Bessel test fields
-    # and resampled sampled-field rotations, neither of which demo pose uses;
-    # the package resolves its exports lazily and the CLI imports the
-    # finite-group modules inside the commands that use them
-    script = ("import contextlib, io, json, sys\n"
-              "import planelift.cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert planelift.cli.main(['demo', 'pose']) == 0\n"
-              "print(json.dumps(sorted(m for m in sys.modules\n"
-              "                        if m.split('.')[0] in ('scipy', 'planelift'))))\n")
+def _fresh_process_modules(script):
+    """Run ``script`` in a new interpreter on this checkout's ``src``; it prints a
+    JSON list of loaded modules, returned parsed."""
     src = str(Path(planelift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
-    loaded = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_demo_pose_imports_no_scipy():
+    # cold start pays for numpy alone: the package resolves its exports
+    # lazily and the CLI imports the finite-group modules inside the
+    # commands that use them
+    loaded = _fresh_process_modules(
+        "import contextlib, io, json, sys\n"
+        "import planelift.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert planelift.cli.main(['demo', 'pose']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('scipy', 'planelift'))))\n")
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
     assert "planelift.layers" in loaded
     for name in ("groups", "reps", "induce_restrict", "tetra"):
         assert f"planelift.{name}" not in loaded
+
+
+def test_runtime_runs_with_scipy_blocked():
+    # scipy is a test oracle only: with every scipy import made to fail, the
+    # Bessel test fields, both harnesses and sampled-field rotation still run
+    loaded = _fresh_process_modules(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from planelift import layers\n"
+        "config = layers.LayerConfig(lmax=2, grid_n=24)\n"
+        "assert layers.equivariance_harness(config, trials=2).passed\n"
+        "assert layers.gradient_check(config) < 1e-6\n"
+        "field = layers.AnalyticField.random_band_limited(config.fiber, np.random.default_rng(0))\n"
+        "layers.rotate_field(field.sample(16, 0.1), 0.3)\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
+        "                        if mod is not None and m.split('.')[0] == 'scipy')))\n")
+    assert loaded == []
 
 
 def test_package_exports_resolve_lazily():

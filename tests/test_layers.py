@@ -14,12 +14,15 @@ from planelift.kernels import (
     build_induction_kernel,
 )
 from planelift.layers import (
+    _SERIES_X,
     AnalyticField,
     LayerConfig,
     PlanarFeatureField,
     SO3Grid,
     SO3Signal,
     SphericalSignal,
+    _bessel_j,
+    _bilinear,
     _lift_response,
     corrupt_kernel,
     equivariance_harness,
@@ -331,6 +334,32 @@ def test_band_limited_field_matches_per_mode_jv(m_band, fiber):
         assert np.abs(fast(pts) - slow(pts)).max() <= 1e-14
 
 
+def test_bessel_recurrence_matches_scipy_jv():
+    from scipy.special import jv
+
+    cut = [np.nextafter(_SERIES_X, 0.0), _SERIES_X, np.nextafter(_SERIES_X, 1.0)]
+    x = np.concatenate([np.linspace(0.0, 50.0, 6001), [0.0, 1e-300], cut])
+    orders = np.arange(9)
+    assert np.abs(_bessel_j(8, x) - jv(orders[:, None], x)).max() <= 3e-15
+    # any argument shape; x == 0 gives J_0 = 1 and J_n = 0 exactly
+    grid = x[:6000].reshape(3, 2, 1000)
+    got = _bessel_j(8, grid)
+    assert got.shape == (9, 3, 2, 1000)
+    assert np.abs(got - jv(orders[:, None, None, None], grid)).max() <= 3e-15
+    assert np.array_equal(_bessel_j(3, np.zeros(2)), [[1.0, 1.0]] + [[0.0, 0.0]] * 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(top=st.floats(0.0, 30.0), seed=st.integers(0, 2**31 - 1))
+@example(top=0.0, seed=0).via("x == 0 only")
+@example(top=2 * _SERIES_X, seed=1).via("all near the series cut")
+def test_bessel_recurrence_satisfies_addition_identity(top, seed):
+    # J_0^2 + 2 sum_n J_n^2 = 1; orders past 2 max(x) + 10 add far below rounding
+    x = np.random.default_rng(seed).uniform(0.0, top, size=200)
+    j = _bessel_j(70, x)
+    assert np.abs(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2, axis=0) - 1.0).max() <= 5e-15
+
+
 @settings(max_examples=40, deadline=None)
 @given(m_band=st.integers(0, 5), radius=st.floats(1e-3, 1.4),
        fiber=st.sampled_from([(0,), (0, 1), (2,)]), seed=st.integers(0, 2**31 - 1))
@@ -381,6 +410,20 @@ def test_field_call_rejects_non_finite_values():
         field(np.array([[0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("points", [
+    np.zeros((1, 3)),                  # a third coordinate column
+    np.zeros((2, 2, 2)),               # not a list of points
+    np.array([[0.0, np.nan]]),
+    np.array([[np.inf, 0.0], [0.1, 0.2]]),
+])
+def test_field_call_rejects_bad_points(points):
+    def never(p):
+        raise AssertionError("the field function must not see bad points")
+
+    with pytest.raises(ValueError, match=r"points must be a finite \(N, 2\) array"):
+        AnalyticField(never, SO2RepSpec((0,)))(points)
+
+
 # ---------------------------------------------------------------------------
 # field rotation
 
@@ -389,6 +432,42 @@ def test_rotate_field_zero_angle_identity():
     field = PlanarFeatureField(rng.normal(size=(12, 12, 1)), 0.1, SO2RepSpec((0,)))
     rotated = rotate_field(field, 0.0)
     assert np.abs(rotated.values - field.values).max() < 1e-12
+
+
+def _map_coordinates(values, coords):
+    """scipy's order-1 resampler of each fiber component at (N, 2) (row, col)
+    coordinates: the reference for ``rotate_field`` on sampled fields."""
+    from scipy.ndimage import map_coordinates
+
+    return np.stack([map_coordinates(values[:, :, v], coords.T, order=1, mode="constant")
+                     for v in range(values.shape[2])], axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**31 - 1))
+def test_bilinear_matches_map_coordinates(h, w, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, size=(h, w, 2))
+    # half the points straddle the low edge of an axis, half the high edge
+    coords = rng.uniform(-1.5, 0.5, size=(400, 2)) + rng.integers(0, 2, size=(400, 2)) * [h, w]
+    edges = np.array([0.0, -1e-12, np.nextafter(0.0, -1.0)])  # on, just outside, one ulp out
+    coords[:3, 0], coords[3:6, 0] = edges, (h - 1) - edges
+    coords[6:9, 1], coords[9:12, 1] = edges, (w - 1) - edges
+    assert np.abs(_bilinear(values, coords) - _map_coordinates(values, coords)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("fiber", [(0,), (0, 1)])
+def test_rotate_sampled_field_matches_map_coordinates(fiber):
+    spec = SO2RepSpec(fiber)
+    rng = np.random.default_rng(8)
+    field = PlanarFeatureField(rng.uniform(-1.0, 1.0, size=(20, 17, spec.dim)), 0.1, spec)
+    h, w = field.shape
+    for theta in (0.3, -2.0, np.pi / 2, np.pi):
+        c, s = np.cos(theta), np.sin(theta)
+        pts = field.positions() @ np.array([[c, -s], [s, c]])  # each point turned by -theta
+        coords = pts / field.spacing + [(h - 1) / 2.0, (w - 1) / 2.0]
+        want = _map_coordinates(field.values, coords) @ spec.matrix(theta).T
+        assert np.abs(rotate_field(field, theta).values - want.reshape(h, w, -1)).max() <= 1e-15
 
 
 def test_rotate_analytic_half_turn_twice():
