@@ -12,7 +12,7 @@ _EXPORTS = {
     "groups": ("CosetDecomposition", "FiniteGroup", "SubgroupEmbedding", "build_group",
                "coset_decomposition", "named_embedding", "subgroup_embedding"),
     "induce_restrict": ("BranchingTable", "InductionTable", "boundary_compatibility",
-                        "branching_table", "check_frobenius", "completeness_check", "induce",
+                        "branching_table", "check_frobenius", "completeness_check",
                         "induction_table", "restrict"),
     "kernels": ("InductionKernel", "RadialProfileSet", "SO2RepSpec", "SteerableKernelBasis",
                 "analytic_basis_count", "build_induction_kernel", "build_r3s2_kernel",
@@ -23,7 +23,8 @@ _EXPORTS = {
                "induction_forward", "induction_forward_many", "rotate_field", "rotate_signal",
                "sphere_to_so3_correlation", "spherical_nonlinearity"),
     "reps": ("Decomposition", "IrrepTable", "Representation", "decompose", "direct_sum",
-             "hom_dimension", "irrep_table", "regular_representation", "tensor_product"),
+             "hom_dimension", "induce", "irrep_table", "regular_representation",
+             "tensor_product"),
     "so2_so3": ("Rotation3", "SphericalHarmonicBasis", "restrict_wigner", "sphere_quadrature",
                 "wigner_d"),
 }

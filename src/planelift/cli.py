@@ -120,17 +120,11 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _tables(args):
-    from .groups import coset_decomposition, named_embedding
-    from .induce_restrict import branching_table, induction_table
-
-    emb = named_embedding(args.subgroup, args.group)
-    cos = coset_decomposition(emb)
-    return emb, cos, branching_table(emb), induction_table(cos)
-
-
 def _cmd_branch(args) -> int:
-    _, _, branching, _ = _tables(args)
+    from .groups import named_embedding
+    from .induce_restrict import branching_table
+
+    branching = branching_table(named_embedding(args.subgroup, args.group))
     if args.format == "csv":
         print("," + ",".join(branching.cols))
         for r, row in zip(branching.rows, branching.entries):
@@ -144,14 +138,13 @@ def _cmd_branch(args) -> int:
 
 def _cmd_induce(args) -> int:
     from .groups import coset_decomposition, named_embedding
-    from .induce_restrict import induction_table
-    from .reps import irrep_table
+    from .induce_restrict import induce
+    from .reps import decompose, irrep_table
 
     emb = named_embedding(getattr(args, "from"), args.to)
-    irrep_table(emb.sub).by_label(args.irrep)  # rejects an unknown label before the table
-    table = induction_table(coset_decomposition(emb))
-    r = table.rows.index(args.irrep)
-    mults = {c: int(v) for c, v in zip(table.cols, table.entries[r]) if v}
+    rho = irrep_table(emb.sub).by_label(args.irrep)
+    mults = decompose(induce(rho, coset_decomposition(emb)),
+                      irrep_table(emb.parent)).multiplicities
     if args.format == "csv":
         print("irrep,multiplicity")
         for c in sorted(mults):
@@ -163,10 +156,11 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_frobenius(args) -> int:
-    from .induce_restrict import check_frobenius
+    from .groups import coset_decomposition, named_embedding
+    from .induce_restrict import branching_table, check_frobenius, induction_table
 
-    _, _, branching, induction = _tables(args)
-    ok, mismatch = check_frobenius(branching, induction)
+    emb = named_embedding(args.subgroup, args.group)
+    ok, mismatch = check_frobenius(branching_table(emb), induction_table(coset_decomposition(emb)))
     _emit({"group": args.group, "subgroup": args.subgroup,
            "reciprocity": "PASS" if ok else "FAIL",
            "mismatch": list(mismatch) if mismatch else None})

@@ -331,11 +331,12 @@ def coset_decomposition(embedding: SubgroupEmbedding,
     Representatives default to the smallest element index in each coset,
     which makes the output deterministic; an explicit ``reps`` list (one
     element per coset) overrides that choice, e.g. to pin a fixture.
+    ``perm`` and ``factor`` are read off the multiplication table by array
+    indexing, for all elements and cosets at once.
     """
     sub, parent = embedding.sub, embedding.parent
     image = embedding.embed
     n, m = parent.order, embedding.index
-    back = {int(p): s for s, p in enumerate(image)}
 
     explicit = reps is not None
     if explicit:
@@ -351,15 +352,13 @@ def coset_decomposition(embedding: SubgroupEmbedding,
     if len(chosen) != m or np.any(coset_of < 0):
         raise ValueError("explicit representatives must cover each coset exactly once")
 
-    perm = np.empty((n, m), dtype=np.int64)
-    factor = np.empty((n, m), dtype=np.int64)
-    for g in range(n):
-        for i in range(m):
-            t = parent.mul[g, chosen[i]]
-            j = int(coset_of[t])
-            h_parent = int(parent.mul[parent.inv[chosen[j]], t])
-            perm[g, i] = j
-            factor[g, i] = back[h_parent]
+    # g * reps[i] = t lies in coset j = perm[g, i]; its factor is
+    # reps[j]^-1 * t, read back from a parent -> subgroup lookup on the image
+    t = parent.mul[:, chosen]
+    perm = coset_of[t]
+    back = np.zeros(n, dtype=np.int64)
+    back[image] = np.arange(sub.order)
+    factor = back[parent.mul[parent.inv[chosen][perm], t]]
 
     coset_of.setflags(write=False)
     perm.setflags(write=False)

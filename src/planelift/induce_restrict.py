@@ -1,10 +1,11 @@
-"""Restriction, block-construction induction, branching/induction tables.
+"""Restriction, branching/induction tables and the checks built on them.
 
-Induction uses the coset factorization ``g * g_i = g_{j} * h`` directly: the
-matrix of ``g`` places the subgroup block for ``h`` at block position
-``(j, i)`` and zeros elsewhere. Branching tables are computed by decomposing
-restrictions, induction tables by decomposing inductions, so comparing the
-two via transposition is a genuine cross-validation rather than a tautology.
+``induce`` is :func:`planelift.reps.induce`, re-exported: it uses the coset
+factorization ``g * g_i = g_{j} * h`` directly, placing the subgroup block
+for ``h`` at block position ``(j, i)`` of the matrix of ``g``. Branching
+tables are computed by decomposing restrictions, induction tables by
+decomposing inductions, so comparing the two via transposition is a genuine
+cross-validation rather than a tautology.
 
 All operations are pure functions over immutable inputs; table construction
 is trivially parallelizable across irreps.
@@ -23,6 +24,7 @@ from .reps import (
     IrrepTable,
     Representation,
     decompose,
+    induce,
     irrep_table,
     regular_representation,
 )
@@ -67,28 +69,6 @@ def restrict(rep: Representation, embedding: SubgroupEmbedding) -> Representatio
         raise ValueError("representation is not defined on the embedding's parent group")
     return Representation(embedding.sub, rep.matrices[embedding.embed],
                           f"Res({rep.label})")
-
-
-def induce(rep: Representation, cosets: CosetDecomposition) -> Representation:
-    """Induce a subgroup representation up to the parent group.
-
-    The induced space is one copy of the representation space per left
-    coset; ``g`` maps copy ``i`` onto copy ``perm[g, i]`` through the
-    subgroup matrix of ``factor[g, i]``. Output dimension is the coset
-    index times the input dimension.
-    """
-    if not _same_group(rep.group, cosets.embedding.sub):
-        raise ValueError("representation is not defined on the embedding's subgroup")
-    m = cosets.n_cosets
-    d = rep.dim
-    parent = cosets.embedding.parent
-    mats = np.zeros((parent.order, m * d, m * d), dtype=np.complex128)
-    for g in range(parent.order):
-        for i in range(m):
-            j = cosets.perm[g, i]
-            h = cosets.factor[g, i]
-            mats[g, j * d:(j + 1) * d, i * d:(i + 1) * d] = rep.matrices[h]
-    return Representation(parent, mats, f"Ind({rep.label})")
 
 
 def _multiplicity_table(sources: IrrepTable, lift: Callable[[Representation], Representation],

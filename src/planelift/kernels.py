@@ -67,6 +67,15 @@ NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 _LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest of 1, 2, 4, 8 MiB
 
 
+def _check_points(points) -> np.ndarray:
+    """Planar points as a float (N, 2) array. A third column or a non-finite
+    coordinate is an error, never dropped or carried into the output."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
+        raise ValueError(f"points must be a finite (N, 2) array, got shape {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True)
 class SO2RepSpec:
     """An orthogonal planar-rotation representation as an ordered list of
@@ -267,7 +276,7 @@ class SteerableKernelBasis:
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
         """All elements at (N, 2) points, shape (count, N, d_out, d_in); each
         distinct ``r^m`` and ``cos/sin(m phi)`` is computed once per call."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _check_points(points)
         radii = np.hypot(pts[:, 0], pts[:, 1])
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         a, p, n = self.n_angular, self.radial.count, len(radii)
@@ -470,7 +479,7 @@ class InductionKernel:
         N, 2l+1, d_in) with the stack index channel-major; for a sphere
         kernel that is (out_channels, N, 2l+1, d_in).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _check_points(points)
         d = self.fiber_in.dim
         out = []
         for ell, (w, basis, t) in enumerate(zip(self._split(weights), self.bases,
@@ -508,16 +517,14 @@ class InductionKernel:
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _check_points(points)
         vals = np.asarray(values, dtype=float)
         d = self.fiber_in.dim
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
         if vals.ndim != 3 or vals.shape[0] != len(pts) or vals.shape[2] != d:
             raise ValueError(f"values must have shape (points, fields, {d}) with "
                              f"{len(pts)} points, got {vals.shape}")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
-            raise ValueError("points and values must be finite")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
         nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0

@@ -33,6 +33,7 @@ from .kernels import (
     RadialProfileSet,
     SO2RepSpec,
     _check_layer_shape,
+    _check_points,
     build_induction_kernel,
     corrupt_kernel,
 )
@@ -121,9 +122,7 @@ class AnalyticField:
     fiber_rep: SO2RepSpec
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
-            raise ValueError(f"points must be a finite (N, 2) array, got shape {pts.shape}")
+        pts = _check_points(points)
         out = np.asarray(self.func(pts), dtype=float)
         expected = (pts.shape[0], self.fiber_rep.dim)
         if out.shape != expected:

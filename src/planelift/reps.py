@@ -8,6 +8,11 @@ component of a coset permutation representation (A4 on the cosets of Z3,
 A5 on the cosets of Z5) or, for A5's ``std4``, of ``icosa3a * icosa3b``.
 Character inner products then decompose arbitrary representations.
 
+``induce`` is the one construction of an induced representation. Every
+permutation representation here is ``induce`` of a trivial irrep: the coset
+actions of the trivial irrep of the subgroup, and the regular representation
+of the trivial irrep of the trivial subgroup.
+
 Everything is immutable after construction.
 """
 
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, SubgroupEmbedding, _same_group, coset_decomposition,
-                     named_embedding)
+from .groups import (CosetDecomposition, FiniteGroup, SubgroupEmbedding, _same_group,
+                     build_group, coset_decomposition, named_embedding, subgroup_embedding)
 
 __all__ = [
     "Representation",
@@ -29,6 +34,7 @@ __all__ = [
     "trivial_representation",
     "decompose",
     "direct_sum",
+    "induce",
     "tensor_product",
     "conjugate",
     "hom_dimension",
@@ -127,18 +133,9 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # irrep constructions
 
-def _point_action_matrices(group: FiniteGroup, orbit_of: np.ndarray, n_points: int) -> np.ndarray:
-    """Permutation matrices for a left action given as ``orbit_of[g, point]``."""
-    mats = np.zeros((group.order, n_points, n_points))
-    mats[np.arange(group.order)[:, None], orbit_of, np.arange(n_points)] = 1.0
-    return mats
-
-
-def _coset_action(group: FiniteGroup, embedding: SubgroupEmbedding) -> Representation:
-    """Permutation rep of ``group`` on the left cosets of an embedded subgroup:
-    the trivial irrep of that subgroup, induced."""
-    cosets = coset_decomposition(embedding)
-    return Representation(group, _point_action_matrices(group, cosets.perm, cosets.n_cosets))
+def _coset_action(embedding: SubgroupEmbedding) -> Representation:
+    """Permutation rep of the parent on the left cosets of an embedded subgroup."""
+    return induce(trivial_representation(embedding.sub), coset_decomposition(embedding))
 
 
 def _project_irrep(rep: Representation, class_char: np.ndarray,
@@ -164,18 +161,14 @@ def _project_irrep(rep: Representation, class_char: np.ndarray,
     return Representation(group, mats, label)
 
 
-def _cyclic_table(group: FiniteGroup) -> IrrepTable:
+def _cyclic_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
     n = group.order
     omega = np.exp(2j * np.pi / n)
-    irreps = []
-    for k in range(n):
-        mats = np.array([[[omega ** (k * j)]] for j in range(n)])
-        irreps.append(Representation(group, mats, f"chi{k}"))
-    chars = np.array([r.character() for r in irreps])
-    return IrrepTable(group, tuple(irreps), chars)
+    return tuple(Representation(group, np.array([[[omega ** (k * j)]] for j in range(n)]),
+                                f"chi{k}") for k in range(n))
 
 
-def _a4_table(group: FiniteGroup) -> IrrepTable:
+def _a4_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
     # the quotient by V4 is Z3; its characters are class functions, so the
     # exponent t is 1 on the class of (1,2,3), 2 on that of its square, else 0
     gen = group.element_index("(1,2,3)")
@@ -187,14 +180,11 @@ def _a4_table(group: FiniteGroup) -> IrrepTable:
     chi_p = Representation(group, np.array([[[omega ** k]] for k in t]), "omega_plus")
     chi_m = Representation(group, np.array([[[omega ** (-k)]] for k in t]), "omega_minus")
     # A4 on the 4 cosets of Z3 is triv + std3
-    cosets4 = _coset_action(group, named_embedding("Z3", group.name))
-    std = _project_irrep(cosets4, cosets4.character() - 1, 3, "std3")
-    irreps = (triv, chi_p, chi_m, std)
-    chars = np.array([r.character() for r in irreps])
-    return IrrepTable(group, irreps, chars)
+    cosets4 = _coset_action(named_embedding("Z3", group.name))
+    return triv, chi_p, chi_m, _project_irrep(cosets4, cosets4.character() - 1, 3, "std3")
 
 
-def _a5_table(group: FiniteGroup) -> IrrepTable:
+def _a5_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     triv = trivial_representation(group)
 
@@ -225,15 +215,12 @@ def _a5_table(group: FiniteGroup) -> IrrepTable:
 
     # A5 on the 12 cosets of Z5 is triv + icosa3a + icosa3b + pair5, and
     # icosa3a * icosa3b is std4 + pair5
-    cosets12 = _coset_action(group, z5)
+    cosets12 = _coset_action(z5)
     irr3a = _project_irrep(cosets12, chi3a, 3, "icosa3a")
     irr3b = _project_irrep(cosets12, chi3b, 3, "icosa3b")
     irr5 = _project_irrep(cosets12, chi5, 5, "pair5")
     std4 = _project_irrep(tensor_product(irr3a, irr3b), chi4, 4, "std4")
-
-    irreps = (triv, irr3a, irr3b, std4, irr5)
-    chars = np.array([r.character() for r in irreps])
-    return IrrepTable(group, irreps, chars)
+    return triv, irr3a, irr3b, std4, irr5
 
 
 def irrep_table(group: FiniteGroup) -> IrrepTable:
@@ -245,12 +232,14 @@ def irrep_table(group: FiniteGroup) -> IrrepTable:
     if group.order > 120:
         raise ValueError("irreps unavailable: group order exceeds 120")
     if group.name.startswith("Z") and group.name[1:].isdigit():
-        return _cyclic_table(group)
-    if group.name == "A4":
-        return _a4_table(group)
-    if group.name == "A5":
-        return _a5_table(group)
-    raise ValueError(f"irreps unavailable for group {group.name!r}")
+        irreps = _cyclic_irreps(group)
+    elif group.name == "A4":
+        irreps = _a4_irreps(group)
+    elif group.name == "A5":
+        irreps = _a5_irreps(group)
+    else:
+        raise ValueError(f"irreps unavailable for group {group.name!r}")
+    return IrrepTable(group, irreps, np.array([r.character() for r in irreps]))
 
 
 def trivial_representation(group: FiniteGroup) -> Representation:
@@ -258,9 +247,10 @@ def trivial_representation(group: FiniteGroup) -> Representation:
 
 
 def regular_representation(group: FiniteGroup) -> Representation:
-    """Left translation acting on functions over the group."""
-    return Representation(group, _point_action_matrices(group, group.mul, group.order),
-                          "regular")
+    """Left translation acting on functions over the group: the trivial irrep
+    of the trivial subgroup, induced."""
+    emb = subgroup_embedding(build_group("trivial"), group, [group.identity])
+    return Representation(group, _coset_action(emb).matrices, "regular")
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +286,25 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     mats[:, :da, :da] = a.matrices
     mats[:, da:, da:] = b.matrices
     return Representation(a.group, mats, f"{a.label}+{b.label}")
+
+
+def induce(rep: Representation, cosets: CosetDecomposition) -> Representation:
+    """Induce a subgroup representation up to the parent group.
+
+    The induced space is one copy of the representation space per left
+    coset; ``g`` maps copy ``i`` onto copy ``perm[g, i]`` through the
+    subgroup matrix of ``factor[g, i]``, so the matrix of ``g`` holds that
+    block at block position ``(perm[g, i], i)`` and zeros elsewhere. Output
+    dimension is the coset index times the input dimension.
+    """
+    if not _same_group(rep.group, cosets.embedding.sub):
+        raise ValueError("representation is not defined on the embedding's subgroup")
+    parent, m, d = cosets.embedding.parent, cosets.n_cosets, rep.dim
+    # axes (g, block row, row, block col, col): one scatter places every block
+    mats = np.zeros((parent.order, m, d, m, d), dtype=np.complex128)
+    mats[np.arange(parent.order)[:, None], cosets.perm, :, np.arange(m), :] = \
+        rep.matrices[cosets.factor]
+    return Representation(parent, mats.reshape(parent.order, m * d, m * d), f"Ind({rep.label})")
 
 
 def tensor_product(a: Representation, b: Representation) -> Representation:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import CosetDecomposition, coset_decomposition, named_embedding
-from .induce_restrict import induce
-from .reps import Representation, irrep_table
+from .reps import Representation, induce, irrep_table
 
 __all__ = [
     "TriangleFilterBank",
@@ -99,11 +98,11 @@ def induced_block_matrices(label: str,
                            cosets: CosetDecomposition | None = None) -> Representation:
     """The 4x4 matrices of the tetrahedron action induced from one irrep.
 
-    This is :func:`planelift.induce_restrict.induce` of the named triangle
-    irrep over the coset decomposition: the matrix of ``g`` has the scalar
-    ``rho(factor[g, i])`` at position ``(perm[g, i], i)`` and zeros
-    elsewhere, and realizes the action of the tetrahedron group on the
-    stacked coefficients.
+    This is :func:`planelift.reps.induce` of the named triangle irrep over
+    the coset decomposition, the library's one induction: the matrix of
+    ``g`` has the scalar ``rho(factor[g, i])`` at position
+    ``(perm[g, i], i)`` and zeros elsewhere, and realizes the action of the
+    tetrahedron group on the stacked coefficients.
     """
     cosets = cosets or fixture_cosets()
     return induce(irrep_table(cosets.embedding.sub).by_label(label), cosets)

@@ -91,6 +91,35 @@ def test_induce_command(capsys):
     assert code == 2
 
 
+def test_branch_builds_only_the_table_it_prints(capsys, monkeypatch):
+    from planelift import induce_restrict
+
+    def unused(cosets):
+        raise AssertionError("branch built the induction table, which it does not print")
+
+    monkeypatch.setattr(induce_restrict, "induction_table", unused)
+    for fmt in ("json", "csv"):
+        code, _ = _run(capsys, ["branch", "--group", "A5", "--subgroup", "Z5", "--format", fmt])
+        assert code == 0
+
+
+def test_induce_command_induces_only_the_named_irrep(capsys, monkeypatch):
+    from planelift import induce_restrict
+
+    real, calls = induce_restrict.induce, []
+
+    def counted(rep, cosets):
+        calls.append(rep.label)
+        return real(rep, cosets)
+
+    # the irrep tables induce their coset actions through reps, which stays unpatched
+    monkeypatch.setattr(induce_restrict, "induce", counted)
+    code, out = _run(capsys, ["induce", "--from", "Z5", "--to", "A5", "--irrep", "chi2",
+                              "--format", "csv"])
+    assert code == 0 and calls == ["chi2"]
+    assert out.splitlines() == ["irrep,multiplicity", "icosa3b,1", "pair5,1", "std4,1"]
+
+
 def test_frobenius_and_completeness_pass(capsys):
     code, out = _run(capsys, ["frobenius", "--group", "A4", "--subgroup", "Z3"])
     assert code == 0

@@ -766,14 +766,34 @@ def test_response_rejects_bad_points_and_non_finite_input_before_evaluating(monk
     monkeypatch.setattr(SteerableKernelBasis, "evaluate_all", unreachable)
     pts, vals = np.full((4, 2), 0.25), np.ones((4, 1, 1))
     # a third column would be dropped silently, lifting other points than given
-    with pytest.raises(ValueError, match=r"points must have shape \(N, 2\), got \(4, 3\)"):
+    with pytest.raises(ValueError,
+                       match=r"points must be a finite \(N, 2\) array, got shape \(4, 3\)"):
         sphere.response(np.ones((4, 3)), vals)
     nan_pts, nan_vals = pts.copy(), vals.copy()
     nan_pts[1, 0], nan_vals[2, 0, 0] = np.nan, np.inf
-    for p, v in ((nan_pts, vals), (pts, nan_vals)):
-        with pytest.raises(ValueError, match="points and values must be finite"):
+    for p, v, message in ((nan_pts, vals, "points must be a finite"),
+                          (pts, nan_vals, "values must be finite")):
+        with pytest.raises(ValueError, match=message):
             sphere.response(p, v)
 
+
+
+@pytest.mark.parametrize("bad", ["third column", "nan", "inf"])
+def test_kernel_evaluators_reject_bad_points(bad):
+    # a third column used to be dropped silently and a NaN point to give NaN values
+    pts = np.full((4, 2), 0.25)
+    if bad == "third column":
+        pts = np.full((4, 3), 0.25)
+    else:
+        pts[2, 1] = float(bad)
+    kernel = build_induction_kernel(_SCALAR, 1, 1, _RADIAL)
+    weights = np.ones(kernel.weight_count)
+    evaluators = (lambda: kernel.bases[0].evaluate_all(pts),
+                  lambda: kernel.coefficient_blocks(weights, pts),
+                  lambda: kernel.kappa(weights, Rotation3(0.1, 0.2, 0.3), pts))
+    for evaluate in evaluators:
+        with pytest.raises(ValueError, match=r"points must be a finite \(N, 2\) array"):
+            evaluate()
 
 @lru_cache(maxsize=None)
 def _oracle_sphere(fiber, lmax):
