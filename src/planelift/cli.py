@@ -81,7 +81,7 @@ def _cmd_groups(args) -> int:
                               for cls in group.conjugacy_classes],
     }
     if args.subgroup:
-        emb = named_embedding(args.subgroup, args.name)
+        emb = named_embedding(args.subgroup, group)
         cos = coset_decomposition(emb)
         payload["cosets"] = {
             "index": emb.index,

@@ -108,6 +108,11 @@ class FiniteGroup:
                 return idx
         raise ValueError(f"element {g} not in any conjugacy class")
 
+    def __eq__(self, other) -> bool:
+        """Equal groups share one multiplication table. Names are not compared:
+        every raw table is named ``"custom"``."""
+        return isinstance(other, FiniteGroup) and np.array_equal(self.mul, other.mul)
+
     def __repr__(self) -> str:  # keep reprs short; tables are large
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
@@ -232,12 +237,6 @@ def _alternating(n: int) -> FiniteGroup:
 _MAX_ORDER = 120
 
 
-def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Whether two groups share one multiplication table. Names are not
-    compared: every raw table is named ``"custom"``."""
-    return a is b or np.array_equal(a.mul, b.mul)
-
-
 def build_group(spec: str | np.ndarray) -> FiniteGroup:
     """Build a named group or validate an explicit multiplication table.
 
@@ -300,27 +299,28 @@ def subgroup_embedding(sub: FiniteGroup, parent: FiniteGroup,
 _GENERATOR_LABEL = {("Z3", "A4"): "(1,2,3)", ("Z5", "A5"): "(1,2,3,4,5)"}
 
 
-def named_embedding(sub_name: str, parent_name: str) -> SubgroupEmbedding:
-    """Canonical embedding between named groups.
+def named_embedding(sub_name: str, parent: FiniteGroup | str) -> SubgroupEmbedding:
+    """Canonical embedding of a named group into ``parent``, a name or a group.
 
-    Supported: any group into itself, the trivial group into anything,
-    ``Zm`` into ``Zn`` when ``m`` divides ``n``, ``Z3`` into ``A4`` and
-    ``Z5`` into ``A5`` (generated by a single rotation cycle).
+    A given group is used as it is: the embedding's ``parent`` is that object.
+    Supported: any named group into itself, the trivial group into anything
+    (raw tables too), ``Zm`` into ``Zn`` when ``m`` divides ``n``, ``Z3``
+    into ``A4`` and ``Z5`` into ``A5`` (generated by a single rotation cycle).
     """
-    parent = build_group(parent_name)
-    if sub_name == parent_name:
+    parent = build_group(parent) if isinstance(parent, str) else parent
+    if sub_name == parent.name and sub_name != "custom":  # "custom" names no group
         return subgroup_embedding(parent, parent, np.arange(parent.order))
     sub = build_group(sub_name)
-    key = (sub_name, parent_name)
+    key = (sub_name, parent.name)
     if sub.order == 1:
         gen = parent.identity
     elif key in _GENERATOR_LABEL:
         gen = parent.element_index(_GENERATOR_LABEL[key])
-    elif sub_name.startswith("Z") and parent_name.startswith("Z") \
+    elif sub_name.startswith("Z") and parent.name.startswith("Z") \
             and parent.order % sub.order == 0:
         gen = parent.order // sub.order  # element n/m of Zn generates Zm
     else:
-        raise ValueError(f"no canonical embedding of {sub_name!r} into {parent_name!r}")
+        raise ValueError(f"no canonical embedding of {sub_name!r} into {parent.name!r}")
     return subgroup_embedding(sub, parent, [parent.power(gen, k) for k in range(sub.order)])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CosetDecomposition, SubgroupEmbedding, _same_group, coset_decomposition
+from .groups import CosetDecomposition, SubgroupEmbedding, coset_decomposition
 from .reps import (
     Decomposition,
     IrrepTable,
@@ -65,7 +65,7 @@ InductionTable = BranchingTable
 
 def restrict(rep: Representation, embedding: SubgroupEmbedding) -> Representation:
     """Evaluate a parent-group representation on the embedded subgroup."""
-    if not _same_group(rep.group, embedding.parent):
+    if rep.group != embedding.parent:
         raise ValueError("representation is not defined on the embedding's parent group")
     return Representation(embedding.sub, rep.matrices[embedding.embed],
                           f"Res({rep.label})")

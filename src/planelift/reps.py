@@ -9,9 +9,10 @@ A5 on the cosets of Z5) or, for A5's ``std4``, of ``icosa3a * icosa3b``.
 Character inner products then decompose arbitrary representations.
 
 ``induce`` is the one construction of an induced representation. Every
-permutation representation here is ``induce`` of a trivial irrep: the coset
-actions of the trivial irrep of the subgroup, and the regular representation
-of the trivial irrep of the trivial subgroup.
+permutation representation here is ``induce`` of a trivial irrep over a
+subgroup that ``named_embedding`` embeds into the caller's group, so every
+irrep of ``irrep_table(G)`` and ``regular_representation(G)`` lives on ``G``.
+Two groups are equal (``==``) when their multiplication tables are.
 
 Everything is immutable after construction.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (CosetDecomposition, FiniteGroup, SubgroupEmbedding, _same_group,
-                     build_group, coset_decomposition, named_embedding, subgroup_embedding)
+from .groups import (CosetDecomposition, FiniteGroup, SubgroupEmbedding, coset_decomposition,
+                     named_embedding)
 
 __all__ = [
     "Representation",
@@ -59,6 +60,10 @@ class Representation:
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrices, dtype=np.complex128)
+        if m.ndim != 3 or m.shape[0] != self.group.order or m.shape[1] != m.shape[2]:
+            raise ValueError(f"matrices have shape {m.shape}; expected ({self.group.order}, d, d)")
+        if not np.isfinite(m).all():
+            raise ValueError(f"matrices of shape {m.shape} have non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
 
@@ -171,8 +176,8 @@ def _cyclic_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
 def _a4_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
     # the quotient by V4 is Z3; its characters are class functions, so the
     # exponent t is 1 on the class of (1,2,3), 2 on that of its square, else 0
-    gen = group.element_index("(1,2,3)")
-    exponent = {group.class_of(group.power(gen, k)): k for k in (1, 2)}
+    z3 = named_embedding("Z3", group)  # embed[k] is (1,2,3)^k
+    exponent = {group.class_of(int(z3.embed[k])): k for k in (1, 2)}
     t = [exponent.get(group.class_of(g), 0) for g in range(group.order)]
     omega = np.exp(2j * np.pi / 3)
 
@@ -180,7 +185,7 @@ def _a4_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
     chi_p = Representation(group, np.array([[[omega ** k]] for k in t]), "omega_plus")
     chi_m = Representation(group, np.array([[[omega ** (-k)]] for k in t]), "omega_minus")
     # A4 on the 4 cosets of Z3 is triv + std3
-    cosets4 = _coset_action(named_embedding("Z3", group.name))
+    cosets4 = _coset_action(z3)
     return triv, chi_p, chi_m, _project_irrep(cosets4, cosets4.character() - 1, 3, "std3")
 
 
@@ -195,7 +200,7 @@ def _a5_irreps(group: FiniteGroup) -> tuple[Representation, ...]:
         while g != group.identity:
             g, k = int(group.mul[g, cls[0]]), k + 1
         orders.append(k)
-    z5 = named_embedding("Z5", group.name)  # generated by the reference 5-cycle
+    z5 = named_embedding("Z5", group)  # generated by the reference 5-cycle
     five_a = group.class_of(int(z5.embed[1]))
     five_b = next(c for c, k in enumerate(orders) if k == 5 and c != five_a)
     class2 = orders.index(2)
@@ -239,7 +244,9 @@ def irrep_table(group: FiniteGroup) -> IrrepTable:
         irreps = _a5_irreps(group)
     else:
         raise ValueError(f"irreps unavailable for group {group.name!r}")
-    return IrrepTable(group, irreps, np.array([r.character() for r in irreps]))
+    characters = np.array([r.character() for r in irreps])
+    characters.setflags(write=False)
+    return IrrepTable(group, irreps, characters)
 
 
 def trivial_representation(group: FiniteGroup) -> Representation:
@@ -249,8 +256,8 @@ def trivial_representation(group: FiniteGroup) -> Representation:
 def regular_representation(group: FiniteGroup) -> Representation:
     """Left translation acting on functions over the group: the trivial irrep
     of the trivial subgroup, induced."""
-    emb = subgroup_embedding(build_group("trivial"), group, [group.identity])
-    return Representation(group, _coset_action(emb).matrices, "regular")
+    return Representation(group, _coset_action(named_embedding("trivial", group)).matrices,
+                          "regular")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,7 @@ def regular_representation(group: FiniteGroup) -> Representation:
 
 def decompose(rep: Representation, table: IrrepTable) -> Decomposition:
     """Multiplicities of each irrep via character inner products."""
-    if not _same_group(rep.group, table.group):
+    if rep.group != table.group:
         raise ValueError("representation and irrep table refer to different groups")
     sizes = np.array([len(c) for c in table.group.conjugacy_classes])
     chi = rep.character()
@@ -279,7 +286,7 @@ def decompose(rep: Representation, table: IrrepTable) -> Decomposition:
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
-    if not _same_group(a.group, b.group):
+    if a.group != b.group:
         raise ValueError("direct sum requires representations of the same group")
     da, db = a.dim, b.dim
     mats = np.zeros((a.group.order, da + db, da + db), dtype=np.complex128)
@@ -297,7 +304,7 @@ def induce(rep: Representation, cosets: CosetDecomposition) -> Representation:
     block at block position ``(perm[g, i], i)`` and zeros elsewhere. Output
     dimension is the coset index times the input dimension.
     """
-    if not _same_group(rep.group, cosets.embedding.sub):
+    if rep.group != cosets.embedding.sub:
         raise ValueError("representation is not defined on the embedding's subgroup")
     parent, m, d = cosets.embedding.parent, cosets.n_cosets, rep.dim
     # axes (g, block row, row, block col, col): one scatter places every block
@@ -308,7 +315,7 @@ def induce(rep: Representation, cosets: CosetDecomposition) -> Representation:
 
 
 def tensor_product(a: Representation, b: Representation) -> Representation:
-    if not _same_group(a.group, b.group):
+    if a.group != b.group:
         raise ValueError("tensor product requires representations of the same group")
     mats = np.einsum("gij,gkl->gikjl", a.matrices, b.matrices)
     d = a.dim * b.dim

@@ -24,6 +24,15 @@ def test_groups_show(capsys):
     assert len(payload["cosets"]["representatives"]) == 4
 
 
+def test_groups_show_embeds_into_the_group_it_built(capsys, monkeypatch):
+    from planelift import groups
+
+    built, build = [], groups.build_group
+    monkeypatch.setattr(groups, "build_group", lambda spec: built.append(spec) or build(spec))
+    code, _ = _run(capsys, ["groups", "show", "A5", "--subgroup", "Z5"])
+    assert code == 0 and built == ["A5", "Z5"]
+
+
 def test_decompose_regular(capsys, tmp_path):
     csv_path = tmp_path / "chars.csv"
     code, out = _run(capsys, ["decompose", "--group", "A4", "--rep", "regular",

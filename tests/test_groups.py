@@ -196,3 +196,24 @@ def test_explicit_representatives_respected():
         for i in range(4):
             assert g_mul[g, alt.reps[i]] == g_mul[alt.reps[alt.perm[g, i]],
                                                   emb.embed[alt.factor[g, i]]]
+
+
+def test_groups_are_equal_when_their_tables_are():
+    a4 = build_group("A4")
+    raw_copy = build_group(np.asarray(a4.mul))
+    assert raw_copy.name == "custom" and a4 == raw_copy and build_group("A4") == a4
+    assert a4 != build_group("Z12") and not a4 == build_group("Z12")
+    assert a4 != "A4" and not a4 == "A4"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a4)
+
+
+def test_named_embedding_into_a_raw_table():
+    v4 = build_group(np.bitwise_xor.outer(np.arange(4), np.arange(4)))
+    trivial = named_embedding("trivial", v4)
+    assert trivial.parent is v4 and list(trivial.embed) == [v4.identity]
+    # "custom" is the name raw tables carry, not a group name
+    with pytest.raises(ValueError, match="unknown group name 'custom'"):
+        named_embedding("custom", v4)
+    with pytest.raises(ValueError, match="no canonical embedding of 'Z2' into 'custom'"):
+        named_embedding("Z2", v4)

@@ -106,6 +106,15 @@ def test_induce_matches_block_loop(case):
         assert induced.group is emb.parent and induced.label == f"Ind({rep.label})"
 
 
+@pytest.mark.parametrize("case", [c for c in sorted(_CASES) if " " not in c])
+def test_named_embedding_uses_the_given_parent(case):
+    sub, parent = case.split("<")
+    group = build_group(parent)
+    emb = named_embedding(sub, group)
+    assert emb.parent is group
+    assert np.array_equal(emb.embed, _CASES[case]()[0].embed)
+
+
 @pytest.mark.parametrize("case", ["Z3<A4", "Z5<A5", "tetra fixture"])
 def test_coset_action_matches_point_scatter(case):
     emb, explicit = _CASES[case]()

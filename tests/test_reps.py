@@ -8,6 +8,7 @@ import pytest
 
 import planelift
 
+from planelift import groups
 from planelift.groups import build_group
 from planelift.reps import (
     Representation,
@@ -252,3 +253,37 @@ def test_separately_built_groups_with_one_table_are_compatible():
     total = direct_sum(regular_representation(first), trivial_representation(second))
     assert tensor_product(total, trivial_representation(second)).dim == 13
     assert decompose(total, irrep_table(second)).multiplicities["triv"] == 2
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z7", "A4", "A5"])
+def test_irreps_live_on_the_given_group(name):
+    # test_regular_representation_matches_point_scatter checks the regular one
+    group = build_group(name)
+    assert all(irrep.group is group for irrep in irrep_table(group).irreps)
+
+
+@pytest.mark.parametrize("name, subgroup", [("A4", "Z3"), ("A5", "Z5")])
+def test_irrep_table_builds_only_its_subgroup(monkeypatch, name, subgroup):
+    group, built = build_group(name), []
+    build = groups.build_group
+    monkeypatch.setattr(groups, "build_group", lambda spec: built.append(spec) or build(spec))
+    irrep_table(group)
+    assert built == [subgroup]
+
+
+@pytest.mark.parametrize("matrices, message", [
+    (np.ones((2, 1, 1)), r"shape \(2, 1, 1\); expected \(3, d, d\)"),
+    (np.ones((3, 1, 2)), r"shape \(3, 1, 2\); expected \(3, d, d\)"),
+    (np.ones((3, 1)), r"shape \(3, 1\); expected \(3, d, d\)"),
+    (np.full((3, 1, 1), np.nan), r"shape \(3, 1, 1\) have non-finite entries"),
+    (np.array([1.0, np.inf, 1.0]).reshape(3, 1, 1), "non-finite entries"),
+])
+def test_malformed_matrices_are_rejected_at_construction(matrices, message):
+    with pytest.raises(ValueError, match=message):
+        Representation(build_group("Z3"), matrices)
+
+
+def test_irrep_table_characters_are_read_only():
+    table = irrep_table(build_group("A4"))
+    with pytest.raises(ValueError, match="read-only"):
+        table.characters[0, 0] = 2.0
