@@ -77,6 +77,7 @@ def _multiplicity_table(sources: IrrepTable, lift: Callable[[Representation], Re
     cols = targets.labels()
     mults = [decompose(lift(irrep), targets).multiplicities for irrep in sources.irreps]
     entries = np.array([[m.get(lbl, 0) for lbl in cols] for m in mults], dtype=np.int64)
+    entries.setflags(write=False)
     return BranchingTable(sources.labels(), cols, entries)
 
 

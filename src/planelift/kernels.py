@@ -40,6 +40,7 @@ from .so2_so3 import (
     MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
+    _check_array,
     _check_int,
     restrict_wigner,
     so2_block,
@@ -68,12 +69,10 @@ _LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest
 
 
 def _check_points(points) -> np.ndarray:
-    """Planar points as a float (N, 2) array. A third column or a non-finite
-    coordinate is an error, never dropped or carried into the output."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
-        raise ValueError(f"points must be a finite (N, 2) array, got shape {pts.shape}")
-    return pts
+    """Planar points as a read-only float (N, 2) array; one point may come as
+    (2,). A third column or a non-finite coordinate is an error, never
+    dropped or carried into the output."""
+    return _check_array("points", np.atleast_2d(points), ("N", 2))
 
 
 @dataclass(frozen=True)
@@ -327,6 +326,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     solutions: list[_AngularSolution] = []
     eye = np.eye(dd)
     zero = np.zeros((d_out, d_in))  # the sine block of every m = 0 solution
+    zero.setflags(write=False)
     for m in range(m_max + 1):
         # each angle's rows act on the cosine coefficients, at m > 0 stacked with the sine ones
         rows = np.cos(m * thetas)[:, None, None] * eye - conjugations
@@ -338,6 +338,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
         smax = max(svals[0], 1.0) if len(svals) else 1.0
         # a copy, so the solutions do not keep the whole of ``vt`` alive
         null = vt[np.sum(svals > NULL_TOL * smax):].copy()
+        null.setflags(write=False)  # every solution block is a read-only view of it
         for vec in null:
             sin = vec[dd:].reshape(d_out, d_in) if m else zero
             solutions.append(_AngularSolution(m, vec[:dd].reshape(d_out, d_in), sin))
@@ -454,12 +455,7 @@ class InductionKernel:
         row-major (2l+1, count_l) per degree, for an SO(3) kernel."""
         shape = ((self.out_channels, self.weight_count) if self.space == "sphere"
                  else (self.weight_count,))
-        w = np.asarray(weights, dtype=float)
-        if w.shape != shape:
-            raise ValueError(f"weights must have shape {shape}, got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        return w
+        return _check_array("weights", weights, shape)
 
     def _split(self, weights: np.ndarray) -> list[np.ndarray]:
         """Per-degree weight blocks, shape (out_channels, rows, count_l)."""
@@ -518,13 +514,8 @@ class InductionKernel:
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
         pts = _check_points(points)
-        vals = np.asarray(values, dtype=float)
         d = self.fiber_in.dim
-        if vals.ndim != 3 or vals.shape[0] != len(pts) or vals.shape[2] != d:
-            raise ValueError(f"values must have shape (points, fields, {d}) with "
-                             f"{len(pts)} points, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+        vals = _check_array("values", values, (len(pts), "fields", d))
         nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0
@@ -583,7 +574,9 @@ def _build(fiber_in: SO2RepSpec, out_ells: tuple[int, ...], lmax: int, radial: R
     for ell in range(lmax + 1):
         spec, t = _tensor_with_harmonics(ell, fiber_in)
         bases.append(solve_so2_basis(spec, out_spec, radial, m_max))
+        t.setflags(write=False)
         transforms.append(t)
+    out_t.setflags(write=False)
     return InductionKernel(fiber_in, tuple(out_ells), lmax, tuple(bases),
                            tuple(transforms), out_t, out_channels, space,
                            tuple(float(z) for z in heights))

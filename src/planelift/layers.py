@@ -41,6 +41,7 @@ from .so2_so3 import (
     MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
+    _check_array,
     _check_int,
     _wigner_grid_dot,
     so2_block,
@@ -81,13 +82,8 @@ class PlanarFeatureField:
     fiber_rep: SO2RepSpec
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[2] != self.fiber_rep.dim:
-            raise ValueError("values must be (H, W, fiber_dim)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
+        v = _check_array("field values", self.values, ("H", "W", self.fiber_rep.dim))
         _check_spacing(self.spacing)
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -123,14 +119,8 @@ class AnalyticField:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = _check_points(points)
-        out = np.asarray(self.func(pts), dtype=float)
-        expected = (pts.shape[0], self.fiber_rep.dim)
-        if out.shape != expected:
-            raise ValueError(f"field function returned shape {out.shape}, "
-                             f"expected (points, fiber dim) = {expected}")
-        if not np.all(np.isfinite(out)):
-            raise ValueError("field function returned non-finite values")
-        return out
+        return _check_array("field function output", self.func(pts),
+                            (len(pts), self.fiber_rep.dim))
 
     def sample(self, n: int, spacing: float) -> PlanarFeatureField:
         """Sample on the n x n grid of the given spacing centered on the origin."""
@@ -257,11 +247,9 @@ class SphericalSignal:
 
     def __post_init__(self):
         _check_int("lmax", self.lmax, 0, MAX_ELL)
-        c = np.ascontiguousarray(np.atleast_2d(self.coeffs), dtype=float)
-        if c.ndim != 2 or c.shape[1] != (self.lmax + 1) ** 2 or not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite, one channel or (channels, (lmax+1)^2)")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        # one channel may come as a vector
+        object.__setattr__(self, "coeffs", _check_array(
+            "coefficients", np.atleast_2d(self.coeffs), ("channels", (self.lmax + 1) ** 2)))
 
     @property
     def channels(self) -> int:
@@ -364,14 +352,8 @@ class SO3Grid(Sequence):
     """
 
     def __init__(self, alphas, betas, gammas):
-        axes = []
-        for axis in (alphas, betas, gammas):
-            arr = np.array(axis, dtype=float).ravel()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("grid angles must be finite")
-            arr.setflags(write=False)
-            axes.append(arr)
-        self.alphas, self.betas, self.gammas = axes
+        self.alphas, self.betas, self.gammas = (_check_array("grid angles", np.ravel(axis), ("n",))
+                                                for axis in (alphas, betas, gammas))
         if np.any((self.betas < 0.0) | (self.betas > np.pi)):
             raise ValueError("grid betas must lie in [0, pi]")
 
@@ -405,16 +387,12 @@ class SO3Signal:
 
     def __post_init__(self):
         _check_int("lmax", self.lmax, 0, MAX_ELL)
-        blocks = tuple(np.asarray(blk, dtype=float) for blk in self.blocks)
+        blocks = tuple(self.blocks)
         if len(blocks) != self.lmax + 1:
             raise ValueError(f"need lmax + 1 = {self.lmax + 1} blocks, got {len(blocks)}")
-        for ell, blk in enumerate(blocks):
-            if blk.shape != (2 * ell + 1, 2 * ell + 1):
-                raise ValueError(f"block {ell} must have shape ({2 * ell + 1}, {2 * ell + 1}), "
-                                 f"got {blk.shape}")
-            if not np.all(np.isfinite(blk)):
-                raise ValueError(f"block {ell} has non-finite entries")
-        object.__setattr__(self, "blocks", blocks)
+        checked = (_check_array(f"block {ell}", blk, (2 * ell + 1,) * 2)
+                   for ell, blk in enumerate(blocks))
+        object.__setattr__(self, "blocks", tuple(checked))
 
     def evaluate(self, rotations: Sequence[Rotation3]) -> np.ndarray:
         if not isinstance(rotations, SO3Grid):

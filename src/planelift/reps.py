@@ -25,6 +25,7 @@ import numpy as np
 
 from .groups import (CosetDecomposition, FiniteGroup, SubgroupEmbedding, coset_decomposition,
                      named_embedding)
+from .so2_so3 import _check_array
 
 __all__ = [
     "Representation",
@@ -59,13 +60,8 @@ class Representation:
         return int(self.matrices.shape[1])
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrices, dtype=np.complex128)
-        if m.ndim != 3 or m.shape[0] != self.group.order or m.shape[1] != m.shape[2]:
-            raise ValueError(f"matrices have shape {m.shape}; expected ({self.group.order}, d, d)")
-        if not np.isfinite(m).all():
-            raise ValueError(f"matrices of shape {m.shape} have non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
+        object.__setattr__(self, "matrices", _check_array(
+            "matrices", self.matrices, (self.group.order, "d", "d"), np.complex128))
 
     def character(self) -> np.ndarray:
         """Character per conjugacy class, evaluated at class representatives."""

@@ -25,8 +25,13 @@ product grid at once: ``_wigner_grid_dot`` reads it separably (one ``Y_l``
 per grid beta, then one matrix product per z-factor); a single rotation is
 the one-cell grid.
 
-The package's one integer rule lives here: ``_check_int`` rejects every degree,
-band, frequency, count and size outside its integer range, naming the parameter.
+The package's one integer rule and one array rule live here. ``_check_int``
+rejects every degree, band, frequency, count and size outside its integer
+range, naming the parameter. ``_check_array`` takes in every array a library
+value or function is given: it rejects a complex value for a real array, a
+shape off its spec (an int fixes an axis, a name marks a free non-empty axis)
+and a non-finite entry, and returns a read-only copy, so the caller's array
+stays its own.
 """
 
 from __future__ import annotations
@@ -59,6 +64,27 @@ def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
     if not (isinstance(value, Integral) and low <= value and (high is None or value <= high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_array(name: str, value, shape: tuple, dtype=float) -> np.ndarray:
+    """A read-only C-ordered copy of ``value`` in ``dtype``, rejected unless it
+    is exact in ``dtype`` (no complex value for a real array), finite and of
+    ``shape``: an int fixes an axis, a str names a free non-empty axis, and
+    axes with the same name must agree."""
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr) and np.dtype(dtype).kind != "c":
+        raise ValueError(f"{name} must be real")
+    sizes: dict[str, int] = {}
+    if arr.ndim != len(shape) or not all(
+            (n > 0 and sizes.setdefault(axis, n) == n) if isinstance(axis, str) else n == axis
+            for axis, n in zip(shape, arr.shape)):
+        spec = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({spec}), got {arr.shape}")
+    out = arr.astype(dtype, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    out.setflags(write=False)
+    return out
 
 
 def _as_zyz(quat) -> tuple[float, float, float]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .groups import CosetDecomposition, coset_decomposition, named_embedding
 from .reps import Representation, induce, irrep_table
+from .so2_so3 import _check_array
 
 __all__ = [
     "TriangleFilterBank",
@@ -51,11 +52,8 @@ class TriangleFilterBank:
     values: np.ndarray  # (4, 3, K) complex
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.shape[:2] != (4, 3):
-            raise ValueError("bank must hold four filters over the three triangle rotations")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values",
+                           _check_array("bank values", self.values, (4, 3, "K"), np.complex128))
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,7 @@ def bank_from_irrep(label: str, coeffs: np.ndarray,
     cosets = cosets or fixture_cosets()
     sub = cosets.embedding.sub
     rho = irrep_table(sub).by_label(label)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape[0] != 4:
-        raise ValueError("need one coefficient vector per filter")
+    coeffs = _check_array("coeffs", coeffs, (4, "K"), np.complex128)  # one vector per filter
     vals = np.empty((4, 3, coeffs.shape[1]), dtype=np.complex128)
     for h in range(3):
         scale = rho.matrices[sub.inv[h], 0, 0]
@@ -91,7 +87,9 @@ def tetra_induce(bank: TriangleFilterBank,
                  cosets: CosetDecomposition | None = None) -> TetraFunction:
     """Stack the bank into a tetrahedron function via the coset factorization."""
     cosets = cosets or fixture_cosets()
-    return TetraFunction(bank.values[cosets.perm, cosets.factor], cosets)
+    values = bank.values[cosets.perm, cosets.factor]
+    values.setflags(write=False)
+    return TetraFunction(values, cosets)
 
 
 def induced_block_matrices(label: str,

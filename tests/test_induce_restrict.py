@@ -115,6 +115,13 @@ def test_branching_and_induction_tables():
     assert induction["chi0", "omega_plus"] == 0
 
 
+def test_multiplicity_tables_are_read_only():
+    emb, cos, _, _ = _setup("Z3", "A4")
+    for table in (branching_table(emb), induction_table(cos)):
+        with pytest.raises(ValueError, match="read-only"):
+            table.entries[0, 0] = 5
+
+
 def test_trivial_subgroup_induces_regular_multiplicities():
     emb, cos, parent_t, _ = _setup("Z1", "A4")
     induction = induction_table(cos)

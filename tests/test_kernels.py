@@ -767,23 +767,25 @@ def test_response_rejects_bad_points_and_non_finite_input_before_evaluating(monk
     pts, vals = np.full((4, 2), 0.25), np.ones((4, 1, 1))
     # a third column would be dropped silently, lifting other points than given
     with pytest.raises(ValueError,
-                       match=r"points must be a finite \(N, 2\) array, got shape \(4, 3\)"):
+                       match=r"points must have shape \(N, 2\), got \(4, 3\)"):
         sphere.response(np.ones((4, 3)), vals)
     nan_pts, nan_vals = pts.copy(), vals.copy()
     nan_pts[1, 0], nan_vals[2, 0, 0] = np.nan, np.inf
-    for p, v, message in ((nan_pts, vals, "points must be a finite"),
+    for p, v, message in ((nan_pts, vals, "points must be finite"),
                           (pts, nan_vals, "values must be finite")):
         with pytest.raises(ValueError, match=message):
             sphere.response(p, v)
 
 
 
-@pytest.mark.parametrize("bad", ["third column", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["third column", "nan", "inf", "empty"])
 def test_kernel_evaluators_reject_bad_points(bad):
     # a third column used to be dropped silently and a NaN point to give NaN values
     pts = np.full((4, 2), 0.25)
     if bad == "third column":
         pts = np.full((4, 3), 0.25)
+    elif bad == "empty":
+        pts = np.zeros((0, 2))
     else:
         pts[2, 1] = float(bad)
     kernel = build_induction_kernel(_SCALAR, 1, 1, _RADIAL)
@@ -792,8 +794,29 @@ def test_kernel_evaluators_reject_bad_points(bad):
                   lambda: kernel.coefficient_blocks(weights, pts),
                   lambda: kernel.kappa(weights, Rotation3(0.1, 0.2, 0.3), pts))
     for evaluate in evaluators:
-        with pytest.raises(ValueError, match=r"points must be a finite \(N, 2\) array"):
+        with pytest.raises(ValueError, match=r"points must (have shape \(N, 2\)|be finite)"):
             evaluate()
+
+
+def test_kernel_inputs_reject_complex_values():
+    # numpy would drop the imaginary part, even a zero one, with only a ComplexWarning
+    sphere = build_induction_kernel(_SCALAR, 1, 1, _RADIAL)
+    pts, vals, z = np.full((4, 2), 0.25), np.ones((4, 1, 1)), 1.0 + 0.0j
+    for call, name in ((lambda: sphere.response(pts * z, vals), "points"),
+                       (lambda: sphere.response(pts, vals * z), "values"),
+                       (lambda: sphere.check_weights(np.ones((1, sphere.weight_count)) * z),
+                        "weights")):
+        with pytest.raises(ValueError, match=f"^{name} must be real$"):
+            call()
+
+
+def test_solved_kernels_are_read_only():
+    kernel = build_so3_kernel(SO2RepSpec((0, 1)), (0, 1), 1, _RADIAL)
+    arrays = [kernel.out_transform, *kernel.transforms]
+    for basis in kernel.bases:
+        arrays += [a for sol in basis.angular for a in (sol.cos_coeff, sol.sin_coeff)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
 
 @lru_cache(maxsize=None)
 def _oracle_sphere(fiber, lmax):

@@ -400,13 +400,15 @@ def test_sample_rejects_bad_spacing(spacing):
 def test_field_call_rejects_wrong_output_shape(func, shape):
     field = AnalyticField(func, SO2RepSpec((0, 1)))
     pts = np.random.default_rng(0).normal(size=(5, 2))
-    with pytest.raises(ValueError, match=shape + r".*expected .*\(5, 3\)"):
+    with pytest.raises(ValueError, match=r"field function output must have shape \(5, 3\), got "
+                                         + shape):
         field(pts)
 
 
 def test_field_call_rejects_non_finite_values():
     field = AnalyticField(lambda p: 1.0 / p[:, :1], SO2RepSpec((0,)))
-    with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
+    with pytest.raises(ValueError, match="field function output must be finite"), \
+            np.errstate(divide="ignore"):
         field(np.array([[0.0, 1.0]]))
 
 
@@ -415,12 +417,13 @@ def test_field_call_rejects_non_finite_values():
     np.zeros((2, 2, 2)),               # not a list of points
     np.array([[0.0, np.nan]]),
     np.array([[np.inf, 0.0], [0.1, 0.2]]),
+    np.zeros((0, 2)),                  # no points
 ])
 def test_field_call_rejects_bad_points(points):
     def never(p):
         raise AssertionError("the field function must not see bad points")
 
-    with pytest.raises(ValueError, match=r"points must be a finite \(N, 2\) array"):
+    with pytest.raises(ValueError, match=r"points must (have shape \(N, 2\)|be finite)"):
         AnalyticField(never, SO2RepSpec((0,)))(points)
 
 
@@ -596,7 +599,8 @@ def test_signal_rejects_bad_degree(lmax, coeffs):
 def test_signal_rejects_coefficients_with_more_axes():
     # atleast_2d leaves a 3-D array as it is; rotation and the nonlinearity
     # would then fail late in a matrix product
-    with pytest.raises(ValueError, match="coefficients must be finite, one channel or"):
+    with pytest.raises(ValueError,
+                       match=r"coefficients must have shape \(channels, 9\), got \(1, 9, 1\)"):
         SphericalSignal(2, np.ones((1, 9, 1)))
 
 
@@ -707,11 +711,53 @@ def test_so3_grid_rejects_non_integer_counts(counts):
 @pytest.mark.parametrize("blocks, message", [
     ((np.ones((1, 1)),), "need lmax"),
     ((np.ones((1, 1)), np.ones((3, 2))), "block 1 must have shape"),
-    ((np.ones((1, 1)), np.full((3, 3), np.nan)), "non-finite"),
+    ((np.ones((1, 1)), np.full((3, 3), np.nan)), "block 1 must be finite"),
 ])
 def test_so3_signal_rejects_malformed_blocks(blocks, message):
     with pytest.raises(ValueError, match=message):
         SO3Signal(1, blocks)
+
+
+@pytest.mark.parametrize("build, given, read", [
+    (lambda a: PlanarFeatureField(a, 0.1, SO2RepSpec((0,))), np.ones((4, 4, 1)),
+     lambda v: v.values),
+    (lambda a: SphericalSignal(1, a), np.ones((2, 4)), lambda v: v.coeffs),
+    (lambda a: SO3Signal(1, (np.ones((1, 1)), a)), np.eye(3), lambda v: v.blocks[1]),
+], ids=["field", "signal", "so3_signal"])
+def test_values_keep_their_own_copy_of_the_callers_array(build, given, read):
+    # a float64 C-ordered array used to be frozen in place, or kept and aliased
+    a = given.copy()
+    value = build(a)
+    assert a.flags.writeable and not read(value).flags.writeable
+    a[...] = 7.0
+    assert not np.any(read(value) == 7.0)
+
+
+_Z = 1.0 + 0.5j
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: PlanarFeatureField(np.full((4, 4, 1), _Z), 0.1, SO2RepSpec((0,))), "field values"),
+    (lambda: SphericalSignal(1, np.full(4, _Z)), "coefficients"),
+    (lambda: SO3Signal(0, (np.full((1, 1), _Z),)), "block 0"),
+    (lambda: SO3Grid([0.0], [_Z], [0.0]), "grid angles"),
+    (lambda: AnalyticField(lambda p: p[:, :1] * _Z, SO2RepSpec((0,)))(np.ones((2, 2))),
+     "field function output"),
+    (lambda: AnalyticField(lambda p: p[:, :1], SO2RepSpec((0,)))(np.full((2, 2), _Z)), "points"),
+], ids=["field", "signal", "so3_signal", "grid", "call", "points"])
+def test_complex_input_is_rejected_not_cut_to_real(build, name):
+    # numpy would drop the imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match=f"^{name} must be real$"):
+        build()
+
+
+def test_empty_input_is_rejected_where_it_comes_in():
+    # an empty field used to reach the lift and fail there in a numpy reshape
+    with pytest.raises(ValueError,
+                       match=r"field values must have shape \(H, W, 1\), got \(0, 8, 1\)"):
+        PlanarFeatureField(np.zeros((0, 8, 1)), 0.1, SO2RepSpec((0,)))
+    with pytest.raises(ValueError, match=r"grid angles must have shape \(n,\), got \(0,\)"):
+        SO3Grid([0.0], [], [0.0])
 
 
 @pytest.mark.parametrize("lmax", [2.0, -1, 33])

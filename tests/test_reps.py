@@ -272,11 +272,11 @@ def test_irrep_table_builds_only_its_subgroup(monkeypatch, name, subgroup):
 
 
 @pytest.mark.parametrize("matrices, message", [
-    (np.ones((2, 1, 1)), r"shape \(2, 1, 1\); expected \(3, d, d\)"),
-    (np.ones((3, 1, 2)), r"shape \(3, 1, 2\); expected \(3, d, d\)"),
-    (np.ones((3, 1)), r"shape \(3, 1\); expected \(3, d, d\)"),
-    (np.full((3, 1, 1), np.nan), r"shape \(3, 1, 1\) have non-finite entries"),
-    (np.array([1.0, np.inf, 1.0]).reshape(3, 1, 1), "non-finite entries"),
+    (np.ones((2, 1, 1)), r"must have shape \(3, d, d\), got \(2, 1, 1\)"),
+    (np.ones((3, 1, 2)), r"must have shape \(3, d, d\), got \(3, 1, 2\)"),
+    (np.ones((3, 1)), r"must have shape \(3, d, d\), got \(3, 1\)"),
+    (np.full((3, 1, 1), np.nan), "matrices must be finite"),
+    (np.array([1.0, np.inf, 1.0]).reshape(3, 1, 1), "matrices must be finite"),
 ])
 def test_malformed_matrices_are_rejected_at_construction(matrices, message):
     with pytest.raises(ValueError, match=message):
@@ -287,3 +287,12 @@ def test_irrep_table_characters_are_read_only():
     table = irrep_table(build_group("A4"))
     with pytest.raises(ValueError, match="read-only"):
         table.characters[0, 0] = 2.0
+
+
+def test_representation_keeps_its_own_copy_of_the_callers_array():
+    # a complex128 C-ordered array used to be frozen in place
+    given = np.ones((3, 1, 1), dtype=np.complex128)
+    rep = Representation(build_group("Z3"), given)
+    assert given.flags.writeable and not rep.matrices.flags.writeable
+    given[...] = 2.0
+    assert np.all(rep.matrices == 1.0)

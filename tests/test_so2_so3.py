@@ -12,6 +12,7 @@ from planelift.so2_so3 import (
     MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
+    _check_array,
     _matrix_quat,
     _quat_product,
     restrict_wigner,
@@ -372,3 +373,63 @@ def test_band_limited_roundtrip():
     values = y @ coeffs
     recovered = (y * wts[:, None]).T @ values
     assert np.abs(recovered - coeffs).max() < 1e-8
+
+
+AXES = st.one_of(st.integers(0, 3), st.sampled_from("ab"))
+
+
+@st.composite
+def _spec_and_shape(draw):
+    """An array spec and a shape that fits it half of the time."""
+    spec = tuple(draw(st.lists(AXES, max_size=4)))
+    if draw(st.booleans()):
+        return spec, tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    sizes = {name: draw(st.integers(1, 3)) for name in "ab"}
+    return spec, tuple(sizes[a] if isinstance(a, str) else a for a in spec)
+
+
+def _fits(spec, shape):
+    if len(spec) != len(shape):
+        return False
+    named = {}
+    for axis, n in zip(spec, shape):
+        if isinstance(axis, str):
+            if n == 0 or named.setdefault(axis, n) != n:
+                return False
+        elif n != axis:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_shape=_spec_and_shape(), dtype=st.sampled_from([float, np.complex128]))
+def test_check_array_accepts_exactly_the_spec_and_returns_a_frozen_copy(spec_shape, dtype):
+    spec, shape = spec_shape
+    value = np.arange(math.prod(shape), dtype=float).reshape(shape)
+    original = value.copy()
+    if not _fits(spec, shape):
+        with pytest.raises(ValueError, match=r"x must have shape \(.*\), got "):
+            _check_array("x", value, spec, dtype)
+        return
+    out = _check_array("x", value, spec, dtype)
+    assert out.dtype == np.dtype(dtype) and out.shape == shape
+    assert np.array_equal(out, original) and out.flags.c_contiguous
+    assert not out.flags.writeable and not np.shares_memory(out, value)
+    value[...] = -1.0  # the caller's array stays its own
+    assert value.flags.writeable and np.array_equal(out, original)
+
+
+def test_check_array_messages():
+    with pytest.raises(ValueError, match=r"^x must have shape \(2,\), got \(3,\)$"):
+        _check_array("x", np.zeros(3), (2,))
+    with pytest.raises(ValueError, match=r"^x must have shape \(N, N\), got \(2, 3\)$"):
+        _check_array("x", np.zeros((2, 3)), ("N", "N"))
+    with pytest.raises(ValueError, match=r"^x must have shape \(N, 2\), got \(0, 2\)$"):
+        _check_array("x", np.zeros((0, 2)), ("N", 2))
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        _check_array("x", [np.nan, 1.0], ("N",))
+    # a complex value is never cut to its real part, even with a zero imaginary part
+    with pytest.raises(ValueError, match="^x must be real$"):
+        _check_array("x", np.ones(2, dtype=complex), ("N",))
+    assert _check_array("x", [1, 2], ("N",)).dtype == float
+    assert _check_array("x", [1j], ("N",), np.complex128)[0] == 1j

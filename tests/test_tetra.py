@@ -142,3 +142,30 @@ def test_fixture_matrices_similar_to_generic_induction():
         lifted = induce(sub_t.by_label(label), generic)
         fixture = induced_block_matrices(label)
         assert np.abs(lifted.character() - fixture.character()).max() < 1e-12
+
+
+def test_bank_keeps_its_own_copy_and_the_lift_is_read_only():
+    # a complex128 C-ordered array used to be frozen in place
+    given = np.ones((4, 3, 2), dtype=np.complex128)
+    bank = TriangleFilterBank(given)
+    assert given.flags.writeable and not bank.values.flags.writeable
+    given[...] = 2.0
+    assert np.all(bank.values == 1.0)
+    assert not tetra_induce(bank).values.flags.writeable
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((4, 3)), r"bank values must have shape \(4, 3, K\), got \(4, 3\)"),
+    (np.ones((4, 3, 0)), r"bank values must have shape \(4, 3, K\), got \(4, 3, 0\)"),
+    (np.full((4, 3, 1), np.nan), "bank values must be finite"),
+])
+def test_malformed_bank_is_rejected(values, message):
+    with pytest.raises(ValueError, match=message):
+        TriangleFilterBank(values)
+
+
+def test_bank_from_irrep_rejects_malformed_coefficients():
+    with pytest.raises(ValueError, match=r"coeffs must have shape \(4, K\), got \(3, 2\)"):
+        bank_from_irrep("chi0", np.ones((3, 2)))
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        bank_from_irrep("chi0", np.full((4, 1), np.inf))
