@@ -6,12 +6,13 @@ to intertwine two planar-rotation representations:
     F(rotate(theta) @ r) = rho_out(theta) @ F(r) @ rho_in(theta)^T
 
 The solver expands the angular dependence in trigonometric modes up to a
-cutoff and samples the constraint at angles on a circle (every angle's
-``kron(rho_out, rho_in)`` in one einsum), one tall system per frequency,
-whose square QR factor R has the same singular values and right singular
-vectors (Chan's R-SVD); the admissible coefficient combinations are the SVD
-nullspace of R. An analytic frequency-matching count and a grid-discretized
-nullspace oracle, sized from the spec, serve as independent checks.
+cutoff and imposes the constraint at two fixed rotations by irrational
+turns: a continuous kernel that meets it at one such rotation meets it at
+every angle, since that rotation's powers are dense in the circle. Per
+frequency the two rotations give one small stacked system, and its SVD
+nullspace is the admissible coefficient combinations. An analytic
+frequency-matching count and a grid-discretized nullspace oracle, at two
+other irrational turns, serve as independent checks.
 
 Every lifted kernel is one ``InductionKernel``: one per-degree solve with a
 derived cutoff, read on SO(3) through all 2l+1 weight rows of each degree or
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
+# the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
+_SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
 _LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest of 1, 2, 4, 8 MiB
 
 
@@ -297,29 +300,24 @@ class SteerableKernelBasis:
         return out.reshape(self.count, n, *shape)
 
 
-def _angle_samples(m_max: int, in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> np.ndarray:
-    # enough samples to kill aliasing among all exponents that can appear
-    n = max(4 * (m_max + 1), 2 * (m_max + in_rep.max_freq + out_rep.max_freq) + 3)
-    return np.arange(n) * (2.0 * np.pi / n)
-
-
 def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
                     radial: RadialProfileSet, m_max: int) -> SteerableKernelBasis:
     """Solve the rotation-intertwining constraint numerically.
 
     For each angular frequency ``m <= m_max`` the constraint couples only
-    the cosine and sine coefficient matrices of that frequency; sampling it
-    over a circle of angles yields one tall linear system, built in a single
-    broadcast over the angles. Its square QR factor ``R`` has the system's
-    singular values and right singular vectors, so the SVD of ``R`` gives
-    the nullspace without forming the tall left factor. Null directions are
-    taken at relative singular value below ``NULL_TOL``.
+    the cosine and sine coefficient matrices of that frequency. It is
+    imposed at the two rotations ``_SOLVE_ANGLES``, stacked into one
+    ``(2 dd, dd)`` system, ``(4 dd, 2 dd)`` at m > 0, whose SVD nullspace
+    is taken at relative singular value below ``NULL_TOL``. That is exact:
+    a null vector at angle theta needs ``exp(i (m - k) theta) = 1`` for an
+    eigenfrequency k of ``rho_out x rho_in``, which at an irrational turn
+    forces m = k, and then the constraint holds at every angle.
     """
     _check_int("m_max", m_max)
     d_out, d_in = out_rep.dim, in_rep.dim
     dd = d_out * d_in
-    thetas = _angle_samples(m_max, in_rep, out_rep)
-    # kron(out_rep(t), in_rep(t)) at every sampled angle t, in one einsum
+    thetas = np.array(_SOLVE_ANGLES)
+    # kron(out_rep(t), in_rep(t)) at both angles t, in one einsum
     conjugations = np.einsum("tik,tjl->tijkl", out_rep.matrix(thetas),
                              in_rep.matrix(thetas)).reshape(len(thetas), dd, dd)
 
@@ -333,8 +331,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
         if m:
             off = np.sin(m * thetas)[:, None, None] * eye
             rows = np.block([[rows, off], [-off, rows]])
-        r = np.linalg.qr(np.concatenate(rows), mode="r")
-        _, svals, vt = np.linalg.svd(r, full_matrices=False)
+        _, svals, vt = np.linalg.svd(np.concatenate(rows), full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
         # a copy, so the solutions do not keep the whole of ``vt`` alive
         null = vt[np.sum(svals > NULL_TOL * smax):].copy()

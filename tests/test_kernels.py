@@ -197,10 +197,12 @@ def test_solver_matches_grid_oracle():
 
 
 SPECS = st.lists(st.integers(0, 4), min_size=1, max_size=2).map(lambda ks: SO2RepSpec(tuple(ks)))
+COUNT_SPECS = st.lists(st.integers(0, 16), min_size=1, max_size=3).map(
+    lambda ks: SO2RepSpec(tuple(ks)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(rin=SPECS, rout=SPECS, data=st.data())
+@given(rin=COUNT_SPECS, rout=COUNT_SPECS, data=st.data())
 def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
     full = rin.max_freq + rout.max_freq  # the highest frequency any irrep pair needs
     m_max = data.draw(st.integers(0, full), label="m_max")
@@ -210,15 +212,26 @@ def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
         assert got == grid_nullspace_dimension(rin, rout)
 
 
+def test_solver_over_counts_at_rational_turns(monkeypatch):
+    # a quarter and a half turn satisfy exp(i j theta) = 1 for every j divisible
+    # by 4, so frequencies that differ by 4 pass as solutions: 43 against 15
+    rin, rout = SO2RepSpec((0, 1, 3)), SO2RepSpec((0, 2))
+    monkeypatch.setattr(kernels, "_SOLVE_ANGLES", (np.pi / 2, np.pi))
+    got = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), 5).n_angular
+    assert got == 43 and analytic_basis_count(rin, rout, 5) == 15
+
+
 def _full_svd_null_space(in_rep, out_rep, m_max):
-    """Reference for the QR-reduced solve: per frequency, the SVD of the whole
-    stacked system, built angle by angle. Returns ``{m: (count, projector)}``."""
+    """Dense reference for the solve: per frequency, the SVD of the whole
+    system stacked angle by angle over a circle of enough angles that no
+    exponent aliases. Returns ``{m: (count, projector)}``."""
     dd = out_rep.dim * in_rep.dim
     eye = np.eye(dd)
+    n = max(4 * (m_max + 1), 2 * (m_max + in_rep.max_freq + out_rep.max_freq) + 3)
     out = {}
     for m in range(m_max + 1):
         rows = []
-        for t in kernels._angle_samples(m_max, in_rep, out_rep):
+        for t in np.arange(n) * (2.0 * np.pi / n):
             conj = np.kron(out_rep.matrix(t), in_rep.matrix(t))
             c, s = np.cos(m * t), np.sin(m * t)
             if m == 0:
@@ -236,18 +249,21 @@ def _full_svd_null_space(in_rep, out_rep, m_max):
 
 def _per_angle_kron_solve(in_rep, out_rep, m_max):
     """The solver with its conjugations built one ``np.kron`` per angle:
-    ``(m, cos block, sin block)`` per solution."""
+    ``(m, cos block, sin block)`` per solution. Adding 0.0 turns kron's
+    negative zeros positive, as the einsum's sum from zero does; the SVD
+    reads a zero's sign, so it would pick another basis of a degenerate
+    null space."""
     dd = out_rep.dim * in_rep.dim
-    thetas = kernels._angle_samples(m_max, in_rep, out_rep)
-    conjugations = np.stack([np.kron(out_rep.matrix(t), in_rep.matrix(t)) for t in thetas])
+    thetas = np.array(kernels._SOLVE_ANGLES)
+    conjugations = np.stack([np.kron(out_rep.matrix(t), in_rep.matrix(t)) + 0.0
+                             for t in thetas])
     eye, out = np.eye(dd), []
     for m in range(m_max + 1):
         rows = np.cos(m * thetas)[:, None, None] * eye - conjugations
         if m:
             off = np.sin(m * thetas)[:, None, None] * eye
             rows = np.block([[rows, off], [-off, rows]])
-        _, svals, vt = np.linalg.svd(np.linalg.qr(np.concatenate(rows), mode="r"),
-                                     full_matrices=False)
+        _, svals, vt = np.linalg.svd(np.concatenate(rows), full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
         for vec in vt[np.sum(svals > NULL_TOL * smax):]:
             out.append((m, vec[:dd], vec[dd:] if m else np.zeros(dd)))
