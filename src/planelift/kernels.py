@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -112,7 +111,9 @@ class SO2RepSpec:
         return offs
 
     def matrix(self, theta) -> np.ndarray:
-        """The representation, stacked over any array of angles."""
+        """The representation, stacked over any real array of angles."""
+        if np.iscomplexobj(theta):
+            raise ValueError("theta must be real")
         t = np.asarray(theta, dtype=float)
         out = np.zeros(t.shape + (self.dim, self.dim))
         for k, off in zip(self.freqs, self.offsets()):
@@ -267,27 +268,21 @@ class SteerableKernelBasis:
     def count(self) -> int:
         return self.radial.count * self.n_angular
 
-    @cached_property
-    def _constants(self) -> tuple[list[int], set[int], np.ndarray]:
-        """Each solution's m, the distinct m, and the stacked (cos, sin)
-        blocks, shape (A, 2, 1, d_out, d_in): built once per basis."""
-        ms = [sol.m for sol in self.angular]
-        blocks = np.array([(s.cos_coeff, s.sin_coeff) for s in self.angular])
-        return ms, set(ms), blocks.reshape(len(ms), 2, 1, self.out_rep.dim, self.in_rep.dim)
-
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
-        """All elements at (N, 2) points, shape (count, N, d_out, d_in); each
-        distinct ``r^m`` and ``cos/sin(m phi)`` is computed once per call."""
+        """All elements at (N, 2) points, shape (count, N, d_out, d_in). Each
+        distinct ``r^m`` and ``cos/sin(m phi)`` and the stacked (cos, sin)
+        blocks are built once per call; the basis caches nothing."""
         pts = _check_points(points)
         radii = np.hypot(pts[:, 0], pts[:, 1])
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         a, p, n = self.n_angular, self.radial.count, len(radii)
         shape = (self.out_rep.dim, self.in_rep.dim)
-        ms, distinct, blocks = self._constants
+        ms = [sol.m for sol in self.angular]
+        blocks = np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular], (a, 2, 1) + shape)
         prof = self.radial.evaluate(radii)  # (P, N)
         scaled = radii / np.maximum(self.radial.centers, self.radial.width)[:, None]
-        powers = {m: prof * scaled ** m for m in distinct if m > 0}
-        trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in distinct}
+        powers = {m: prof * scaled ** m for m in set(ms) if m > 0}
+        trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in set(ms)}
         radial = np.array([powers[m] if m else prof for m in ms]).reshape(a, p, n)
         cos_sin = np.array([trig[m] for m in ms]).reshape(a, 2, n, 1, 1)
         # build the angular factor in profile 0's slot and scale it there last
@@ -486,14 +481,14 @@ class InductionKernel:
     def kappa(self, weights: np.ndarray, rot: Rotation3, points: np.ndarray) -> np.ndarray:
         """Assembled kernel at ``rot``, shape (N, out_channels * out_dim, d_in);
         a sphere kernel reads it at ``rot e_z``."""
-        ginv = rot.inverse()
         blocks = self.coefficient_blocks(weights, points)
         n, d = blocks[0].shape[1], self.fiber_in.dim
         total = np.zeros((n, self.out_channels, self.out_dim, d))
         for ell, fl in enumerate(blocks):
             rows, scale = self._rows(ell)
             fl = fl.reshape(self.out_channels, len(rows), self.out_dim, n, 2 * ell + 1, d)
-            total += np.einsum("cronKv,rK->ncov", fl, scale * wigner_d(ell, ginv)[rows])
+            # rows of D_l(rot^-1) = D_l(rot)^T, read without inverting rot
+            total += np.einsum("cronKv,rK->ncov", fl, scale * wigner_d(ell, rot)[:, rows].T)
         return total.reshape(n, -1, d)
 
     def response(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:

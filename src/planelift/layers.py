@@ -309,9 +309,14 @@ def induction_forward(field: PlanarFeatureField, kernel: InductionKernel,
     return induction_forward_many([field], kernel, weights)[0]
 
 
-def _sphere_grid(lmax: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+def _sphere_grid(lmax: int, band: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Harmonics up to ``lmax`` on the band-``band`` quadrature grid,
-    shape (N, (lmax+1)^2), and the grid weights (N,)."""
+    shape (N, (lmax+1)^2), and the grid weights (N,). The default band,
+    twice ``lmax``, is the one grid rule of the nonlinearity and its gradient."""
+    band = 2 * lmax if band is None else band
+    _check_int("grid_band", band)
+    if band < lmax:
+        raise ValueError("oversampling band must be at least the signal band")
     pts, wts = sphere_quadrature(band)
     return SphericalHarmonicBasis(lmax).evaluate(pts), wts
 
@@ -325,11 +330,6 @@ def spherical_nonlinearity(signal: SphericalSignal, kind: str = "relu",
     projects back to the original band. Exactly equivariant only in the
     limit of a dense grid; the residual shrinks as ``grid_band`` grows.
     """
-    if grid_band is None:
-        grid_band = 2 * signal.lmax
-    _check_int("grid_band", grid_band)
-    if grid_band < signal.lmax:
-        raise ValueError("oversampling band must be at least the signal band")
     y, wts = _sphere_grid(signal.lmax, grid_band)
     vals = signal.coeffs @ y.T
     if kind == "relu":
@@ -546,7 +546,7 @@ def _loss_and_grad(kernel: InductionKernel, field: PlanarFeatureField,
         return 0.5 * float(np.sum(coeffs ** 2)), coeffs @ response.T
     if nonlinearity != "softplus":
         raise ValueError("gradient path supports the linear and softplus cases")
-    y, qwts = _sphere_grid(kernel.lmax, 2 * kernel.lmax)
+    y, qwts = _sphere_grid(kernel.lmax)
     grid_vals = coeffs @ y.T
     out = (np.logaddexp(0.0, grid_vals) * qwts) @ y
     d_grid = ((out @ y.T) * qwts) / (1.0 + np.exp(-grid_vals))

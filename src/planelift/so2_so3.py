@@ -157,9 +157,8 @@ class Rotation3:
 
     @staticmethod
     def from_matrix(mat: np.ndarray) -> "Rotation3":
-        m = np.asarray(mat, dtype=float)
-        if (m.shape != (3, 3) or not np.allclose(m @ m.T, np.eye(3), rtol=0.0, atol=1e-9)
-                or np.linalg.det(m) <= 0.0):
+        m = _check_array("rotation matrix", mat, (3, 3))
+        if not np.allclose(m @ m.T, np.eye(3), rtol=0.0, atol=1e-9) or np.linalg.det(m) <= 0.0:
             raise ValueError("expected a 3x3 rotation matrix")
         return Rotation3(*_as_zyz(_matrix_quat(m)))
 
@@ -341,11 +340,9 @@ class SphericalHarmonicBasis:
         return slice(ell * ell, (ell + 1) * (ell + 1))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at unit vectors; shape (..., 3) -> (..., (lmax+1)^2)."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        out = _harmonics(np.atleast_2d(pts), self.lmax)
-        return out[0] if single else out
+        """Evaluate at unit vectors: (N, 3) -> (N, (lmax+1)^2), and (3,) -> ((lmax+1)^2,)."""
+        out = _harmonics(_check_array("points", np.atleast_2d(points), ("N", 3)), self.lmax)
+        return out[0] if np.ndim(points) == 1 else out
 
 
 def sphere_quadrature(band: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -387,6 +388,24 @@ def test_solutions_keep_only_their_null_block():
         for arr in (sol.cos_coeff, sol.sin_coeff):
             owner = arr if arr.base is None else arr.base
             assert owner.size <= null_rows * width
+
+
+def test_evaluated_basis_keeps_one_copy_of_its_solutions():
+    # the stacked (cos, sin) blocks are built per call; a basis that cached
+    # them would keep A * 2 * d_out * d_in * 8 bytes past the call
+    fiber, radial, pts = SO2RepSpec((0, 1, 2)), RadialProfileSet(1, 1.0), np.full((4, 2), 0.25)
+    # a first call may fill numpy's own caches; make it on another basis
+    solve_so2_basis(fiber, fiber, radial, m_max=3).evaluate_all(pts)
+    basis = solve_so2_basis(fiber, fiber, radial, m_max=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        basis.evaluate_all(pts)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stacked = basis.n_angular * 2 * fiber.dim ** 2 * 8  # 10 KB
+    assert kept < 1024 < stacked, kept
 
 
 def _per_element_reference(basis, pts):

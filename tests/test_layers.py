@@ -744,7 +744,11 @@ _Z = 1.0 + 0.5j
     (lambda: AnalyticField(lambda p: p[:, :1] * _Z, SO2RepSpec((0,)))(np.ones((2, 2))),
      "field function output"),
     (lambda: AnalyticField(lambda p: p[:, :1], SO2RepSpec((0,)))(np.full((2, 2), _Z)), "points"),
-], ids=["field", "signal", "so3_signal", "grid", "call", "points"])
+    (lambda: Rotation3.from_matrix(np.eye(3) * _Z), "rotation matrix"),
+    (lambda: SphericalHarmonicBasis(2).evaluate(np.array([0.0, 0.0, _Z])), "points"),
+    (lambda: SO2RepSpec((1,)).matrix([0.5 * _Z]), "theta"),
+], ids=["field", "signal", "so3_signal", "grid", "call", "points", "from_matrix", "harmonics",
+        "so2_matrix"])
 def test_complex_input_is_rejected_not_cut_to_real(build, name):
     # numpy would drop the imaginary part with only a ComplexWarning
     with pytest.raises(ValueError, match=f"^{name} must be real$"):
