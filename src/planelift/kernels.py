@@ -21,9 +21,17 @@ plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
 builders differ only in that data and in the heights the one solve serves.
 Only this module reads the kernel's storage format: the sphere lift's
 ``response``, ``check_weights`` and the negative control ``corrupt_kernel``.
-``response`` evaluates each degree's basis over blocks of grid points sized
-from one byte budget, so the lift's working memory is bounded by that budget
-and does not grow with the grid.
+``response`` reads only the kernel's support: the points where some radial
+factor ``prof_p(r) (r/s_p)^m``, for m up to the cutoff, exceeds machine
+epsilon times that factor's largest value over the points; every basis
+element is such a factor times a bounded angular part, so a dropped point
+adds nothing a float sum keeps. The layers' default ring is placed by one
+rule (``layers.R_MAX``): its outer profile is machine epsilon at the grid's
+inscribed radius, so the support is about the inscribed disc, 82% of a
+64x64 grid. Over the support, ``response`` evaluates each degree's basis
+over blocks of points sized from one byte budget, so the lift's working
+memory is bounded by that budget and does not grow with the grid; it checks
+its points once and stacks each basis's blocks once per call.
 
 ``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
 """
@@ -67,6 +75,7 @@ __all__ = [
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 # the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
 _SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
+_EPS = np.finfo(float).eps
 _LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest of 1, 2, 4, 8 MiB
 
 
@@ -75,6 +84,11 @@ def _check_points(points) -> np.ndarray:
     (2,). A third column or a non-finite coordinate is an error, never
     dropped or carried into the output."""
     return _check_array("points", np.atleast_2d(points), ("N", 2))
+
+
+def _polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and angles of checked (N, 2) points."""
+    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
 
 
 @dataclass(frozen=True)
@@ -229,6 +243,13 @@ class RadialProfileSet:
         r = np.asarray(radii, dtype=float)
         return np.exp(-0.5 * ((r[None, :] - self.centers[:, None]) / self.width) ** 2)
 
+    def _factors(self, radii: np.ndarray, ms) -> dict[int, np.ndarray]:
+        """``prof_p(r) (r / s_p)^m`` for each distinct m, each shape (count,
+        len(radii)), with ``s_p`` the larger of profile p's center and width."""
+        prof = self.evaluate(radii)
+        scaled = radii / np.maximum(self.centers, self.width)[:, None]
+        return {m: prof * scaled ** m if m else prof for m in set(ms)}
+
 
 # ---------------------------------------------------------------------------
 # the solver
@@ -272,18 +293,24 @@ class SteerableKernelBasis:
         """All elements at (N, 2) points, shape (count, N, d_out, d_in). Each
         distinct ``r^m`` and ``cos/sin(m phi)`` and the stacked (cos, sin)
         blocks are built once per call; the basis caches nothing."""
-        pts = _check_points(points)
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        a, p, n = self.n_angular, self.radial.count, len(radii)
+        radii, phi = _polar(_check_points(points))
+        return self._evaluate(radii, phi, self._stacked())
+
+    def _stacked(self) -> np.ndarray:
+        """The solutions' (cos, sin) blocks, shape (A, 2, 1, d_out, d_in)."""
         shape = (self.out_rep.dim, self.in_rep.dim)
+        return np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular],
+                          (self.n_angular, 2, 1) + shape)
+
+    def _evaluate(self, radii: np.ndarray, phi: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """``evaluate_all`` at checked polar coordinates, with the blocks of
+        ``_stacked``: the lift checks its points and stacks once per call."""
+        a, p, n = self.n_angular, self.radial.count, len(radii)
+        shape = blocks.shape[3:]
         ms = [sol.m for sol in self.angular]
-        blocks = np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular], (a, 2, 1) + shape)
-        prof = self.radial.evaluate(radii)  # (P, N)
-        scaled = radii / np.maximum(self.radial.centers, self.radial.width)[:, None]
-        powers = {m: prof * scaled ** m for m in set(ms) if m > 0}
+        powers = self.radial._factors(radii, ms)
         trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in set(ms)}
-        radial = np.array([powers[m] if m else prof for m in ms]).reshape(a, p, n)
+        radial = np.array([powers[m] for m in ms]).reshape(a, p, n)
         cos_sin = np.array([trig[m] for m in ms]).reshape(a, 2, n, 1, 1)
         # build the angular factor in profile 0's slot and scale it there last
         out = np.empty((p, a, n) + shape)
@@ -497,32 +524,52 @@ class InductionKernel:
 
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
-        harmonic coordinates; the caller multiplies in the cell area. Each
-        degree's basis is evaluated once per block of points, for every field
-        in one ``tensordot`` added into that degree's moments; a block holds
-        at most ``_LIFT_BLOCK_BYTES`` of basis values (at least one point), so
-        the working memory is bounded by that budget, not by the grid.
+        harmonic coordinates; the caller multiplies in the cell area. The sum
+        reads only the kernel's support (``_support``): a point where every
+        radial factor is below rounding of that factor's largest value adds
+        nothing a float sum keeps. Each degree's basis is evaluated once per
+        block of support points, for every field in one ``tensordot`` added
+        into that degree's moments; a block holds at most
+        ``_LIFT_BLOCK_BYTES`` of basis values (at least one point), so the
+        working memory is bounded by that budget, not by the grid.
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
         pts = _check_points(points)
         d = self.fiber_in.dim
         vals = _check_array("values", values, (len(pts), "fields", d))
-        nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
+        nf = vals.shape[1]
+        radii, phi = _polar(pts)
+        keep = self._support(radii)
+        radii, phi = radii[keep], phi[keep]
+        vals = vals[keep].reshape(len(radii), -1)  # (support points, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0
         for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
             d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
             rows = max(1, _LIFT_BLOCK_BYTES // (8 * max(basis.count * d_can, 1)))
+            blocks = basis._stacked()
             moments = np.zeros((basis.count, d_can, vals.shape[1]))
-            for i in range(0, len(pts), rows):
-                bvals = basis.evaluate_all(pts[i:i + rows])[:, :, 0, :]  # (count, rows, d_can)
-                moments += np.tensordot(bvals, vals[i:i + rows], axes=([1], [0]))
+            for i in range(0, len(radii), rows):
+                block_pts = slice(i, i + rows)
+                bvals = basis._evaluate(radii[block_pts], phi[block_pts], blocks)[:, :, 0, :]
+                moments += np.tensordot(bvals, vals[block_pts], axes=([1], [0]))
             moments = moments.reshape(*moments.shape[:2], nf, d)
             block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
             response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
             pos += basis.count
         return response
+
+    def _support(self, radii: np.ndarray) -> np.ndarray:
+        """Mask of the radii where some radial factor ``prof_p(r) (r/s_p)^m``,
+        for any profile p and any m up to the cutoff, exceeds machine epsilon
+        times that factor's largest value over ``radii``. Every basis
+        element is such a factor times a bounded angular part."""
+        keep = np.zeros(len(radii), dtype=bool)
+        for radial, m_max in {(basis.radial, basis.m_max) for basis in self.bases}:
+            for factor in radial._factors(radii, range(m_max + 1)).values():
+                keep |= np.any(factor > _EPS * factor.max(axis=1, keepdims=True), axis=0)
+        return keep
 
 
 def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> InductionKernel:
