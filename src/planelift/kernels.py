@@ -21,26 +21,25 @@ plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
 builders differ only in that data and in the heights the one solve serves.
 Only this module reads the kernel's storage format: the sphere lift's
 ``response``, ``check_weights`` and the negative control ``corrupt_kernel``.
-``response`` reads, per degree, only the points where some element of that
-degree's basis adds a term above rounding: every element is a radial
-factor ``prof_p(r) (r/s_p)^m`` times a bounded angular part, and a point is
-skipped when, for every field and every such factor of the basis, factor
-times the field's magnitude there is at most machine epsilon times its
-largest value over the points. The layers' default ring is placed by one
-rule (``layers.R_MAX``): its outer profile is machine epsilon at the grid's
-inscribed radius, so the points read lie about the inscribed disc; at
-lmax 6 they are 73% of a 48x48 grid at degree 0 and 82% at degree 6. Over
-them, ``response`` evaluates each degree's basis through ``evaluate_all``
-over blocks of points sized from one byte budget, so the lift's working
-memory is bounded by that budget and does not grow with the grid.
 
-``SteerableKernelBasis.evaluate_all`` is the one evaluator of a solved basis.
+A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
+C + sin(m phi) S``. One private core, ``_elements``, evaluates it from the
+basis's stacked (C, S) blocks and a polar table of the points: their
+``cos/sin(m phi)`` and radial factors for each m. ``evaluate_all``, the dense
+evaluator and oracle, builds that table for its points; the sphere lift
+``response`` builds it once per call for every degree. Per degree the lift
+reads only the points where some element adds a term above rounding (factor
+times the field's magnitude above machine epsilon times its largest value
+over the points), in blocks sized from one byte budget. The layers' default
+ring (``layers.R_MAX``) has its outer profile at machine epsilon at the grid's
+inscribed radius, so at lmax 6 those points are 73% of a 48x48 grid at degree
+0 and 82% at degree 6.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 
 import numpy as np
@@ -52,6 +51,7 @@ from .so2_so3 import (
     SphericalHarmonicBasis,
     _check_array,
     _check_int,
+    _check_positive,
     restrict_wigner,
     so2_block,
     wigner_d,
@@ -77,7 +77,9 @@ __all__ = [
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 # the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
 _SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
-_LIFT_BLOCK_BYTES = 1 << 20  # bytes of basis values per lift block; the fastest of 1, 2, 4, 8 MiB
+# bytes per lift block of basis values and the table rows they read: of 1, 2, 4 and 8 MiB,
+# the fastest on lift_stream and pose_readout with the lift's per-call polar table
+_LIFT_BLOCK_BYTES = 1 << 20
 
 
 def _check_points(points) -> np.ndarray:
@@ -209,54 +211,52 @@ def so3_fiber_restriction(ells: tuple[int, ...]) -> tuple[SO2RepSpec, np.ndarray
 
 @dataclass(frozen=True)
 class RadialProfileSet:
-    """Gaussian rings with equispaced centers on [0, r_max] and shared width."""
+    """Gaussian rings with equispaced centers on [0, r_max] and shared width;
+    ``centers`` is built once, read-only and outside equality and hashing."""
 
     count: int
     r_max: float
     width: float | None = None
+    centers: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_int("radial count", self.count, 1)
-        if not 0.0 < self.r_max < np.inf:
-            raise ValueError("r_max must be finite and positive")
-        if self.width is None:
-            object.__setattr__(self, "width", self.r_max / self.count)
-        if not 0.0 < self.width < np.inf:
-            raise ValueError("profile width must be finite and positive")
-        grid = np.linspace(0.0, self.r_max, 4 * self.count + 8)
+        r_max = _check_positive("r_max", self.r_max)
+        width = _check_positive("profile width",
+                                r_max / self.count if self.width is None else self.width)
+        centers = np.linspace(0.0, r_max, self.count)  # [0.0] for one profile
+        centers.setflags(write=False)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "centers", centers)
+        grid = np.linspace(0.0, r_max, 4 * self.count + 8)
         rank = np.linalg.matrix_rank(self.evaluate(grid), tol=1e-10)
         if rank < self.count:
             raise ValueError("rank-deficient radial basis")
-
-    @property
-    def centers(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([0.0])
-        return np.linspace(0.0, self.r_max, self.count)
 
     def evaluate(self, radii: np.ndarray) -> np.ndarray:
         """Profile values, shape (count, len(radii))."""
         r = np.asarray(radii, dtype=float)
         return np.exp(-0.5 * ((r[None, :] - self.centers[:, None]) / self.width) ** 2)
 
-    def _factors(self, radii: np.ndarray, ms) -> dict[int, np.ndarray]:
-        """``prof_p(r) (r / s_p)^m`` for each distinct m, each shape (count,
+    def _factors(self, radii: np.ndarray, m_top: int) -> np.ndarray:
+        """``prof_p(r) (r / s_p)^m`` for m = 0..m_top, shape (m_top + 1, count,
         len(radii)), with ``s_p`` the larger of profile p's center and width."""
         prof = self.evaluate(radii)
         scaled = radii / np.maximum(self.centers, self.width)[:, None]
-        return {m: prof * scaled ** m if m else prof for m in set(ms)}
+        return np.array([prof * scaled ** m if m else prof for m in range(m_top + 1)])
 
-    def _above_rounding(self, radii: np.ndarray, magnitudes: np.ndarray,
-                        m_top: int) -> np.ndarray:
-        """Masks, shape (m_top + 1, len(radii)): row m marks the points where,
-        for some profile p and some field, ``prof_p(r) (r/s_p)^m`` times the
-        field's magnitude (``magnitudes``, shape (N, fields)) exceeds machine
-        epsilon times that product's largest value over the points."""
-        above = np.empty((m_top + 1, len(radii)), dtype=bool)
-        for m, factor in self._factors(radii, range(m_top + 1)).items():
-            terms = factor[:, :, None] * magnitudes  # (P, N, fields)
-            above[m] = np.any(terms > _EPS * terms.max(axis=1, keepdims=True), axis=(0, 2))
-        return above
+
+def _above_rounding(factors: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """Masks (m_top + 1, N) from the factor table (m_top + 1, P, N): row m
+    marks the points where, for some profile p and some field, ``prof_p(r)
+    (r/s_p)^m`` times the field's magnitude (``magnitudes``, (N, fields))
+    exceeds machine epsilon times that product's largest value over the points."""
+    above = np.empty((len(factors), factors.shape[2]), dtype=bool)
+    for m, factor in enumerate(factors):
+        terms = factor[:, :, None] * magnitudes  # (P, N, fields)
+        above[m] = np.any(terms > _EPS * terms.max(axis=1, keepdims=True), axis=(0, 2))
+    return above
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +297,49 @@ class SteerableKernelBasis:
     def count(self) -> int:
         return self.radial.count * self.n_angular
 
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each solution's frequency (A,) and its (cos, sin) blocks (A, 2, 1,
+        d_out, d_in), stacked per call: the basis keeps one copy of each."""
+        shape = (self.n_angular, 2, 1, self.out_rep.dim, self.in_rep.dim)
+        blocks = np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular], shape)
+        return np.array([sol.m for sol in self.angular], dtype=int), blocks
+
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
-        """All elements at (N, 2) points, shape (count, N, d_out, d_in). Each
-        distinct ``r^m`` and ``cos/sin(m phi)`` and the stacked (cos, sin)
-        blocks are built once per call; the basis caches nothing."""
+        """All elements at (N, 2) points, shape (count, N, d_out, d_in): the
+        polar table of the points and the stacked blocks through ``_elements``."""
         pts = _check_points(points)
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        a, p, n = self.n_angular, self.radial.count, len(radii)
-        shape = (self.out_rep.dim, self.in_rep.dim)
-        ms = [sol.m for sol in self.angular]
-        blocks = np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular], (a, 2, 1) + shape)
-        powers = self.radial._factors(radii, ms)
-        trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in set(ms)}
-        radial = np.array([powers[m] for m in ms]).reshape(a, p, n)
-        cos_sin = np.array([trig[m] for m in ms]).reshape(a, 2, n, 1, 1)
-        # build the angular factor in profile 0's slot and scale it there last
-        out = np.empty((p, a, n) + shape)
-        np.multiply(cos_sin[:, 0], blocks[:, 0], out=out[0])
-        out[0] += cos_sin[:, 1] * blocks[:, 1]
-        factors = radial.transpose(1, 0, 2)[..., None, None]  # (P, A, N, 1, 1)
-        np.multiply(factors[1:], out[0], out=out[1:])
-        out[0] *= factors[0]
-        return out.reshape(self.count, n, *shape)
+        ms, blocks = self._stacked()
+        trig, factors = _polar(pts, int(ms.max(initial=0)), (self.radial,))
+        out = _elements(blocks, ms, factors[self.radial], trig)
+        return out.reshape(self.count, len(pts), *blocks.shape[3:])
+
+
+def _polar(pts: np.ndarray, m_top: int, radials) -> tuple[np.ndarray, dict]:
+    """The polar table of checked (N, 2) points: ``cos/sin(m phi)`` for
+    m = 0..m_top, shape (m_top + 1, 2, N), and for each radial set its
+    factors ``prof_p(r) (r/s_p)^m``, shape (m_top + 1, P, N)."""
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    mphi = np.arange(m_top + 1)[:, None] * np.arctan2(pts[:, 1], pts[:, 0])
+    trig = np.stack([np.cos(mphi), np.sin(mphi)], axis=1)
+    return trig, {radial: radial._factors(radii, m_top) for radial in radials}
+
+
+def _elements(blocks: np.ndarray, ms: np.ndarray, factors: np.ndarray,
+              trig: np.ndarray) -> np.ndarray:
+    """The one element formula: shape (P, A, n, d_out, d_in), element (p, a)
+    in profile-major order, from the blocks (A, 2, 1, d_out, d_in) of
+    solutions of frequencies ``ms`` and the polar table of n points: factors
+    (m_top + 1, P, n) and ``cos/sin(m phi)`` (m_top + 1, 2, n)."""
+    radial, trig = factors[ms], trig[ms]
+    (a, p, n), shape = radial.shape, blocks.shape[3:]
+    # build the angular factor in profile 0's slot and scale it there last
+    out = np.empty((p, a, n) + shape)
+    np.multiply(trig[:, 0, :, None, None], blocks[:, 0], out=out[0])
+    out[0] += np.multiply(trig[:, 1, :, None, None], blocks[:, 1], out=out[1] if p > 1 else None)
+    scale = radial.transpose(1, 0, 2)[..., None, None]  # (P, A, n, 1, 1)
+    np.multiply(scale[1:], out[0], out=out[1:])
+    out[0] *= scale[0]
+    return out
 
 
 def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
@@ -524,39 +544,39 @@ class InductionKernel:
 
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
-        harmonic coordinates; the caller multiplies in the cell area. Every
-        element is a factor ``prof_p(r) (r/s_p)^m`` times a bounded angular
-        part, so each degree's sum skips the points that no mask of
-        ``RadialProfileSet._above_rounding`` marks at the basis's
-        frequencies: there each term is at most machine epsilon times the
-        largest bound on that sum's terms. The basis is evaluated once per
-        block of the remaining points, for every field in one ``tensordot``
-        added into the degree's moments; a block holds at most
-        ``_LIFT_BLOCK_BYTES`` of basis values (at least one point), so the
-        working memory is bounded by that budget, not by the grid.
+        harmonic coordinates; the caller multiplies in the cell area. The
+        points are checked once and one polar table serves every degree. A
+        degree's sum skips the points no mask of ``_above_rounding`` marks at
+        its frequencies, where each term is at most machine epsilon times the
+        largest bound on the sum's terms, and reads the rest in blocks of at
+        most ``_LIFT_BLOCK_BYTES`` (at least one point), one ``tensordot``
+        per block against every field's values.
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
-        pts = _check_points(points)
         d = self.fiber_in.dim
-        vals = _check_array("values", values, (len(pts), "fields", d))
-        radii, magnitudes = np.hypot(pts[:, 0], pts[:, 1]), np.abs(vals).max(axis=2)
-        nf, vals = vals.shape[1], vals.reshape(len(pts), -1)  # (N, fields * d)
-        m_top = max(basis.m_max for basis in self.bases)
-        above = {radial: radial._above_rounding(radii, magnitudes, m_top)
-                 for radial in {basis.radial for basis in self.bases}}
+        m_top = max((sol.m for basis in self.bases for sol in basis.angular), default=0)
+        # the points are read only through their table, so no copy of them outlives it
+        trig, factors = _polar(_check_points(points), m_top, {b.radial for b in self.bases})
+        vals = _check_array("values", values, (trig.shape[2], "fields", d))
+        above = {r: _above_rounding(f, np.abs(vals).max(axis=2)) for r, f in factors.items()}
+        nf, vals = vals.shape[1], vals.reshape(len(vals), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0
         for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
+            ms, blocks = basis._stacked()
             d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
-            rows = max(1, _LIFT_BLOCK_BYTES // (8 * max(basis.count * d_can, 1)))
-            keep = above[basis.radial][sorted({sol.m for sol in basis.angular})].any(axis=0)
-            ell_pts, ell_vals = pts[keep], vals[keep]
+            top = ms.max(initial=0) + 1  # the table rows this degree reads
+            # per point: the basis values, the table rows read and their copy per solution
+            per_point = basis.count * d_can + (top + len(ms)) * (basis.radial.count + 2)
+            rows = max(1, _LIFT_BLOCK_BYTES // (8 * per_point))
+            keep = np.flatnonzero(above[basis.radial][ms].any(axis=0))
+            table, cos_sin = factors[basis.radial][:top], trig[:top]
             moments = np.zeros((basis.count, d_can, vals.shape[1]))
-            for i in range(0, len(ell_pts), rows):
-                bvals = basis.evaluate_all(ell_pts[i:i + rows])[:, :, 0, :]  # (count, rows, d_can)
-                moments += np.tensordot(bvals, ell_vals[i:i + rows], axes=([1], [0]))
-            moments = moments.reshape(*moments.shape[:2], nf, d)
+            for idx in (keep[i:i + rows] for i in range(0, len(keep), rows)):
+                part = _elements(blocks, ms, table.take(idx, axis=2), cos_sin.take(idx, axis=2))
+                moments += np.tensordot(part.reshape(-1, len(idx), d_can), vals[idx], axes=(1, 0))
+            moments = moments.reshape(basis.count, d_can, nf, d)
             block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
             response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
             pos += basis.count

@@ -44,6 +44,7 @@ from .so2_so3 import (
     SphericalHarmonicBasis,
     _check_array,
     _check_int,
+    _check_positive,
     _wigner_grid_dot,
     so2_block,
     sphere_quadrature,
@@ -84,7 +85,7 @@ class PlanarFeatureField:
 
     def __post_init__(self):
         v = _check_array("field values", self.values, ("H", "W", self.fiber_rep.dim))
-        _check_spacing(self.spacing)
+        _check_positive("spacing", self.spacing)
         object.__setattr__(self, "values", v)
 
     @property
@@ -97,11 +98,6 @@ class PlanarFeatureField:
 
     def flat_values(self) -> np.ndarray:
         return self.values.reshape(-1, self.fiber_rep.dim)
-
-
-def _check_spacing(spacing: float) -> None:
-    if not 0.0 < spacing < np.inf:
-        raise ValueError("spacing must be finite and positive")
 
 
 def _grid_positions(h: int, w: int, spacing: float) -> np.ndarray:
@@ -126,7 +122,7 @@ class AnalyticField:
     def sample(self, n: int, spacing: float) -> PlanarFeatureField:
         """Sample on the n x n grid of the given spacing centered on the origin."""
         _check_int("grid size n", n, 1)
-        _check_spacing(spacing)
+        _check_positive("spacing", spacing)
         vals = self(_grid_positions(n, n, spacing))
         return PlanarFeatureField(vals.reshape(n, n, -1), spacing, self.fiber_rep)
 
@@ -540,8 +536,7 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     """
     _check_int("trials", trials, 1)
     _check_int("rotation angles per trial", theta_samples, 1)
-    if not 0.0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_positive("tolerance", tolerance)
     rng = np.random.default_rng(seed)
     kernel = kernel or config.build_kernel()
     residuals = []

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -64,6 +64,13 @@ def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
     if not (isinstance(value, Integral) and low <= value and (high is None or value <= high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> float:
+    """``value`` as a float, rejected unless it is a finite positive real (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 def _check_array(name: str, value, shape: tuple, dtype=float) -> np.ndarray:

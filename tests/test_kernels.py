@@ -12,7 +12,6 @@ from planelift.kernels import (
     NULL_TOL,
     RadialProfileSet,
     SO2RepSpec,
-    SteerableKernelBasis,
     analytic_basis_count,
     build_induction_kernel,
     build_r3s2_kernel,
@@ -138,6 +137,42 @@ def test_radial_set_rejects_bad_width(width):
 def test_radial_set_rejects_bad_count(count):
     with pytest.raises(ValueError, match="radial count must be an integer >= 1"):
         RadialProfileSet(count, 0.45)
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in ("r_max", "width")
+                                       for bad in (True, False, 0.5 + 0j, "0.5", [0.5])]
+                         + [("r_max", None)])  # a width of None asks for the default
+def test_radial_set_rejects_bools_complex_and_non_numbers(name, bad):
+    # True used to pass as 1.0, and complex or string values raised TypeError
+    args = {"r_max": 0.5, "width": 0.2, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got "):
+        RadialProfileSet(2, **args)
+
+
+def test_radial_set_stores_plain_floats():
+    radial = RadialProfileSet(2, 1, width=np.float32(0.25))
+    assert type(radial.r_max) is float and type(radial.width) is float
+    assert radial == RadialProfileSet(2, 1.0, 0.25)
+    assert hash(radial) == hash(RadialProfileSet(2, 1.0, 0.25))
+    assert type(RadialProfileSet(4, np.float64(1.0)).width) is float
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_radial_centers_are_built_once_read_only_and_keep_the_profiles(count):
+    radial = RadialProfileSet(count, 0.6, width=0.2)
+    assert radial.centers is radial.centers and not radial.centers.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        radial.centers[0] = 1.0
+    # equality, hashing and the repr stay keyed on (count, r_max, width)
+    assert radial == RadialProfileSet(count, 0.6, width=0.2)
+    assert hash(radial) == hash(RadialProfileSet(count, 0.6, width=0.2))
+    assert repr(radial) == f"RadialProfileSet(count={count}, r_max=0.6, width=0.2)"
+    # the profiles as they were computed from centers rebuilt on every access
+    r = np.linspace(0.0, 1.0, 41)
+    centers = np.array([0.0]) if count == 1 else np.linspace(0.0, 0.6, count)
+    want = np.exp(-0.5 * ((r[None, :] - centers[:, None]) / 0.2) ** 2)
+    assert np.array_equal(radial.centers, centers)
+    assert np.array_equal(radial.evaluate(r), want)
 
 
 # ---------------------------------------------------------------------------
@@ -795,10 +830,10 @@ def test_response_reads_only_sphere_kernels(build):
 def test_response_rejects_bad_points_and_non_finite_input_before_evaluating(monkeypatch):
     sphere = build_induction_kernel(_SCALAR, 1, 1, _RADIAL)
 
-    def unreachable(basis, points):
+    def unreachable(*args):
         raise AssertionError("the basis was evaluated before the input check")
 
-    monkeypatch.setattr(SteerableKernelBasis, "evaluate_all", unreachable)
+    monkeypatch.setattr(kernels, "_elements", unreachable)
     pts, vals = np.full((4, 2), 0.25), np.ones((4, 1, 1))
     # a third column would be dropped silently, lifting other points than given
     with pytest.raises(ValueError,
