@@ -235,14 +235,18 @@ class RadialProfileSet:
             raise ValueError("rank-deficient radial basis")
 
     def evaluate(self, radii: np.ndarray) -> np.ndarray:
-        """Profile values, shape (count, len(radii))."""
-        r = np.asarray(radii, dtype=float)
+        """Profile values at a finite real (N,) array of radii, shape
+        (count, N); radii may be negative."""
+        return self._profiles(_check_array("radii", radii, ("N",)))
+
+    def _profiles(self, r: np.ndarray) -> np.ndarray:
+        """``evaluate`` at radii already checked, such as those of checked points."""
         return np.exp(-0.5 * ((r[None, :] - self.centers[:, None]) / self.width) ** 2)
 
     def _factors(self, radii: np.ndarray, m_top: int) -> np.ndarray:
         """``prof_p(r) (r / s_p)^m`` for m = 0..m_top, shape (m_top + 1, count,
         len(radii)), with ``s_p`` the larger of profile p's center and width."""
-        prof = self.evaluate(radii)
+        prof = self._profiles(radii)
         scaled = radii / np.maximum(self.centers, self.width)[:, None]
         return np.array([prof * scaled ** m if m else prof for m in range(m_top + 1)])
 

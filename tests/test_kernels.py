@@ -116,6 +116,28 @@ def test_radial_profiles_shape_and_peaks():
     assert np.allclose(vals.max(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("radii, message", [
+    (np.array([0.5 + 1j]), "must be real"),
+    (np.array([0.5, 0.2 + 0j]), "must be real"),   # complex dtype even with zero imaginary part
+    (np.full((2, 2), 0.5), r"must have shape \(N,\), got \(2, 2\)"),
+    (0.5, r"must have shape \(N,\), got \(\)"),
+    (np.zeros(0), r"must have shape \(N,\), got \(0,\)"),
+    (np.array([0.1, np.nan]), "must be finite"),
+    (np.array([np.inf]), "must be finite"),
+])
+def test_radial_profiles_reject_bad_radii(radii, message):
+    with pytest.raises(ValueError, match="radii " + message):
+        RadialProfileSet(2, 1.0).evaluate(radii)
+
+
+def test_radial_profiles_read_negative_radii_as_the_mirror_image():
+    radial = RadialProfileSet(3, 0.6)
+    r = np.linspace(0.0, 1.0, 11)
+    mirror = np.exp(-0.5 * ((r[None, :] + radial.centers[:, None]) / radial.width) ** 2)
+    assert np.array_equal(radial.evaluate(-r), mirror)
+    assert np.array_equal(radial.evaluate(list(r)), radial.evaluate(r))
+
+
 def test_degenerate_radial_set_rejected():
     with pytest.raises(ValueError, match="rank-deficient radial basis"):
         RadialProfileSet(3, 1e-9, width=10.0)  # rings collapse onto each other

@@ -26,6 +26,8 @@ from planelift.layers import (
     SphericalSignal,
     _bessel_j,
     _bilinear,
+    _grid_modes,
+    _grid_positions,
     _lift_response,
     corrupt_kernel,
     equivariance_harness,
@@ -38,7 +40,13 @@ from planelift.layers import (
     sphere_to_so3_correlation,
     spherical_nonlinearity,
 )
-from planelift.so2_so3 import Rotation3, SphericalHarmonicBasis, sphere_quadrature, wigner_d
+from planelift.so2_so3 import (
+    Rotation3,
+    SphericalHarmonicBasis,
+    so2_block,
+    sphere_quadrature,
+    wigner_d,
+)
 
 
 def _small_kernel(lmax=2, fiber=(0,), channels=1):
@@ -570,6 +578,94 @@ def test_band_limited_field_is_band_limited_on_circles(m_band, radius, fiber, se
 def test_band_limited_field_rejects_bad_band(m_band):
     with pytest.raises(ValueError, match="m_band must be an integer >= 0"):
         AnalyticField.random_band_limited(SO2RepSpec((0,)), np.random.default_rng(0), m_band)
+
+
+def _point_rotated(field, theta):
+    """The field turned by ``theta`` as a function of points: its values at
+    the turned-back points, fibers mixed. The reference for ``rotate_field``
+    on a Bessel field, which turns the amplitudes instead."""
+    rot_back = so2_block(1, -theta)
+    mix = field.fiber_rep.matrix(theta)
+
+    def rotated(points):
+        return field(np.atleast_2d(points) @ rot_back.T) @ mix.T
+
+    return AnalyticField(rotated, field.fiber_rep)
+
+
+_FIELD_FIBERS = st.sampled_from([(0,), (0, 1), (0, 1, 2), (2,)])
+_TURNS = st.one_of(st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]),
+                   st.floats(-2.0 * np.pi, 2.0 * np.pi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fiber=_FIELD_FIBERS, m_band=st.integers(0, 5), n=st.integers(1, 33),
+       thetas=st.lists(_TURNS, min_size=1, max_size=2), seed=st.integers(0, 2**31 - 1))
+@example(fiber=(0, 1, 2), m_band=5, n=33, thetas=[np.pi / 2, -np.pi], seed=0).via("composed")
+@example(fiber=(2,), m_band=0, n=1, thetas=[np.pi], seed=1).via("one point, m = 0 only")
+def test_band_limited_rotation_matches_point_rotation(fiber, m_band, n, thetas, seed):
+    rng = np.random.default_rng(seed)
+    field = AnalyticField.random_band_limited(SO2RepSpec(fiber), rng, m_band)
+    spacing = 2.0 * EXTENT / max(n - 1, 1)
+    grid, off = _grid_positions(n, n, spacing), rng.uniform(-1.3, 1.3, size=(40, 2))
+    rotated, want = field, field
+    for theta in thetas:
+        rotated, want = rotate_field(rotated, theta), _point_rotated(want, theta)
+    on_grid, off_grid = want(grid), want(off)
+    bound = 1e-14 * max(np.abs(on_grid).max(), np.abs(off_grid).max())
+    assert np.abs(rotated.sample(n, spacing).values.reshape(n * n, -1) - on_grid).max() <= bound
+    assert np.abs(rotated(off) - off_grid).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(fiber=_FIELD_FIBERS, m_band=st.integers(0, 5), n=st.integers(1, 33),
+       seed=st.integers(0, 2**31 - 1))
+def test_band_limited_sample_is_bit_identical_to_pointwise_values(fiber, m_band, n, seed):
+    field = AnalyticField.random_band_limited(SO2RepSpec(fiber), np.random.default_rng(seed),
+                                              m_band)
+    spacing = 2.0 * EXTENT / max(n - 1, 1)
+    want = field(_grid_positions(n, n, spacing)).reshape(n, n, -1)
+    assert np.array_equal(field.sample(n, spacing).values, want)
+
+
+@pytest.mark.parametrize("fiber", [(0,), (0, 1), (2,)])
+@pytest.mark.parametrize("theta", [0.4, 2.0, -1.1])
+def test_band_limited_rotation_by_the_wrong_sign_fails(fiber, theta):
+    # negative control: amplitudes turned by -theta under the right fiber mix
+    field = AnalyticField.random_band_limited(SO2RepSpec(fiber), np.random.default_rng(5))
+    wrong = AnalyticField(field.func.rotated(-theta, field.fiber_rep.matrix(theta)),
+                          field.fiber_rep)
+    want = _point_rotated(field, theta).sample(24, 2.0 / 23).values
+    got = wrong.sample(24, 2.0 / 23).values
+    assert np.abs(got - want).max() > 1e-1 * np.abs(want).max()
+
+
+def test_band_limited_samples_hold_no_mode_table():
+    # each kept (field, sample) pair holds its values and a few small arrays;
+    # the n x n mode tables stay in the bounded cache alone
+    n, spacing = 32, 2.0 / 31
+    rng = np.random.default_rng(0)
+    _grid_modes.cache_clear()
+    kept = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            field = AnalyticField.random_band_limited(SO2RepSpec((0,)), rng)
+            kept.append((field, field.sample(n, spacing)))
+            info = _grid_modes.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+        _grid_modes.cache_clear()
+        per_pair = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+    finally:
+        tracemalloc.stop()
+    values = kept[0][1].values.nbytes  # 8 KB; a table is 12 times that
+    assert values <= per_pair <= values + 4096
+    # a field and its rotations share one table
+    field = kept[-1][0]
+    for theta in (0.0, 0.3, 2.0):
+        rotate_field(field, theta).sample(n, spacing)
+    assert _grid_modes.cache_info()[:2] == (2, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, "8"])
