@@ -341,7 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_rep", default="0:1")
     p.add_argument("--out-lmax", type=int, default=6)
     p.add_argument("--radial", type=int, default=3)
-    p.add_argument("--r-max", type=float, default=0.45)
+    p.add_argument("--r-max", type=float, default=0.45,
+                   help="outer ring center; the rings have width r_max/radial, so this is "
+                        "not the layers' R_MAX/RADIAL_WIDTH ring (default: %(default)s)")
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--dump", default=None)
     p.set_defaults(func=_cmd_kernel_basis)

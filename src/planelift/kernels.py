@@ -5,41 +5,30 @@ to intertwine two planar-rotation representations:
 
     F(rotate(theta) @ r) = rho_out(theta) @ F(r) @ rho_in(theta)^T
 
-The solver expands the angular dependence in trigonometric modes up to a
-cutoff and imposes the constraint at two fixed rotations by irrational
-turns: a continuous kernel that meets it at one such rotation meets it at
-every angle, since that rotation's powers are dense in the circle. Per
-frequency the two rotations give one small stacked system, and its SVD
-nullspace is the admissible coefficient combinations. An analytic
+The solver, ``solve_so2_basis``, imposes it per angular frequency at two
+rotations by irrational turns, which is exact (see there); an analytic
 frequency-matching count and a grid-discretized nullspace oracle, at two
 other irrational turns, serve as independent checks.
 
-Every lifted kernel is one ``InductionKernel``: one per-degree solve with a
-derived cutoff, read on SO(3) through all 2l+1 weight rows of each degree or
-on the sphere through row m = 0. The plane-to-sphere, plane-to-rotation-group,
-plane-to-volume (SO(3) at degree 0) and plane to translation-times-sphere
-builders differ only in that data and in the heights the one solve serves.
-Only this module reads the kernel's storage format: the sphere lift's
-``response``, ``check_weights`` and the negative control ``corrupt_kernel``.
+Every lifted kernel is one ``InductionKernel``, one solved basis per degree,
+read on SO(3) through all 2l+1 weight rows of each degree or on the sphere
+through row m = 0. The height never enters the solve, so the volume and
+translation-times-sphere builders return the SO(3) kernel at degree 0 and the
+one-channel sphere kernel. Only this module reads the kernel's storage format.
 
 A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
 C + sin(m phi) S``. One private core, ``_elements``, evaluates it from the
 basis's stacked (C, S) blocks and a polar table of the points: their
-``cos/sin(m phi)`` and radial factors for each m. ``evaluate_all``, the dense
-evaluator and oracle, builds that table for its points; the sphere lift
-``response`` builds it once per call for every degree. Per degree the lift
-reads only the points where some element adds a term above rounding (factor
-times the field's magnitude above machine epsilon times its largest value
-over the points), in blocks sized from one byte budget. The layers' default
-ring (``layers.R_MAX``) has its outer profile at machine epsilon at the grid's
-inscribed radius, so at lmax 6 those points are 73% of a 48x48 grid at degree
-0 and 82% at degree 6.
+``cos/sin(m phi)`` and radial factors for each m, which the sphere lift
+``response`` builds once per call for every degree.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -110,10 +99,7 @@ class SO2RepSpec:
         return max(self.freqs, default=0)
 
     def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for k in self.freqs:
-            out[k] = out.get(k, 0) + 1
-        return out
+        return dict(Counter(self.freqs))
 
     def offsets(self) -> list[int]:
         offs, pos = [], 0
@@ -143,67 +129,46 @@ def so2_tensor(a: SO2RepSpec, b: SO2RepSpec) -> tuple[SO2RepSpec, np.ndarray]:
     """
     da, db = a.dim, b.dim
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    unit = np.eye(da * db).reshape(da, db, da * db)  # unit[p, q]: tensor coordinate (p, q)
     cols: list[np.ndarray] = []
     freqs: list[int] = []
-
-    def unit(p: int, q: int) -> np.ndarray:
-        e = np.zeros(da * db)
-        e[p * db + q] = 1.0
-        return e
-
     for ka, oa in zip(a.freqs, a.offsets()):
         for kb, ob in zip(b.freqs, b.offsets()):
             if ka == 0 and kb == 0:
                 freqs.append(0)
-                cols.append(unit(oa, ob))
+                cols.append(unit[oa, ob])
             elif ka == 0:
                 freqs.append(kb)
-                cols.extend([unit(oa, ob), unit(oa, ob + 1)])
+                cols.extend(unit[oa, ob:ob + 2])
             elif kb == 0:
                 freqs.append(ka)
-                cols.extend([unit(oa, ob), unit(oa + 1, ob)])
+                cols.extend(unit[oa:oa + 2, ob])
             else:
-                e11, e12 = unit(oa, ob), unit(oa, ob + 1)
-                e21, e22 = unit(oa + 1, ob), unit(oa + 1, ob + 1)
-                freqs.append(ka + kb)
-                cols.extend([(e11 - e22) * inv_sqrt2, (e12 + e21) * inv_sqrt2])
-                v3 = (e11 + e22) * inv_sqrt2
-                v4 = (e21 - e12) * inv_sqrt2
-                if ka == kb:
-                    freqs.extend([0, 0])
-                    cols.extend([v3, v4])
-                elif ka > kb:
-                    freqs.append(ka - kb)
-                    cols.extend([v3, v4])
-                else:
-                    freqs.append(kb - ka)
-                    cols.extend([v3, -v4])
+                (e11, e12), (e21, e22) = unit[oa:oa + 2, ob:ob + 2]
+                freqs.extend([ka + kb] + ([0, 0] if ka == kb else [abs(ka - kb)]))
+                v3, v4 = (e11 + e22) * inv_sqrt2, (e21 - e12) * inv_sqrt2
+                cols.extend([(e11 - e22) * inv_sqrt2, (e12 + e21) * inv_sqrt2,
+                             v3, v4 if ka >= kb else -v4])
     t = np.column_stack(cols) if cols else np.zeros((da * db, 0))
     return SO2RepSpec(tuple(freqs)), t
 
 
+@lru_cache(maxsize=None)
 def so3_fiber_restriction(ells: tuple[int, ...]) -> tuple[SO2RepSpec, np.ndarray]:
     """Planar-rotation content of a 3D-rotation fiber with the given degrees.
 
-    Returns the canonical spec and the orthogonal map from stacked real
-    harmonic coordinates into canonical frequency-block coordinates.
+    Returns the canonical spec and the orthogonal map, cached and read-only,
+    from stacked real harmonic coordinates into canonical block coordinates.
     """
     if not ells:
         raise ValueError("the output fiber needs at least one degree")
-    freqs: list[int] = []
-    blocks = []
-    for ell in ells:
-        mult, q = restrict_wigner(ell)
-        freqs.extend(sorted(mult))
-        blocks.append(q)
-    dim = sum(2 * ell + 1 for ell in ells)
-    t = np.zeros((dim, dim))
-    pos = 0
-    for q in blocks:
-        n = q.shape[0]
-        t[pos:pos + n, pos:pos + n] = q
-        pos += n
-    return SO2RepSpec(tuple(freqs)), t
+    parts = [restrict_wigner(ell) for ell in ells]
+    ends = np.cumsum([len(q) for _, q in parts])
+    t = np.zeros((ends[-1], ends[-1]))
+    for (_, q), end in zip(parts, ends):
+        t[end - len(q):end, end - len(q):end] = q
+    t.setflags(write=False)
+    return SO2RepSpec(tuple(k for mult, _ in parts for k in sorted(mult))), t
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +278,20 @@ class SteerableKernelBasis:
         polar table of the points and the stacked blocks through ``_elements``."""
         pts = _check_points(points)
         ms, blocks = self._stacked()
-        trig, factors = _polar(pts, int(ms.max(initial=0)), (self.radial,))
-        out = _elements(blocks, ms, factors[self.radial], trig)
+        trig, factors = _polar(pts, int(ms.max(initial=0)), self.radial)
+        out = _elements(blocks, ms, factors, trig)
         return out.reshape(self.count, len(pts), *blocks.shape[3:])
 
 
-def _polar(pts: np.ndarray, m_top: int, radials) -> tuple[np.ndarray, dict]:
+def _polar(pts: np.ndarray, m_top: int,
+           radial: RadialProfileSet) -> tuple[np.ndarray, np.ndarray]:
     """The polar table of checked (N, 2) points: ``cos/sin(m phi)`` for
-    m = 0..m_top, shape (m_top + 1, 2, N), and for each radial set its
-    factors ``prof_p(r) (r/s_p)^m``, shape (m_top + 1, P, N)."""
+    m = 0..m_top, shape (m_top + 1, 2, N), and the radial set's factors
+    ``prof_p(r) (r/s_p)^m``, shape (m_top + 1, P, N)."""
     radii = np.hypot(pts[:, 0], pts[:, 1])
     mphi = np.arange(m_top + 1)[:, None] * np.arctan2(pts[:, 1], pts[:, 0])
     trig = np.stack([np.cos(mphi), np.sin(mphi)], axis=1)
-    return trig, {radial: radial._factors(radii, m_top) for radial in radials}
+    return trig, radial._factors(radii, m_top)
 
 
 def _elements(blocks: np.ndarray, ms: np.ndarray, factors: np.ndarray,
@@ -442,11 +408,15 @@ def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
 # ---------------------------------------------------------------------------
 # the lifted kernel
 
+@lru_cache(maxsize=None)
 def _tensor_with_harmonics(ell: int, fiber: SO2RepSpec) -> tuple[SO2RepSpec, np.ndarray]:
-    """Input structure at degree ell: harmonic index (outer) times fiber (inner)."""
+    """Input structure at degree ell: harmonic index (outer) times fiber
+    (inner), and its change of basis to canonical coordinates, read-only and
+    cached, so every kernel with this fiber reads one copy per degree."""
     res, q = so3_fiber_restriction((ell,))  # one of each frequency 0..ell
     spec, t2 = so2_tensor(res, fiber)
     t = np.kron(q, np.eye(fiber.dim)) @ t2
+    t.setflags(write=False)
     return spec, t
 
 
@@ -463,19 +433,34 @@ class InductionKernel:
     ``sqrt((2l+1)/4pi)`` so that it reads ``Y_l(g e_z)``; it then satisfies
     ``kappa(Rz(t) g, Rz(t) r) = kappa(g, r) rho_in(t)^{-1}``.
 
-    The height coordinate is inert under in-plane rotation, so one solve
-    serves every slice in ``heights``.
+    ``lmax`` and the changes of basis are derived, not stored, so ``replace``
+    leaves nothing stale, and construction rejects parts that disagree.
     """
 
     fiber_in: SO2RepSpec
     out_ells: tuple[int, ...]
-    lmax: int
     bases: tuple[SteerableKernelBasis, ...]
-    transforms: tuple[np.ndarray, ...]  # canonical <- (harmonic x fiber), per degree
-    out_transform: np.ndarray           # stacked output harmonics <- canonical
     out_channels: int
     space: str  # "sphere" or "so3"
-    heights: tuple[float, ...]
+
+    def __post_init__(self):
+        _check_layer_shape(self.fiber_in, self.lmax, self.out_channels)
+        if self.space not in ("sphere", "so3"):
+            raise ValueError(f"space must be 'sphere' or 'so3', got {self.space!r}")
+        if self.space == "sphere" and self.out_ells != (0,):
+            raise ValueError(f"a sphere kernel has output degrees (0,), got {self.out_ells!r}")
+        if self.space == "so3" and self.out_channels != 1:
+            raise ValueError(f"an SO(3) kernel has one output channel, got {self.out_channels}")
+        if len({basis.radial for basis in self.bases}) != 1:
+            raise ValueError("the bases of a kernel must share one radial profile set")
+        out_spec = so3_fiber_restriction(self.out_ells)[0]
+        for ell, b in enumerate(self.bases):
+            if (b.in_rep, b.out_rep) != (_tensor_with_harmonics(ell, self.fiber_in)[0], out_spec):
+                raise ValueError(f"basis {ell} does not solve degree {ell} of these fibers")
+
+    @property
+    def lmax(self) -> int:
+        return len(self.bases) - 1
 
     @property
     def out_dim(self) -> int:
@@ -520,12 +505,13 @@ class InductionKernel:
         """
         pts = _check_points(points)
         d = self.fiber_in.dim
+        out_t = so3_fiber_restriction(self.out_ells)[1]  # stacked output harmonics <- canonical
         out = []
-        for ell, (w, basis, t) in enumerate(zip(self._split(weights), self.bases,
-                                                self.transforms)):
+        for ell, (w, basis) in enumerate(zip(self._split(weights), self.bases)):
             can = np.einsum("crb,bnij->crnij", w, basis.evaluate_all(pts))
             # output rows to harmonic coordinates, columns to harmonic-times-fiber
-            fl = np.einsum("oi,crnij,pj->cronp", self.out_transform, can, t)
+            t = _tensor_with_harmonics(ell, self.fiber_in)[1]  # canonical <- harmonic x fiber
+            fl = np.einsum("oi,crnij,pj->cronp", out_t, can, t)
             out.append(fl.reshape(-1, pts.shape[0], 2 * ell + 1, d))
         return out
 
@@ -560,28 +546,30 @@ class InductionKernel:
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
         d = self.fiber_in.dim
         m_top = max((sol.m for basis in self.bases for sol in basis.angular), default=0)
+        radial = self.bases[0].radial  # every degree's, as construction checks
         # the points are read only through their table, so no copy of them outlives it
-        trig, factors = _polar(_check_points(points), m_top, {b.radial for b in self.bases})
+        trig, factors = _polar(_check_points(points), m_top, radial)
         vals = _check_array("values", values, (trig.shape[2], "fields", d))
-        above = {r: _above_rounding(f, np.abs(vals).max(axis=2)) for r, f in factors.items()}
+        above = _above_rounding(factors, np.abs(vals).max(axis=2))
         nf, vals = vals.shape[1], vals.reshape(len(vals), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         pos = 0
-        for ell, (basis, t) in enumerate(zip(self.bases, self.transforms)):
+        for ell, basis in enumerate(self.bases):
             ms, blocks = basis._stacked()
             d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
             top = ms.max(initial=0) + 1  # the table rows this degree reads
             # per point: the basis values, the table rows read and their copy per solution
-            per_point = basis.count * d_can + (top + len(ms)) * (basis.radial.count + 2)
+            per_point = basis.count * d_can + (top + len(ms)) * (radial.count + 2)
             rows = max(1, _LIFT_BLOCK_BYTES // (8 * per_point))
-            keep = np.flatnonzero(above[basis.radial][ms].any(axis=0))
-            table, cos_sin = factors[basis.radial][:top], trig[:top]
+            keep = np.flatnonzero(above[ms].any(axis=0))
+            table, cos_sin = factors[:top], trig[:top]
             moments = np.zeros((basis.count, d_can, vals.shape[1]))
             for idx in (keep[i:i + rows] for i in range(0, len(keep), rows)):
                 part = _elements(blocks, ms, table.take(idx, axis=2), cos_sin.take(idx, axis=2))
                 moments += np.tensordot(part.reshape(-1, len(idx), d_can), vals[idx], axes=(1, 0))
             moments = moments.reshape(basis.count, d_can, nf, d)
-            block = np.einsum("bjfv,kvj->fbk", moments, t.reshape(2 * ell + 1, d, -1))
+            t = _tensor_with_harmonics(ell, self.fiber_in)[1].reshape(2 * ell + 1, d, -1)
+            block = np.einsum("bjfv,kvj->fbk", moments, t)
             response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
             pos += basis.count
         return response
@@ -601,62 +589,61 @@ def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> Inducti
         for basis in kernel.bases))
 
 
-def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1,
-                       heights: tuple[float, ...] = (0.0,)) -> None:
+def _check_layer_shape(fiber_in: SO2RepSpec, lmax: int = 0, out_channels: int = 1) -> None:
     """Reject a layer shape whose kernel would be vacuous or ill-defined."""
     _check_int("lmax", lmax, 0, MAX_ELL)
     _check_int("out_channels", out_channels, 1)
     if not fiber_in.freqs:
         raise ValueError("the input fiber needs at least one frequency")
+
+
+def _check_heights(heights: tuple[float, ...]) -> None:
+    """Reject height samples other than a non-empty tuple of finite reals."""
     if not (isinstance(heights, tuple) and heights
             and all(isinstance(z, Real) and math.isfinite(z) for z in heights)):
         raise ValueError(f"heights must be a non-empty tuple of finite reals, got {heights!r}")
 
 
 def _build(fiber_in: SO2RepSpec, out_ells: tuple[int, ...], lmax: int, radial: RadialProfileSet,
-           out_channels: int, space: str, heights: tuple[float, ...]) -> InductionKernel:
+           out_channels: int, space: str) -> InductionKernel:
     """Solve degrees 0..lmax: at degree l, the degree-l harmonics times
     ``fiber_in`` to the restricted output fiber, at the top degree's need.
 
     An irrep pair needs frequencies up to the sum of its frequencies, so
     ``lmax + fiber_in.max_freq + out_spec.max_freq`` truncates nothing.
     """
-    _check_layer_shape(fiber_in, lmax, out_channels, heights)
-    out_spec, out_t = so3_fiber_restriction(tuple(out_ells))
+    _check_layer_shape(fiber_in, lmax, out_channels)
+    out_ells = tuple(out_ells)
+    out_spec = so3_fiber_restriction(out_ells)[0]
     m_max = lmax + fiber_in.max_freq + out_spec.max_freq
-    bases, transforms = [], []
-    for ell in range(lmax + 1):
-        spec, t = _tensor_with_harmonics(ell, fiber_in)
-        bases.append(solve_so2_basis(spec, out_spec, radial, m_max))
-        t.setflags(write=False)
-        transforms.append(t)
-    out_t.setflags(write=False)
-    return InductionKernel(fiber_in, tuple(out_ells), lmax, tuple(bases),
-                           tuple(transforms), out_t, out_channels, space,
-                           tuple(float(z) for z in heights))
+    bases = tuple(solve_so2_basis(_tensor_with_harmonics(ell, fiber_in)[0], out_spec, radial,
+                                  m_max) for ell in range(lmax + 1))
+    return InductionKernel(fiber_in, out_ells, bases, out_channels, space)
 
 
 def build_induction_kernel(fiber_in: SO2RepSpec, out_channels: int, lmax: int,
                            radial: RadialProfileSet) -> InductionKernel:
     """The plane-to-sphere kernel: scalar output, one weight row per degree."""
-    return _build(fiber_in, (0,), lmax, radial, out_channels, "sphere", (0.0,))
+    return _build(fiber_in, (0,), lmax, radial, out_channels, "sphere")
 
 
 def build_so3_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...], lmax: int,
                      radial: RadialProfileSet) -> InductionKernel:
     """The plane-to-rotation-group kernel with the given output degrees."""
-    return _build(fiber_in, fiber_out_ells, lmax, radial, 1, "so3", (0.0,))
+    return _build(fiber_in, fiber_out_ells, lmax, radial, 1, "so3")
 
 
 def build_volume_kernel(fiber_in: SO2RepSpec, fiber_out_ells: tuple[int, ...],
                         z_samples: tuple[float, ...], radial: RadialProfileSet) -> InductionKernel:
-    """The plane-to-volume kernel: the rotation-group kernel at degree 0,
-    shared by every height slice."""
-    return _build(fiber_in, fiber_out_ells, 0, radial, 1, "so3", z_samples)
+    """The plane-to-volume kernel: every height slice reads the
+    rotation-group kernel at degree 0."""
+    _check_heights(z_samples)
+    return build_so3_kernel(fiber_in, fiber_out_ells, 0, radial)
 
 
 def build_r3s2_kernel(fiber_in: SO2RepSpec, lmax: int, z_samples: tuple[float, ...],
                       radial: RadialProfileSet) -> InductionKernel:
-    """The plane to translation-times-sphere kernel: the sphere kernel with
-    one output channel, shared by every height slice."""
-    return _build(fiber_in, (0,), lmax, radial, 1, "sphere", z_samples)
+    """The plane to translation-times-sphere kernel: every height slice reads
+    the sphere kernel with one output channel."""
+    _check_heights(z_samples)
+    return build_induction_kernel(fiber_in, 1, lmax, radial)

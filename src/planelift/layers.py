@@ -73,6 +73,8 @@ __all__ = [
     "gradient_check",
 ]
 
+FIELD_BAND = 2  # the angular band of ``AnalyticField.random_band_limited``'s fields
+
 
 # ---------------------------------------------------------------------------
 # planar fields
@@ -135,7 +137,7 @@ class AnalyticField:
 
     @staticmethod
     def random_band_limited(fiber: SO2RepSpec, rng: np.random.Generator,
-                            m_band: int = 2) -> "AnalyticField":
+                            m_band: int = FIELD_BAND) -> "AnalyticField":
         """Random finite sum of modes ``J_m(k r) (a cos(m phi) + b sin(m phi))``:
         two radial wavenumbers in [1, 6) per angular frequency m up to
         ``m_band``, drawn as ``ks``, then the cosine, then the sine amplitudes.
@@ -525,7 +527,6 @@ def so3_equiangular_grid(n_alpha: int = 24, n_beta: int = 12,
 EXTENT = 1.0
 RADIAL_WIDTH = 0.082
 R_MAX = EXTENT - RADIAL_WIDTH * math.sqrt(-2.0 * math.log(np.finfo(float).eps))
-FIELD_BAND = 2
 FD_STEP = 1e-5  # central-difference step of ``gradient_check``
 
 
@@ -597,7 +598,7 @@ def equivariance_harness(config: LayerConfig, trials: int = 20,
     residuals = []
     for _ in range(trials):
         w = rng.normal(size=(kernel.out_channels, kernel.weight_count))
-        fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=FIELD_BAND)
+        fld = AnalyticField.random_band_limited(config.fiber, rng)
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=theta_samples)
         base, *lifted = induction_forward_many(
             [f.sample(config.grid_n, config.spacing)
@@ -634,7 +635,7 @@ def gradient_check(config: LayerConfig, nonlinearity: str | None = "softplus",
     differences of the public forward pass (plus nonlinearity)."""
     rng = np.random.default_rng(seed)
     kernel = config.build_kernel()
-    fld = AnalyticField.random_band_limited(config.fiber, rng, m_band=FIELD_BAND)
+    fld = AnalyticField.random_band_limited(config.fiber, rng)
     sampled = fld.sample(config.grid_n, config.spacing)
     w = rng.normal(size=(kernel.out_channels, kernel.weight_count))
     _, grad = _loss_and_grad(kernel, sampled, w, nonlinearity)

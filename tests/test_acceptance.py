@@ -253,22 +253,20 @@ def test_criterion_06_kernel_solver():
 
     volume = build_volume_kernel(fiber, (1,), (-0.3, 0.4), RadialProfileSet(2, 0.5))
     wv = rng.normal(size=volume.bases[0].count)
-    for _ in volume.heights:  # every height reads the one kernel
-        for theta in rng.uniform(0, 2 * np.pi, size=3):
-            lhs = volume.kappa(wv, g, pts @ rot2(theta).T)
-            rhs = np.einsum("ou,nuv,wv->now", wigner_d_z(1, theta),
-                            volume.kappa(wv, g, pts), fiber.matrix(theta))
-            worst_fam = max(worst_fam, float(np.abs(lhs - rhs).max()))
+    for theta in rng.uniform(0, 2 * np.pi, size=3):  # every height reads the one kernel
+        lhs = volume.kappa(wv, g, pts @ rot2(theta).T)
+        rhs = np.einsum("ou,nuv,wv->now", wigner_d_z(1, theta),
+                        volume.kappa(wv, g, pts), fiber.matrix(theta))
+        worst_fam = max(worst_fam, float(np.abs(lhs - rhs).max()))
 
     r3s2 = build_r3s2_kernel(SO2RepSpec((0,)), 2, (0.0, 0.7),
                              RadialProfileSet(2, 0.5, width=0.12))
     wr = rng.normal(size=(1, r3s2.weight_count))
-    for _ in r3s2.heights:
-        base = r3s2.kappa(wr, pole, pts)
-        for theta in rng.uniform(0, 2 * np.pi, size=3):
-            hz = Rotation3.about_z(theta)
-            lhs = r3s2.kappa(wr, hz.compose(pole), pts @ rot2(theta).T)
-            worst_fam = max(worst_fam, float(np.abs(lhs - base).max()))
+    base = r3s2.kappa(wr, pole, pts)
+    for theta in rng.uniform(0, 2 * np.pi, size=3):
+        hz = Rotation3.about_z(theta)
+        lhs = r3s2.kappa(wr, hz.compose(pole), pts @ rot2(theta).T)
+        worst_fam = max(worst_fam, float(np.abs(lhs - base).max()))
 
     _report("criterion 6: kernel solver vs oracle and family constraints",
             counts_ok and worst_steer < 1e-8 and worst_fam < 1e-8,

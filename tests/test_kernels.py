@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -722,8 +722,7 @@ def test_volume_kernel_heights_share_one_solve():
                                  RadialProfileSet(2, 0.5))
     # the constraint does not involve the height: one degree-0 solve serves
     # every height
-    assert kernel.heights == (-0.5, 0.0, 0.5) and kernel.lmax == 0
-    assert len(kernel.bases) == 1
+    assert kernel.lmax == 0 and len(kernel.bases) == 1
     rng = np.random.default_rng(10)
     w = rng.normal(size=kernel.bases[0].count)
     pts = rng.normal(size=(14, 2)) * 0.4
@@ -750,7 +749,6 @@ def test_r3s2_kernel_consistency():
     sphere = build_induction_kernel(fiber, 1, 2, radial)
     assert single.weight_count == sphere.weight_count
     multi = build_r3s2_kernel(fiber, 2, (-1.0, 0.0, 1.0), radial)
-    assert multi.heights == (-1.0, 0.0, 1.0)
     assert len(multi.bases) == 3  # one solve per degree, shared by every height
 
     rng = np.random.default_rng(11)
@@ -902,12 +900,86 @@ def test_kernel_inputs_reject_complex_values():
             call()
 
 
+def _change_of_basis(ell, fiber):
+    """Degree ell's cached change of basis, canonical <- (harmonic x fiber)."""
+    return kernels._tensor_with_harmonics(ell, fiber)[1]
+
+
 def test_solved_kernels_are_read_only():
     kernel = build_so3_kernel(SO2RepSpec((0, 1)), (0, 1), 1, _RADIAL)
-    arrays = [kernel.out_transform, *kernel.transforms]
+    arrays = [so3_fiber_restriction(kernel.out_ells)[1]]
+    arrays += [_change_of_basis(ell, kernel.fiber_in) for ell in range(kernel.lmax + 1)]
     for basis in kernel.bases:
         arrays += [a for sol in basis.angular for a in (sol.cos_coeff, sol.sin_coeff)]
     assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_induction_kernel_holds_only_its_independent_fields():
+    kernel = build_so3_kernel(_VECTOR, (0, 1), 3, _RADIAL)
+    assert [f.name for f in fields(kernel)] == [
+        "fiber_in", "out_ells", "bases", "out_channels", "space"]
+    # lmax is derived, so dropping degrees cannot leave it stale
+    short = replace(kernel, bases=kernel.bases[:2])
+    assert short.lmax == 1 and len(short.coefficient_blocks(
+        np.ones(short.weight_count), np.zeros((1, 2)))) == 2
+
+
+def test_kernels_with_one_fiber_share_read_only_changes_of_basis():
+    sphere = build_induction_kernel(SO2RepSpec((0, 1)), 2, 3, _RADIAL)
+    so3 = build_so3_kernel(SO2RepSpec((0, 1)), (0, 1), 2, RadialProfileSet(2, 0.4))
+    for ell in range(3):
+        t = _change_of_basis(ell, sphere.fiber_in)
+        assert t is _change_of_basis(ell, so3.fiber_in) and not t.flags.writeable
+    twin = build_so3_kernel(SO2RepSpec((0, 1)), (0, 1), 1, _RADIAL)
+    assert so3_fiber_restriction(twin.out_ells)[1] is so3_fiber_restriction(so3.out_ells)[1]
+
+
+def test_a_second_identical_kernel_keeps_no_second_change_of_basis():
+    fiber, radial = SO2RepSpec((0, 1, 2)), RadialProfileSet(1, 0.5)
+
+    def kept_by_build():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel = build_so3_kernel(fiber, (0, 1), 3, radial)
+            return kernel, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    # a first solve may fill numpy's own caches; make it on another fiber
+    build_so3_kernel(SO2RepSpec((0, 2)), (0, 1), 3, radial)
+    kernels._tensor_with_harmonics.cache_clear()
+    kernels.so3_fiber_restriction.cache_clear()
+    first, cold = kept_by_build()
+    _, warm = kept_by_build()
+    # the first build fills the cache with every change of basis (17 KB); the
+    # second reads those copies and keeps only its own bases
+    shared = sum(_change_of_basis(ell, fiber).nbytes for ell in range(first.lmax + 1))
+    assert cold - warm >= shared > 16_000, (cold, warm, shared)
+
+
+_SPHERE = build_induction_kernel(_VECTOR, 1, 2, _RADIAL)
+_SO3 = build_so3_kernel(_VECTOR, (0, 1), 2, _RADIAL)
+
+
+@pytest.mark.parametrize("make, message", [
+    # "Sphere" used to read as SO(3): weight_count 27 -> 105
+    (lambda: replace(_SPHERE, space="Sphere"), "space must be"),
+    # the lift used to return a (1, 27, 9) map that ignored the output fiber
+    (lambda: replace(_SPHERE, out_ells=(1,)), "sphere kernel has output degrees"),
+    # kappa used to fail late: "cannot reshape array of size 180 into shape (2,5,60)"
+    (lambda: replace(_SO3, out_channels=2), "one output channel"),
+    (lambda: replace(_SO3, bases=(replace(_SO3.bases[0], radial=RadialProfileSet(2, 0.5)),)
+                     + _SO3.bases[1:]), "one radial profile set"),
+    (lambda: replace(_SO3, fiber_in=SO2RepSpec((0, 2))), "basis 0 does not solve"),
+    (lambda: replace(_SO3, out_ells=(1, 0)), "basis 0 does not solve"),
+    (lambda: replace(_SO3, bases=_SO3.bases[1:]), "basis 0 does not solve"),
+    (lambda: replace(_SO3, bases=()), "lmax must be"),
+], ids=["space", "sphere-out-fiber", "so3-channels", "radial", "fiber", "out-order",
+        "shifted-degrees", "no-bases"])
+def test_inconsistent_kernels_are_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @lru_cache(maxsize=None)

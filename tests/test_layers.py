@@ -16,6 +16,7 @@ from planelift.kernels import (
 from planelift.layers import (
     _SERIES_X,
     EXTENT,
+    FIELD_BAND,
     R_MAX,
     RADIAL_WIDTH,
     AnalyticField,
@@ -189,7 +190,8 @@ def _one_field_response(field, kernel):
     d = kernel.fiber_in.dim
     response = np.zeros((kernel.weight_count, (kernel.lmax + 1) ** 2))
     pos = 0
-    for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
+    for ell, basis in enumerate(kernel.bases):
+        t = kernels._tensor_with_harmonics(ell, kernel.fiber_in)[1]
         bvals = basis.evaluate_all(pts)[:, :, 0, :]
         moments = np.tensordot(bvals, vals, axes=([1], [0]))
         block = np.einsum("bjv,kvj->bk", moments, t.reshape(2 * ell + 1, d, -1))
@@ -322,7 +324,8 @@ def _per_block_response(kernel, points, values, magnitude=False):
     vals = size(values.reshape(len(points), -1))
     response = np.zeros((nf, kernel.weight_count, (kernel.lmax + 1) ** 2))
     pos = 0
-    for ell, (basis, t) in enumerate(zip(kernel.bases, kernel.transforms)):
+    for ell, basis in enumerate(kernel.bases):
+        t = kernels._tensor_with_harmonics(ell, kernel.fiber_in)[1]
         keep = _support_mask(basis, radii, magnitudes)
         d_can = basis.in_rep.dim
         rows = max(1, kernels._LIFT_BLOCK_BYTES // (8 * max(basis.count * d_can, 1)))
@@ -1204,3 +1207,19 @@ def test_zero_configuration_has_zero_gradient():
                                 np.zeros((1, kernel.weight_count)), None)
     assert loss == 0.0
     assert np.abs(grad).max() == 0.0
+
+
+def test_harness_fields_default_to_the_one_field_band():
+    # the default band is FIELD_BAND, 2 as before, so every seed draws the field it drew
+    assert FIELD_BAND == 2
+    for seed in range(4):
+        default = AnalyticField.random_band_limited(SO2RepSpec((0, 1)), np.random.default_rng(seed))
+        explicit = AnalyticField.random_band_limited(SO2RepSpec((0, 1)),
+                                                     np.random.default_rng(seed), m_band=2)
+        assert np.array_equal(default.sample(8, 0.2).values, explicit.sample(8, 0.2).values)
+
+
+def test_synthesis_rejects_points_off_the_unit_sphere():
+    sig = SphericalSignal(2, np.ones((1, 9)))
+    with pytest.raises(ValueError, match="points must be unit vectors"):
+        sig.synthesize(np.array([[0.0, 0.0, 2.0]]))

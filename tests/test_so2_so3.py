@@ -11,6 +11,7 @@ from scipy.special import lpmv
 from planelift.so2_so3 import (
     MAX_ELL,
     Rotation3,
+    _UNIT_TOL,
     SphericalHarmonicBasis,
     _check_array,
     _matrix_quat,
@@ -433,3 +434,23 @@ def test_check_array_messages():
         _check_array("x", np.ones(2, dtype=complex), ("N",))
     assert _check_array("x", [1, 2], ("N",)).dtype == float
     assert _check_array("x", [1j], ("N",), np.complex128)[0] == 1j
+
+
+def test_harmonics_reject_points_off_the_unit_sphere():
+    # (0, 0, 2) used to read Y_10 at twice its unit value, and the zero vector Y_00 alone
+    basis = SphericalHarmonicBasis(2)
+    for bad in ([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 1e-11]):
+        with pytest.raises(ValueError, match="points must be unit vectors"):
+            basis.evaluate(np.array(bad))
+    with pytest.raises(ValueError, match="points must be unit vectors"):
+        basis.evaluate(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.0]]))
+
+
+def test_library_sphere_points_sit_far_inside_the_unit_bound():
+    # the bound is 2000 times the worst |p|^2 - 1 of the library's own points
+    rng = np.random.default_rng(12)
+    poles = np.array([Rotation3.random(rng).apply(np.array([0.0, 0.0, 1.0]))
+                      for _ in range(500)])
+    for pts in [sphere_quadrature(band)[0] for band in range(0, 4 * MAX_ELL + 1, 8)] + [poles]:
+        assert np.abs(np.einsum("ni,ni->n", pts, pts) - 1.0).max() <= _UNIT_TOL / 2000
+        assert np.isfinite(SphericalHarmonicBasis(2).evaluate(pts)).all()
