@@ -157,10 +157,10 @@ def _cmd_induce(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     from .groups import coset_decomposition, named_embedding
-    from .induce_restrict import branching_table, check_frobenius, induction_table
+    from .induce_restrict import _reciprocity_tables, check_frobenius
 
     emb = named_embedding(args.subgroup, args.group)
-    ok, mismatch = check_frobenius(branching_table(emb), induction_table(coset_decomposition(emb)))
+    ok, mismatch = check_frobenius(*_reciprocity_tables(coset_decomposition(emb)))
     _emit({"group": args.group, "subgroup": args.subgroup,
            "reciprocity": "PASS" if ok else "FAIL",
            "mismatch": list(mismatch) if mismatch else None})

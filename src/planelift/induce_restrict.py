@@ -95,6 +95,15 @@ def induction_table(cosets: CosetDecomposition) -> InductionTable:
                                irrep_table(emb.parent))
 
 
+def _reciprocity_tables(cosets: CosetDecomposition) -> tuple[BranchingTable, InductionTable]:
+    """``branching_table`` and ``induction_table`` of one coset decomposition,
+    from one irrep table per group, not one per group and table."""
+    emb = cosets.embedding
+    parent, sub = irrep_table(emb.parent), irrep_table(emb.sub)
+    return (_multiplicity_table(parent, lambda sigma: restrict(sigma, emb), sub),
+            _multiplicity_table(sub, lambda rho: induce(rho, cosets), parent))
+
+
 def check_frobenius(branching: BranchingTable,
                     induction: InductionTable) -> tuple[bool, tuple[str, str] | None]:
     """True iff the branching table is the transpose of the induction table.

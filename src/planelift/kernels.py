@@ -19,8 +19,8 @@ one-channel sphere kernel. Only this module reads the kernel's storage format.
 A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
 C + sin(m phi) S``. One private core, ``_elements``, evaluates it from the
 basis's stacked (C, S) blocks and a polar table of the points: their
-``cos/sin(m phi)`` and radial factors for each m, which the sphere lift
-``response`` builds once per call for every degree.
+``cos/sin(m phi)`` and radial factors for each m. The sphere lift
+``response`` reads every degree from one cached table per grid.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 # the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
 _SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
 # bytes per lift block of basis values and the table rows they read: of 1, 2, 4 and 8 MiB,
-# the fastest on lift_stream and pose_readout with the lift's per-call polar table
+# the fastest on lift_stream and pose_readout when the lift rebuilt its polar table per call
 _LIFT_BLOCK_BYTES = 1 << 20
 
 
@@ -231,14 +231,14 @@ def _above_rounding(factors: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the solver
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _AngularSolution:
     m: int
     cos_coeff: np.ndarray  # (d_out, d_in)
     sin_coeff: np.ndarray  # (d_out, d_in); zero when m == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteerableKernelBasis:
     """Solved basis of constraint-satisfying kernels.
 
@@ -292,6 +292,18 @@ def _polar(pts: np.ndarray, m_top: int,
     mphi = np.arange(m_top + 1)[:, None] * np.arctan2(pts[:, 1], pts[:, 0])
     trig = np.stack([np.cos(mphi), np.sin(mphi)], axis=1)
     return trig, radial._factors(radii, m_top)
+
+
+@lru_cache(maxsize=1)
+def _grid_polar(raw: bytes, m_top: int,
+                radial: RadialProfileSet) -> tuple[np.ndarray, np.ndarray]:
+    """``_polar`` of the checked points whose float bytes are ``raw``, read-only
+    and keyed on the points' values, never on a field, so one fixed grid serves
+    every field lifted on it (0.9 MB at 64x64, lmax 6, scalar fiber, two rings)."""
+    trig, factors = _polar(np.frombuffer(raw).reshape(-1, 2), m_top, radial)
+    for arr in (trig, factors):
+        arr.setflags(write=False)
+    return trig, factors
 
 
 def _elements(blocks: np.ndarray, ms: np.ndarray, factors: np.ndarray,
@@ -420,7 +432,7 @@ def _tensor_with_harmonics(ell: int, fiber: SO2RepSpec) -> tuple[SO2RepSpec, np.
     return spec, t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InductionKernel:
     """Lifted kernel from the plane to SO(3) or to the sphere SO(3)/SO(2).
 
@@ -535,20 +547,20 @@ class InductionKernel:
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
         harmonic coordinates; the caller multiplies in the cell area. The
-        points are checked once and one polar table serves every degree. A
-        degree's sum skips the points no mask of ``_above_rounding`` marks at
-        its frequencies, where each term is at most machine epsilon times the
-        largest bound on the sum's terms, and reads the rest in blocks of at
-        most ``_LIFT_BLOCK_BYTES`` (at least one point), one ``tensordot``
-        per block against every field's values.
+        points are checked once, and every degree reads the grid's one
+        cached polar table (``_grid_polar``). A degree's sum skips the points
+        no mask of ``_above_rounding`` marks at its frequencies, where each
+        term is at most machine epsilon times the largest bound on the sum's
+        terms, and reads the rest in blocks of at most ``_LIFT_BLOCK_BYTES``
+        (at least one point), one ``matmul`` per block of every field's
+        values against the block's basis values, with no transposed copy.
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
         d = self.fiber_in.dim
         m_top = max((sol.m for basis in self.bases for sol in basis.angular), default=0)
         radial = self.bases[0].radial  # every degree's, as construction checks
-        # the points are read only through their table, so no copy of them outlives it
-        trig, factors = _polar(_check_points(points), m_top, radial)
+        trig, factors = _grid_polar(_check_points(points).tobytes(), m_top, radial)
         vals = _check_array("values", values, (trig.shape[2], "fields", d))
         above = _above_rounding(factors, np.abs(vals).max(axis=2))
         nf, vals = vals.shape[1], vals.reshape(len(vals), -1)  # (N, fields * d)
@@ -563,13 +575,13 @@ class InductionKernel:
             rows = max(1, _LIFT_BLOCK_BYTES // (8 * per_point))
             keep = np.flatnonzero(above[ms].any(axis=0))
             table, cos_sin = factors[:top], trig[:top]
-            moments = np.zeros((basis.count, d_can, vals.shape[1]))
+            moments = np.zeros((basis.count, vals.shape[1], d_can))
             for idx in (keep[i:i + rows] for i in range(0, len(keep), rows)):
                 part = _elements(blocks, ms, table.take(idx, axis=2), cos_sin.take(idx, axis=2))
-                moments += np.tensordot(part.reshape(-1, len(idx), d_can), vals[idx], axes=(1, 0))
-            moments = moments.reshape(basis.count, d_can, nf, d)
+                moments += np.matmul(vals[idx].T, part.reshape(-1, len(idx), d_can))
+            moments = moments.reshape(basis.count, nf, d, d_can)
             t = _tensor_with_harmonics(ell, self.fiber_in)[1].reshape(2 * ell + 1, d, -1)
-            block = np.einsum("bjfv,kvj->fbk", moments, t)
+            block = np.einsum("bfvj,kvj->fbk", moments, t)
             response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
             pos += basis.count
         return response

@@ -129,6 +129,19 @@ def test_induce_command_induces_only_the_named_irrep(capsys, monkeypatch):
     assert out.splitlines() == ["irrep,multiplicity", "icosa3b,1", "pair5,1", "std4,1"]
 
 
+def test_frobenius_builds_each_irrep_table_once(capsys, monkeypatch):
+    # the branching and induction tables each built both groups' irrep
+    # tables: 4 calls (A5, Z5, Z5, A5)
+    from planelift import induce_restrict
+
+    real, built = induce_restrict.irrep_table, []
+    monkeypatch.setattr(induce_restrict, "irrep_table",
+                        lambda group: built.append(group.name) or real(group))
+    code, out = _run(capsys, ["frobenius", "--group", "A5", "--subgroup", "Z5"])
+    assert code == 0 and json.loads(out)["reciprocity"] == "PASS"
+    assert sorted(built) == ["A5", "Z5"]
+
+
 def test_frobenius_and_completeness_pass(capsys):
     code, out = _run(capsys, ["frobenius", "--group", "A4", "--subgroup", "Z3"])
     assert code == 0

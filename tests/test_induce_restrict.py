@@ -8,6 +8,7 @@ from planelift.groups import (
     subgroup_embedding,
 )
 from planelift.induce_restrict import (
+    _reciprocity_tables,
     boundary_compatibility,
     branching_table,
     check_frobenius,
@@ -137,6 +138,14 @@ def test_frobenius_reciprocity(sub, parent):
     induction = induction_table(cos)
     ok, mismatch = check_frobenius(branching, induction)
     assert ok and mismatch is None
+
+
+@pytest.mark.parametrize("sub,parent", [("Z3", "A4"), ("Z5", "A5")])
+def test_reciprocity_tables_are_the_branching_and_induction_tables(sub, parent):
+    emb, cos, _, _ = _setup(sub, parent)
+    for got, want in zip(_reciprocity_tables(cos), (branching_table(emb), induction_table(cos))):
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert np.array_equal(got.entries, want.entries)
 
 
 def test_frobenius_detects_corruption():

@@ -958,6 +958,20 @@ def test_a_second_identical_kernel_keeps_no_second_change_of_basis():
     assert cold - warm >= shared > 16_000, (cold, warm, shared)
 
 
+def test_kernels_compare_and_hash_by_identity():
+    # the generated __eq__ compared array fields and raised "truth value of an
+    # array ... is ambiguous"; the generated __hash__ raised on the arrays
+    a, b = (build_so3_kernel(_VECTOR, (0, 1), 1, RadialProfileSet(1, 0.5)) for _ in range(2))
+    parts = [(a, b), (a.bases[1], b.bases[1]), (a.bases[1].angular[0], b.bases[1].angular[0])]
+    for one, twin in parts:
+        assert one == one and hash(one) == hash(one)
+        assert one != twin and not one == twin
+        assert len({one, twin}) == 2
+    # replace still builds, and a rebuilt kernel is a new object
+    short = replace(a, bases=a.bases[:1])
+    assert short.lmax == 0 and short != a and short.bases[0] == a.bases[0]
+
+
 _SPHERE = build_induction_kernel(_VECTOR, 1, 2, _RADIAL)
 _SO3 = build_so3_kernel(_VECTOR, (0, 1), 2, _RADIAL)
 

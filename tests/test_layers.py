@@ -389,8 +389,90 @@ def test_response_checks_its_points_and_builds_its_table_once(monkeypatch):
                         counting("_factors", RadialProfileSet._factors))
     monkeypatch.setattr(kernels, "_LIFT_BLOCK_BYTES", 4096)  # many blocks per degree
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(256, 2))
+    kernels._grid_polar.cache_clear()  # a miss, whatever ran before
     kernel.response(pts, np.ones((256, 2, 3)))
     assert counts == {"_check_points": 1, "_check_array": 2, "_polar": 1, "_factors": 1}
+
+
+def _uncached_response(kernel, pts, values):
+    kernels._grid_polar.cache_clear()
+    return kernel.response(pts, values)
+
+
+def test_cached_polar_table_lifts_bit_identically():
+    kernel = _default_ring_kernel((0, 1), 3)
+    pts = _grid_positions(24, 24, 2.0 / 23)
+    values = np.random.default_rng(8).normal(size=(len(pts), 2, 3))
+    cold = _uncached_response(kernel, pts, values)
+    warm = kernel.response(pts, values)
+    assert kernels._grid_polar.cache_info().hits == 1
+    assert np.array_equal(warm, cold)
+    assert np.array_equal(warm, _uncached_response(kernel, pts, values))
+
+
+def test_interleaved_point_sets_each_lift_from_their_own_table():
+    # equal point counts with other values, and other radial sets and top
+    # frequencies on one point set, each key a table of its own
+    spec, ring = SO2RepSpec((0, 1)), RadialProfileSet(2, R_MAX, RADIAL_WIDTH)
+    sets = [_grid_positions(24, 24, 2.0 / 23), _grid_positions(24, 24, 1.9 / 23),
+            _grid_positions(16, 36, 2.0 / 35)]
+    lifts = [(pts, kernel) for pts in sets[:2] for kernel in (
+        build_induction_kernel(spec, 1, 3, ring), build_induction_kernel(spec, 1, 1, ring),
+        build_induction_kernel(spec, 1, 3, RadialProfileSet(2, R_MAX, 1.5 * RADIAL_WIDTH)))]
+    lifts.append((sets[2], lifts[0][1]))
+    values = np.random.default_rng(9).normal(size=(len(sets[0]), 1, spec.dim))
+    want = [_uncached_response(kernel, pts, values) for pts, kernel in lifts]
+    # a table served to the wrong key would show: lifts of one shape differ
+    for i, a in enumerate(want):
+        for b in want[i + 1:]:
+            assert a.shape != b.shape or np.abs(a - b).max() > 1e-3 * np.abs(a).max()
+    kernels._grid_polar.cache_clear()
+    for _ in range(2):
+        for (pts, kernel), expected in zip(lifts, want):
+            assert np.array_equal(kernel.response(pts, values), expected)
+    assert kernels._grid_polar.cache_info().hits == 0
+
+
+def test_polar_table_is_read_only_and_cached_once():
+    kernel = _default_ring_kernel((0, 1), 2)
+    pts = _grid_positions(16, 16, 2.0 / 15)
+    kernel.response(pts, np.ones((len(pts), 1, 3)))
+    m_top = max(sol.m for basis in kernel.bases for sol in basis.angular)
+    trig, factors = kernels._grid_polar(pts.tobytes(), m_top, kernel.bases[0].radial)
+    info = kernels._grid_polar.cache_info()
+    assert info.hits >= 1 and info.maxsize == 1 and info.currsize <= 1
+    assert trig.shape == (m_top + 1, 2, len(pts)) and factors.shape == (m_top + 1, 2, len(pts))
+    assert not trig.flags.writeable and not factors.flags.writeable
+
+
+def test_lifted_fields_on_one_grid_keep_at_most_one_table():
+    # 50 lifted fields on one 64x64 grid hold their values and lifts; the one
+    # polar table (0.9 MB at lmax 6) and its 64 KB key stay in the cache alone
+    config = LayerConfig(lmax=6, fiber_freqs=(0,))
+    kernel = _default_ring_kernel((0,), 6)
+    w = np.ones((1, kernel.weight_count))
+    rng = np.random.default_rng(0)
+    kernels._grid_polar.cache_clear()
+    kept = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            field = PlanarFeatureField(rng.normal(size=(64, 64, 1)), config.spacing, config.fiber)
+            kept.append((field, induction_forward(field, kernel, w)))
+        held = tracemalloc.get_traced_memory()[0] - base
+        table = sum(a.nbytes for a in kernels._grid_polar(
+            field.positions().tobytes(), 6, kernel.bases[0].radial))
+        info = kernels._grid_polar.cache_info()
+        kernels._grid_polar.cache_clear()
+        per_pair = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert info.misses == 1 and info.currsize == 1
+    assert 0.9e6 <= table <= 0.95e6
+    key = field.positions().nbytes
+    assert table <= held - len(kept) * per_pair <= table + key + 4096
+    assert per_pair <= field.values.nbytes + 4096
 
 
 @pytest.mark.parametrize("fiber", [(0,), (0, 1), (0, 1, 2)])
