@@ -5,10 +5,10 @@ to intertwine two planar-rotation representations:
 
     F(rotate(theta) @ r) = rho_out(theta) @ F(r) @ rho_in(theta)^T
 
-The solver, ``solve_so2_basis``, imposes it per angular frequency at two
-rotations by irrational turns, which is exact (see there); an analytic
-frequency-matching count and a grid-discretized nullspace oracle, at two
-other irrational turns, serve as independent checks.
+The solver, ``solve_so2_basis``, imposes it at every angular frequency its two
+representations admit, at two rotations by irrational turns, which is exact
+(see there); an analytic frequency-matching count and a grid-discretized
+nullspace oracle, at two other irrational turns, serve as independent checks.
 
 Every lifted kernel is one ``InductionKernel``, one solved basis per degree,
 read on SO(3) through all 2l+1 weight rows of each degree or on the sphere
@@ -255,8 +255,12 @@ class SteerableKernelBasis:
     in_rep: SO2RepSpec
     out_rep: SO2RepSpec
     radial: RadialProfileSet
-    m_max: int
     angular: tuple[_AngularSolution, ...]
+
+    @property
+    def m_max(self) -> int:
+        """The top frequency the representations admit: derived, so no basis carries a cutoff."""
+        return self.in_rep.max_freq + self.out_rep.max_freq
 
     @property
     def n_angular(self) -> int:
@@ -325,19 +329,20 @@ def _elements(blocks: np.ndarray, ms: np.ndarray, factors: np.ndarray,
 
 
 def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
-                    radial: RadialProfileSet, m_max: int) -> SteerableKernelBasis:
+                    radial: RadialProfileSet) -> SteerableKernelBasis:
     """Solve the rotation-intertwining constraint numerically.
 
-    For each angular frequency ``m <= m_max`` the constraint couples only
-    the cosine and sine coefficient matrices of that frequency. It is
-    imposed at the two rotations ``_SOLVE_ANGLES``, stacked into one
-    ``(2 dd, dd)`` system, ``(4 dd, 2 dd)`` at m > 0, whose SVD nullspace
-    is taken at relative singular value below ``NULL_TOL``. That is exact:
-    a null vector at angle theta needs ``exp(i (m - k) theta) = 1`` for an
-    eigenfrequency k of ``rho_out x rho_in``, which at an irrational turn
-    forces m = k, and then the constraint holds at every angle.
+    For each angular frequency ``m`` the constraint couples only the cosine
+    and sine coefficient matrices of that frequency. It is imposed at the
+    two rotations ``_SOLVE_ANGLES``, stacked into one ``(2 dd, dd)`` system,
+    ``(4 dd, 2 dd)`` at m > 0, whose SVD nullspace is taken at relative
+    singular value below ``NULL_TOL``. That is exact: a null vector at angle
+    theta needs ``exp(i (m - k) theta) = 1`` for an eigenfrequency k of
+    ``rho_out x rho_in``, which at an irrational turn forces m = k, and then
+    the constraint holds at every angle. Those k, ``|k_out - k_in|`` and
+    ``k_out + k_in`` over the irrep pairs, are at most the basis's ``m_max``,
+    ``in_rep.max_freq + out_rep.max_freq``, so m = 0..m_max holds them all.
     """
-    _check_int("m_max", m_max)
     d_out, d_in = out_rep.dim, in_rep.dim
     dd = d_out * d_in
     thetas = np.array(_SOLVE_ANGLES)
@@ -349,7 +354,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     eye = np.eye(dd)
     zero = np.zeros((d_out, d_in))  # the sine block of every m = 0 solution
     zero.setflags(write=False)
-    for m in range(m_max + 1):
+    for m in range(in_rep.max_freq + out_rep.max_freq + 1):
         # each angle's rows act on the cosine coefficients, at m > 0 stacked with the sine ones
         rows = np.cos(m * thetas)[:, None, None] * eye - conjugations
         if m:
@@ -363,7 +368,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
         for vec in null:
             sin = vec[dd:].reshape(d_out, d_in) if m else zero
             solutions.append(_AngularSolution(m, vec[:dd].reshape(d_out, d_in), sin))
-    return SteerableKernelBasis(in_rep, out_rep, radial, m_max, tuple(solutions))
+    return SteerableKernelBasis(in_rep, out_rep, radial, tuple(solutions))
 
 
 def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) -> int:
@@ -413,7 +418,7 @@ def grid_nullspace_dimension(in_rep: SO2RepSpec, out_rep: SO2RepSpec) -> int:
         conj = np.kron(out_rep.matrix(theta), in_rep.matrix(theta))
         blocks.append(shift[:, None, None] * np.eye(dd) - conj)
     svals = np.linalg.svd(np.concatenate(blocks, axis=1), compute_uv=False)
-    smax = max(svals.max(), 1.0)
+    smax = max(svals.max(initial=0.0), 1.0)
     return int(np.sum(svals <= NULL_TOL * smax))
 
 
@@ -619,17 +624,12 @@ def _check_heights(heights: tuple[float, ...]) -> None:
 def _build(fiber_in: SO2RepSpec, out_ells: tuple[int, ...], lmax: int, radial: RadialProfileSet,
            out_channels: int, space: str) -> InductionKernel:
     """Solve degrees 0..lmax: at degree l, the degree-l harmonics times
-    ``fiber_in`` to the restricted output fiber, at the top degree's need.
-
-    An irrep pair needs frequencies up to the sum of its frequencies, so
-    ``lmax + fiber_in.max_freq + out_spec.max_freq`` truncates nothing.
-    """
+    ``fiber_in`` to the restricted output fiber, each over its own band."""
     _check_layer_shape(fiber_in, lmax, out_channels)
     out_ells = tuple(out_ells)
     out_spec = so3_fiber_restriction(out_ells)[0]
-    m_max = lmax + fiber_in.max_freq + out_spec.max_freq
-    bases = tuple(solve_so2_basis(_tensor_with_harmonics(ell, fiber_in)[0], out_spec, radial,
-                                  m_max) for ell in range(lmax + 1))
+    bases = tuple(solve_so2_basis(_tensor_with_harmonics(ell, fiber_in)[0], out_spec, radial)
+                  for ell in range(lmax + 1))
     return InductionKernel(fiber_in, out_ells, bases, out_channels, space)
 
 

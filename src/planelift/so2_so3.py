@@ -62,10 +62,10 @@ _EPS = np.finfo(float).eps
 _UNIT_TOL = 1e-12
 
 
-def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
-    """Reject ``value`` unless it is an integer in ``[low, high]`` (or ``>= low``)."""
-    if not (isinstance(value, Integral) and low <= value and (high is None or value <= high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+def _check_int(name: str, value, low: int = 0, high: float = math.inf) -> None:
+    """Reject ``value`` unless it is an integer in ``[low, high]``; a bool is not."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and low <= value <= high):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 

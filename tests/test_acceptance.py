@@ -202,8 +202,7 @@ def test_criterion_06_kernel_solver():
     for _ in range(20):
         rin = SO2RepSpec(tuple(int(k) for k in rng.integers(0, 5, size=rng.integers(1, 3))))
         rout = SO2RepSpec(tuple(int(k) for k in rng.integers(0, 5, size=rng.integers(1, 3))))
-        m_max = rin.max_freq + rout.max_freq
-        solved = solve_so2_basis(rin, rout, radial, m_max)
+        solved = solve_so2_basis(rin, rout, radial)
         counts_ok = counts_ok and solved.n_angular == grid_nullspace_dimension(rin, rout)
         thetas = rng.uniform(0, 2 * np.pi, size=10)
         pts = rng.normal(size=(20, 2))

@@ -201,8 +201,7 @@ def test_radial_centers_are_built_once_read_only_and_keep_the_profiles(count):
 # the solver
 
 def test_isotropic_scalar_kernel():
-    basis = solve_so2_basis(SO2RepSpec((0,)), SO2RepSpec((0,)),
-                            RadialProfileSet(1, 1.0), m_max=0)
+    basis = solve_so2_basis(SO2RepSpec((0,)), SO2RepSpec((0,)), RadialProfileSet(1, 1.0))
     assert basis.count == 1
     pts = np.random.default_rng(1).normal(size=(10, 2))
     vals = basis.evaluate_all(pts)[0]
@@ -214,24 +213,22 @@ def test_isotropic_scalar_kernel():
 
 @pytest.mark.parametrize("m_max", [-1, 2.5, "3", None])
 def test_solver_and_count_reject_a_bad_cutoff(m_max):
-    # at m_max = -1 the solver found no solution where the count found one
+    # the solver takes no cutoff; at m_max = -1 the count used to find one
+    # solution where the truncated solver found none
     scalar = SO2RepSpec((0,))
-    with pytest.raises(ValueError, match="m_max must be an integer >= 0"):
-        solve_so2_basis(scalar, scalar, RadialProfileSet(1, 1.0), m_max)
     with pytest.raises(ValueError, match="m_max must be an integer >= 0"):
         analytic_basis_count(scalar, scalar, m_max)
 
 
 def test_scalar_to_vector_count():
-    basis = solve_so2_basis(SO2RepSpec((0,)), SO2RepSpec((1,)),
-                            RadialProfileSet(1, 1.0), m_max=2)
+    basis = solve_so2_basis(SO2RepSpec((0,)), SO2RepSpec((1,)), RadialProfileSet(1, 1.0))
     assert basis.count == 2
 
 
 def test_steerability_residual_sampled():
     rng = np.random.default_rng(2)
     rin, rout = SO2RepSpec((0, 1)), SO2RepSpec((1, 2))
-    basis = solve_so2_basis(rin, rout, RadialProfileSet(2, 1.0), m_max=4)
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(2, 1.0))
     assert basis.count == 2 * analytic_basis_count(rin, rout, 4)
     pts = rng.normal(size=(25, 2))
     thetas = rng.uniform(0, 2 * np.pi, size=8)
@@ -248,10 +245,9 @@ def test_solver_matches_grid_oracle():
     radial = RadialProfileSet(1, 1.0)
     for _ in range(10):
         rin, rout = _random_spec(rng), _random_spec(rng)
-        m_max = rin.max_freq + rout.max_freq
-        got = solve_so2_basis(rin, rout, radial, m_max).n_angular
+        got = solve_so2_basis(rin, rout, radial).n_angular
         assert got == grid_nullspace_dimension(rin, rout)
-        assert got == analytic_basis_count(rin, rout, m_max)
+        assert got == analytic_basis_count(rin, rout, rin.max_freq + rout.max_freq)
 
 
 SPECS = st.lists(st.integers(0, 4), min_size=1, max_size=2).map(lambda ks: SO2RepSpec(tuple(ks)))
@@ -259,15 +255,26 @@ COUNT_SPECS = st.lists(st.integers(0, 16), min_size=1, max_size=3).map(
     lambda ks: SO2RepSpec(tuple(ks)))
 
 
+def _assert_counts_match_formula_at_every_cutoff(basis):
+    """The solutions of frequency <= m number ``analytic_basis_count`` at
+    every m of the basis's band, and at its ``m_max`` they are all of them."""
+    assert basis.m_max == basis.in_rep.max_freq + basis.out_rep.max_freq
+    for m in range(basis.m_max + 1):
+        kept = sum(sol.m <= m for sol in basis.angular)
+        assert kept == analytic_basis_count(basis.in_rep, basis.out_rep, m), m
+    assert kept == basis.n_angular
+
+
 @settings(max_examples=30, deadline=None)
-@given(rin=COUNT_SPECS, rout=COUNT_SPECS, data=st.data())
-def test_solver_count_matches_formula_and_grid_oracle(rin, rout, data):
-    full = rin.max_freq + rout.max_freq  # the highest frequency any irrep pair needs
-    m_max = data.draw(st.integers(0, full), label="m_max")
-    got = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max).n_angular
-    assert got == analytic_basis_count(rin, rout, m_max)
-    if m_max == full:  # nothing truncated
-        assert got == grid_nullspace_dimension(rin, rout)
+@given(rin=COUNT_SPECS, rout=COUNT_SPECS)
+# a spec with no frequencies admits nothing: the oracle used to raise on its empty system
+@example(rin=SO2RepSpec(()), rout=SO2RepSpec((0, 3)))
+@example(rin=SO2RepSpec((2,)), rout=SO2RepSpec(()))
+@example(rin=SO2RepSpec(()), rout=SO2RepSpec(()))
+def test_solver_count_matches_formula_and_grid_oracle(rin, rout):
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
+    _assert_counts_match_formula_at_every_cutoff(basis)
+    assert basis.n_angular == grid_nullspace_dimension(rin, rout)
 
 
 def test_solver_over_counts_at_rational_turns(monkeypatch):
@@ -275,7 +282,7 @@ def test_solver_over_counts_at_rational_turns(monkeypatch):
     # by 4, so frequencies that differ by 4 pass as solutions: 43 against 15
     rin, rout = SO2RepSpec((0, 1, 3)), SO2RepSpec((0, 2))
     monkeypatch.setattr(kernels, "_SOLVE_ANGLES", (np.pi / 2, np.pi))
-    got = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), 5).n_angular
+    got = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0)).n_angular
     assert got == 43 and analytic_basis_count(rin, rout, 5) == 15
 
 
@@ -329,10 +336,11 @@ def _per_angle_kron_solve(in_rep, out_rep, m_max):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rin=SPECS, rout=SPECS, m_max=st.integers(0, 8))
-def test_broadcast_conjugations_solve_bit_identically(rin, rout, m_max):
-    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max)
-    want = _per_angle_kron_solve(rin, rout, m_max)
+@given(rin=SPECS, rout=SPECS)
+def test_broadcast_conjugations_solve_bit_identically(rin, rout):
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
+    _assert_counts_match_formula_at_every_cutoff(basis)
+    want = _per_angle_kron_solve(rin, rout, basis.m_max)
     assert len(basis.angular) == len(want)
     for sol, (m, cos, sin) in zip(basis.angular, want):
         assert sol.m == m
@@ -352,9 +360,11 @@ def _assert_solve_matches_full_svd(basis):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rin=SPECS, rout=SPECS, m_max=st.integers(0, 8))
-def test_reduced_solve_matches_full_svd(rin, rout, m_max):
-    _assert_solve_matches_full_svd(solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max))
+@given(rin=SPECS, rout=SPECS)
+def test_reduced_solve_matches_full_svd(rin, rout):
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
+    _assert_counts_match_formula_at_every_cutoff(basis)
+    _assert_solve_matches_full_svd(basis)
 
 
 _SCALAR, _VECTOR = SO2RepSpec((0,)), SO2RepSpec((0, 1))
@@ -438,7 +448,7 @@ def test_solutions_keep_only_their_null_block():
     # each coefficient array may view the null rows of its frequency, never
     # the SVD's whole (2dd x 2dd) right factor
     rin, rout = SO2RepSpec((0, 1, 2)), SO2RepSpec((0, 1, 2))
-    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0), m_max=4)
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
     width = 2 * rin.dim * rout.dim
     for sol in basis.angular:
         null_rows = sum(other.m == sol.m for other in basis.angular)
@@ -452,8 +462,8 @@ def test_evaluated_basis_keeps_one_copy_of_its_solutions():
     # them would keep A * 2 * d_out * d_in * 8 bytes past the call
     fiber, radial, pts = SO2RepSpec((0, 1, 2)), RadialProfileSet(1, 1.0), np.full((4, 2), 0.25)
     # a first call may fill numpy's own caches; make it on another basis
-    solve_so2_basis(fiber, fiber, radial, m_max=3).evaluate_all(pts)
-    basis = solve_so2_basis(fiber, fiber, radial, m_max=4)
+    solve_so2_basis(fiber, fiber, radial).evaluate_all(pts)
+    basis = solve_so2_basis(fiber, fiber, radial)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -493,8 +503,11 @@ COORDS = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 @given(rin=SPECS, rout=SPECS, profiles=st.integers(1, 3), r_max=st.floats(0.3, 2.0),
        points=st.lists(st.tuples(COORDS, COORDS), max_size=8), data=st.data())
 def test_evaluate_all_matches_per_element_formula(rin, rout, profiles, r_max, points, data):
-    m_max = data.draw(st.integers(0, rin.max_freq + rout.max_freq), label="m_max")
-    basis = solve_so2_basis(rin, rout, RadialProfileSet(profiles, r_max), m_max)
+    full = solve_so2_basis(rin, rout, RadialProfileSet(profiles, r_max))
+    _assert_counts_match_formula_at_every_cutoff(full)
+    # a truncated basis, which may have no solution at all, filters the full one
+    m = data.draw(st.integers(0, full.m_max), label="m")
+    basis = replace(full, angular=tuple(sol for sol in full.angular if sol.m <= m))
     pts = np.array([(0.0, 0.0)] + points)  # the origin, where r^m matters most
     got = basis.evaluate_all(pts)
     assert got.shape == (basis.count, len(pts), rout.dim, rin.dim)
@@ -502,13 +515,12 @@ def test_evaluate_all_matches_per_element_formula(rin, rout, profiles, r_max, po
 
 
 def test_empty_basis_evaluates_to_no_elements():
-    # frequency 2 against a scalar output needs m = 2; re-solving every
-    # degree at m_max = 1 leaves degree 0 with no solution at all, degree 1
-    # with two
-    radial = RadialProfileSet(1, 0.45)
-    solved = build_induction_kernel(SO2RepSpec((2,)), 1, 1, radial)
-    kernel = replace(solved, bases=tuple(solve_so2_basis(b.in_rep, b.out_rep, radial, m_max=1)
-                                         for b in solved.bases))
+    # frequency 2 against a scalar output needs m = 2; keeping every degree's
+    # solutions of frequency <= 1 leaves degree 0 with no solution at all,
+    # degree 1 with two
+    solved = build_induction_kernel(SO2RepSpec((2,)), 1, 1, RadialProfileSet(1, 0.45))
+    kernel = replace(solved, bases=tuple(
+        replace(b, angular=tuple(sol for sol in b.angular if sol.m <= 1)) for b in solved.bases))
     assert [b.count for b in kernel.bases] == [0, 2]
     pts = np.random.default_rng(12).normal(size=(5, 2)) * 0.3
     empty = kernel.bases[0]
@@ -525,8 +537,7 @@ def test_empty_basis_evaluates_to_no_elements():
 
 def test_basis_elements_linearly_independent():
     rng = np.random.default_rng(4)
-    basis = solve_so2_basis(SO2RepSpec((0, 1)), SO2RepSpec((0, 1)),
-                            RadialProfileSet(2, 1.0), m_max=3)
+    basis = solve_so2_basis(SO2RepSpec((0, 1)), SO2RepSpec((0, 1)), RadialProfileSet(2, 1.0))
     pts = rng.normal(size=(80, 2))
     flat = basis.evaluate_all(pts).reshape(basis.count, -1)
     assert np.linalg.matrix_rank(flat, tol=1e-8) == basis.count
@@ -538,7 +549,7 @@ def test_projection_splits_constraint_violation():
     rng = np.random.default_rng(5)
     rin, rout = SO2RepSpec((0, 1)), SO2RepSpec((1,))
     radial = RadialProfileSet(2, 1.0)
-    basis = solve_so2_basis(rin, rout, radial, m_max=3)
+    basis = solve_so2_basis(rin, rout, radial)
     pts = rng.normal(size=(120, 2))
     sample = basis.evaluate_all(pts).reshape(basis.count, -1)
 
@@ -675,14 +686,39 @@ _OUT_SCALAR = SO2RepSpec((0,))
 ], ids=["sphere", "so3", "volume"])
 def test_kernel_cutoff_is_derived_and_tight(build, fiber, out_spec, lmax):
     # an irrep pair needs frequencies up to the sum of its frequencies, so
-    # every degree is solved at the top degree's need and nothing is lost
+    # degree l, whose input holds frequencies up to l + fiber.max_freq, is
+    # solved up to exactly that sum with out_spec.max_freq, and nothing is lost
     kernel = build(RadialProfileSet(1, 0.5))
-    cutoff = lmax + fiber.max_freq + out_spec.max_freq
-    for basis in kernel.bases:
+    for ell, basis in enumerate(kernel.bases):
         assert basis.out_rep == out_spec
-        assert basis.m_max == cutoff
+        assert basis.m_max == ell + fiber.max_freq + out_spec.max_freq
+        assert max(sol.m for sol in basis.angular) == basis.m_max
         assert basis.n_angular == grid_nullspace_dimension(basis.in_rep, basis.out_rep)
-    assert max(sol.m for sol in kernel.bases[-1].angular) == cutoff
+    assert kernel.bases[-1].m_max == lmax + fiber.max_freq + out_spec.max_freq
+
+
+@pytest.mark.parametrize("build, svds", [
+    (lambda: build_induction_kernel(_OUT_SCALAR, 1, 10, RadialProfileSet(2, 0.45)), 66),
+    (lambda: LayerConfig().build_kernel(), 28),
+    (lambda: build_induction_kernel(SO2RepSpec((0, 1, 2)), 1, 6, RadialProfileSet(2, 0.45)), None),
+    (lambda: build_so3_kernel(_VECTOR, (0, 1), 3, RadialProfileSet(1, 0.5)), None),
+    (lambda: build_volume_kernel(_VECTOR, (0, 1), (-0.2, 0.3), RadialProfileSet(1, 0.5)), None),
+], ids=["sphere-lmax10", "layer-config", "sphere-fiber012-lmax6", "so3-lmax3", "volume"])
+def test_each_degree_runs_one_svd_per_frequency_it_admits(build, svds, monkeypatch):
+    # degree l solves m = 0..l + fiber + out, not the top degree's band: the
+    # lmax-10 scalar kernel ran 121 SVDs and LayerConfig's 49 when every
+    # degree took the top degree's cutoff
+    build()  # fill the cached changes of basis, so only the solves are counted
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    kernel = build()
+    assert len(calls) == sum(basis.m_max + 1 for basis in kernel.bases)
+    assert svds is None or len(calls) == svds
 
 
 def test_so3_kernel_equivariance():

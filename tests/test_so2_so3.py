@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 from scipy.special import lpmv
 
+from planelift.kernels import RadialProfileSet, SO2RepSpec
+from planelift.layers import LayerConfig, so3_equiangular_grid
 from planelift.so2_so3 import (
     MAX_ELL,
     Rotation3,
@@ -132,6 +134,21 @@ def test_wigner_degree_zero_and_range_check():
 def test_non_integer_degrees_and_bands_name_the_parameter(call, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer "):
         call()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("call, message", [
+    (lambda b: LayerConfig(lmax=b), r"lmax must be an integer in \[0, 32\]"),
+    (lambda b: RadialProfileSet(b, 0.5), "radial count must be an integer >= 1"),
+    (lambda b: SO2RepSpec((b,)), "frequency must be an integer >= 0"),
+    (lambda b: so3_equiangular_grid(b, 2, 2), "grid counts must be an integer >= 1"),
+    (lambda b: wigner_d(b, Rotation3.identity()), r"ell must be an integer in \[0, 32\]"),
+], ids=["LayerConfig", "RadialProfileSet", "SO2RepSpec", "so3_equiangular_grid", "wigner_d"])
+def test_integer_checks_reject_bools(call, message, flag):
+    # True used to pass as 1: LayerConfig stored lmax True, a radial set
+    # counted True profiles and SO2RepSpec((True,)) read frequency 1
+    with pytest.raises(ValueError, match=f"^{message}, got {flag}$"):
+        call(flag)
 
 
 def test_wigner_degree_one_is_conjugated_rotation_matrix():
