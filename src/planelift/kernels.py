@@ -20,7 +20,8 @@ A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
 C + sin(m phi) S``. One private core, ``_elements``, evaluates it from the
 basis's stacked (C, S) blocks and a polar table of the points: their
 ``cos/sin(m phi)`` and radial factors for each m. The sphere lift
-``response`` reads every degree from one cached table per grid.
+``response`` reads every degree from one cached table per grid and builds
+every block's elements in one workspace of its own per call.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ __all__ = [
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 # the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
 _SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
-# bytes per lift block of basis values and the table rows they read: of 1, 2, 4 and 8 MiB,
-# the fastest on lift_stream and pose_readout when the lift rebuilt its polar table per call
+# bytes per lift block of basis values and the table rows they read: of 0.5, 1 and 2 MiB, the
+# fastest on lift_stream and pose_readout (6 runs each, 2 vCPUs) with one workspace per call
 _LIFT_BLOCK_BYTES = 1 << 20
 
 
@@ -311,15 +312,17 @@ def _grid_polar(raw: bytes, m_top: int,
 
 
 def _elements(blocks: np.ndarray, ms: np.ndarray, factors: np.ndarray,
-              trig: np.ndarray) -> np.ndarray:
+              trig: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """The one element formula: shape (P, A, n, d_out, d_in), element (p, a)
     in profile-major order, from the blocks (A, 2, 1, d_out, d_in) of
     solutions of frequencies ``ms`` and the polar table of n points: factors
-    (m_top + 1, P, n) and ``cos/sin(m phi)`` (m_top + 1, 2, n)."""
+    (m_top + 1, P, n) and ``cos/sin(m phi)`` (m_top + 1, 2, n); written into
+    the start of the flat workspace ``work`` if one is given, else fresh."""
     radial, trig = factors[ms], trig[ms]
     (a, p, n), shape = radial.shape, blocks.shape[3:]
+    full = (p, a, n) + shape
     # build the angular factor in profile 0's slot and scale it there last
-    out = np.empty((p, a, n) + shape)
+    out = np.empty(full) if work is None else work[:math.prod(full)].reshape(full)
     np.multiply(trig[:, 0, :, None, None], blocks[:, 0], out=out[0])
     out[0] += np.multiply(trig[:, 1, :, None, None], blocks[:, 1], out=out[1] if p > 1 else None)
     scale = radial.transpose(1, 0, 2)[..., None, None]  # (P, A, n, 1, 1)
@@ -559,6 +562,8 @@ class InductionKernel:
         terms, and reads the rest in blocks of at most ``_LIFT_BLOCK_BYTES``
         (at least one point), one ``matmul`` per block of every field's
         values against the block's basis values, with no transposed copy.
+        Every block builds its basis values in one workspace per call, sized
+        for the largest block; no two calls share one, so lifts may run in parallel.
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
@@ -570,19 +575,24 @@ class InductionKernel:
         above = _above_rounding(factors, np.abs(vals).max(axis=2))
         nf, vals = vals.shape[1], vals.reshape(len(vals), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
-        pos = 0
-        for ell, basis in enumerate(self.bases):
+        degrees = []
+        for basis in self.bases:
             ms, blocks = basis._stacked()
-            d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
             top = ms.max(initial=0) + 1  # the table rows this degree reads
             # per point: the basis values, the table rows read and their copy per solution
-            per_point = basis.count * d_can + (top + len(ms)) * (radial.count + 2)
-            rows = max(1, _LIFT_BLOCK_BYTES // (8 * per_point))
+            per_point = basis.count * basis.in_rep.dim + (top + len(ms)) * (radial.count + 2)
+            rows = max(1, min(len(vals), _LIFT_BLOCK_BYTES // (8 * per_point)))
+            degrees.append((basis, ms, blocks, top, rows))
+        work = np.empty(max(basis.count * rows * basis.in_rep.dim for basis, *_, rows in degrees))
+        pos = 0
+        for ell, (basis, ms, blocks, top, rows) in enumerate(degrees):
+            d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
             keep = np.flatnonzero(above[ms].any(axis=0))
             table, cos_sin = factors[:top], trig[:top]
             moments = np.zeros((basis.count, vals.shape[1], d_can))
             for idx in (keep[i:i + rows] for i in range(0, len(keep), rows)):
-                part = _elements(blocks, ms, table.take(idx, axis=2), cos_sin.take(idx, axis=2))
+                part = _elements(blocks, ms, table.take(idx, axis=2), cos_sin.take(idx, axis=2),
+                                 work)
                 moments += np.matmul(vals[idx].T, part.reshape(-1, len(idx), d_can))
             moments = moments.reshape(basis.count, nf, d, d_can)
             t = _tensor_with_harmonics(ell, self.fiber_in)[1].reshape(2 * ell + 1, d, -1)

@@ -1,4 +1,7 @@
+import sys
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from unittest import mock
 
@@ -251,9 +254,9 @@ def _recording_evaluations(monkeypatch):
     the points axis of each call of the one element formula."""
     sizes, elements = [], kernels._elements
 
-    def recording(blocks, ms, factors, trig):
+    def recording(blocks, ms, factors, trig, work=None):
         sizes.append(trig.shape[-1])
-        return elements(blocks, ms, factors, trig)
+        return elements(blocks, ms, factors, trig, work)
 
     monkeypatch.setattr(kernels, "_elements", recording)
     return sizes
@@ -548,6 +551,81 @@ def test_lift_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0] + 1e6, peaks
+
+
+def test_lift_memory_is_one_block_budget():
+    # blocks dominate at an 8 MiB budget; each block used to allocate its own
+    # values while the previous block was still alive, which read 2.05 budgets
+    # here. One workspace per call reads 1.17 (the rest is the block's table
+    # rows and sums), so 1.4 leaves 0.23 budgets of margin
+    budget = 8 << 20
+    kernel = _cached_kernel((0, 1, 2), 4, 1)
+    spec = SO2RepSpec((0, 1, 2))
+    w = np.ones((1, kernel.weight_count))
+    field = PlanarFeatureField(np.random.default_rng(64).normal(size=(64, 64, spec.dim)),
+                               2.0 / 63, spec)
+    with mock.patch.object(kernels, "_LIFT_BLOCK_BYTES", budget):
+        induction_forward(field, kernel, w)  # the polar table is cached from here on
+        tracemalloc.start()
+        try:
+            induction_forward(field, kernel, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.4 * budget, peak / budget
+
+
+def _root(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def test_every_block_of_one_lift_is_built_in_one_workspace(monkeypatch):
+    # a fresh array per block churned the heap, so the lift's speed followed
+    # glibc's trimming; a second call must get a workspace of its own
+    kernel = _default_ring_kernel((0, 1), 3)
+    pts = _grid_positions(24, 24, 2.0 / 23)
+    values = np.random.default_rng(3).normal(size=(len(pts), 2, 3))
+    parts, elements = [], kernels._elements
+
+    def recording(*args):
+        parts.append(elements(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(kernels, "_elements", recording)
+    monkeypatch.setattr(kernels, "_LIFT_BLOCK_BYTES", 20000)  # several blocks per degree
+    calls = []
+    for _ in range(2):
+        kernel.response(pts, values)
+        calls.append(parts[:])
+        parts.clear()
+    for blocks in calls:
+        per_degree = Counter(part.shape[:2] for part in blocks)  # (profiles, solutions)
+        assert len(per_degree) == kernel.lmax + 1 and min(per_degree.values()) >= 2
+        assert all(np.shares_memory(part, blocks[0]) for part in blocks)
+        # room for the largest block, no more
+        assert _root(blocks[0]).nbytes == max(part.nbytes for part in blocks)
+    assert not np.shares_memory(calls[0][0], calls[1][0])
+
+
+def test_lifts_in_two_threads_equal_their_serial_lifts(monkeypatch):
+    # forward passes are pure and may run in parallel: a buffer shared between
+    # calls would mix two lifts' blocks, since numpy releases the GIL inside them
+    kernel = _default_ring_kernel((0, 1), 3)
+    pts = _grid_positions(32, 32, 2.0 / 31)
+    fields = [np.random.default_rng(seed).normal(size=(len(pts), 2, 3)) for seed in range(8)]
+    monkeypatch.setattr(kernels, "_LIFT_BLOCK_BYTES", 20000)  # many blocks per lift
+    serial = [kernel.response(pts, values) for values in fields]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(kernel.response, pts, values) for values in fields]
+            parallel = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, want) for got, want in zip(parallel, serial))
 
 
 def test_many_field_lift_rejects_mismatched_or_no_fields():
