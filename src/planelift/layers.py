@@ -48,6 +48,7 @@ from .so2_so3 import (
     _check_int,
     _check_positive,
     _wigner_grid_dot,
+    _wigner_grid_table,
     so2_block,
     sphere_quadrature,
     wigner_d,
@@ -409,6 +410,8 @@ class SO3Grid(Sequence):
 
     Item ``i`` is ``Rotation3(alphas[a], betas[b], gammas[g])`` with ``i``
     running over ``(a, b, g)`` in row-major order; items are built on demand.
+    The grid keeps each degree's readout table once it is first read, so
+    every signal read on one grid shares them.
     """
 
     def __init__(self, alphas, betas, gammas):
@@ -416,6 +419,16 @@ class SO3Grid(Sequence):
                                                 for axis in (alphas, betas, gammas))
         if np.any((self.betas < 0.0) | (self.betas > np.pi)):
             raise ValueError("grid betas must lie in [0, pi]")
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def readout_table(self, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Degree ``ell``'s read-only ``so2_so3._wigner_grid_table`` of this
+        grid, built on the first read (4 (2l+1)^2 floats per grid beta)."""
+        table = self._tables.get(ell)
+        if table is None:
+            table = self._tables[ell] = _wigner_grid_table(ell, self.alphas, self.betas,
+                                                           self.gammas)
+        return table
 
     def __len__(self) -> int:
         return len(self.alphas) * len(self.betas) * len(self.gammas)
@@ -435,11 +448,13 @@ class SO3Signal:
     """Band-limited function on the rotation group, one matrix coefficient
     per degree: ``f(g) = sum_l sum(D_l(g) * blocks[l])``.
 
-    ``evaluate`` reads an ``SO3Grid`` separably, per degree: ``Y_l(beta)``
-    of ``D_l = Z_l(alpha) Y_l(beta) Z_l(gamma)`` once per grid beta, then one
-    matrix product folding in the alpha factors and one applying the gamma
-    factors. Any other sequence is read one rotation at a time, each as a
-    one-cell grid.
+    ``evaluate`` reads an ``SO3Grid`` separably, per degree, from the grid's
+    readout table of ``D_l = Z_l(alpha) Y_l(beta) Z_l(gamma)``: the block
+    multiplies the folded ``Y_l(beta)`` rows of every grid beta, then one
+    matrix product folds in the alpha factors and one applies the gamma
+    factors. The grid builds each degree's table once, so repeated reads on
+    one grid build none. Any other sequence is read one rotation at a time,
+    each as a one-cell grid.
     """
 
     lmax: int
@@ -458,10 +473,9 @@ class SO3Signal:
         if not isinstance(rotations, SO3Grid):
             return np.array([self.evaluate(SO3Grid([g.alpha], [g.beta], [g.gamma]))[0]
                              for g in rotations], dtype=float)
-        axes = (rotations.alphas, rotations.betas, rotations.gammas)
         out = np.zeros(len(rotations))
         for ell, blk in enumerate(self.blocks):
-            out += _wigner_grid_dot(ell, *axes, blk)
+            out += _wigner_grid_dot(rotations.readout_table(ell), blk)
         return out
 
     def left_rotate(self, rot: Rotation3) -> "SO3Signal":

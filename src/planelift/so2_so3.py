@@ -21,9 +21,12 @@ harmonics. Degrees 0..``MAX_ELL`` are supported; orthogonality and
 homomorphism errors stay below 1e-13 over that range. Independent
 matrix-action oracles for degrees one and two live in the test suite.
 The rotation-group readout applies the same factorisation to a whole ZYZ
-product grid at once: ``_wigner_grid_dot`` reads it separably (one ``Y_l``
-per grid beta, then one matrix product per z-factor); a single rotation is
-the one-cell grid.
+product grid at once, in two parts: ``_wigner_grid_table`` builds what
+depends on the grid alone (per degree, the folded ``Y_l`` rows of every grid
+beta and the alpha and gamma z-factor stacks), which ``layers.SO3Grid``
+keeps, and ``_wigner_grid_dot`` multiplies a block into those rows and
+applies one matrix product per z-factor; a single rotation is the one-cell
+grid.
 
 The package's one integer rule and one array rule live here. ``_check_int``
 rejects every degree, band, frequency, count and size outside its integer
@@ -256,23 +259,40 @@ def _z_sandwich(ell: int, alphas, y: np.ndarray, gammas) -> np.ndarray:
     return left * cg[:, None, :] + left[:, :, ::-1] * sg[:, None, :]
 
 
-def _wigner_grid_dot(ell: int, alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray,
-                     block: np.ndarray) -> np.ndarray:
-    """``sum(wigner_d(ell, (a, b, g)) * block)`` over the product grid of the
-    three angle axes, flattened with ``a`` slowest and ``g`` fastest.
-
-    ``Z_l(a)`` mixes rows ``i`` and ``-i`` of ``Y_l(b)`` and ``Z_l(g)`` mixes
-    columns ``j`` and ``-j``, so the sum separates: one product folds the
-    alpha factors and ``block`` into a (cos|sin of gamma) coefficient per
-    (a, b) cell, and a second applies the gamma factors.
-    """
+def _wigner_grid_table(ell: int, alphas: np.ndarray, betas: np.ndarray,
+                       gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of ``_wigner_grid_dot`` at degree ``ell`` that depend on the
+    grid alone, read-only: the folded ``Y_l(b)`` rows (2 (2l+1), n_beta,
+    2 (2l+1)), ``[[Y, Y[:, ::-1]], [Y[::-1], Y[::-1, ::-1]]]`` per grid beta
+    with the beta axis second, and the alpha and negated-gamma z-factor
+    stacks ``[cos | -sin]``, (n_alpha, 2 (2l+1)) and (n_gamma, 2 (2l+1)).
+    The rows hold 4 (2l+1)^2 floats per grid beta."""
     y = _wigner_y(ell, betas)
     rows = np.concatenate([y, y[:, ::-1]], axis=1)  # (n_beta, 2 (2l+1), 2l+1)
-    folded = np.concatenate([rows, rows[:, :, ::-1]], axis=2) * np.tile(block, (2, 2))
-    size = 2 * (2 * ell + 1)
-    per_cell = (np.hstack(_z_factor(ell, alphas))
-                @ folded.transpose(1, 0, 2).reshape(size, -1)).reshape(-1, size)
-    return (per_cell @ np.hstack(_z_factor(ell, np.negative(gammas))).T).ravel()
+    folded = np.concatenate([rows, rows[:, :, ::-1]], axis=2).transpose(1, 0, 2).copy()
+    table = (folded, np.hstack(_z_factor(ell, alphas)),
+             np.hstack(_z_factor(ell, np.negative(gammas))))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _wigner_grid_dot(table: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     block: np.ndarray) -> np.ndarray:
+    """``sum(wigner_d(ell, (a, b, g)) * block)`` over the product grid whose
+    degree-``ell`` ``_wigner_grid_table`` is ``table``, flattened with ``a``
+    slowest and ``g`` fastest.
+
+    ``Z_l(a)`` mixes rows ``i`` and ``-i`` of ``Y_l(b)`` and ``Z_l(g)`` mixes
+    columns ``j`` and ``-j``, so the sum separates: ``block`` multiplies the
+    folded rows, one product folds in the alpha factors, giving a (cos|sin of
+    gamma) coefficient per (a, b) cell, and a second applies the gamma factors.
+    """
+    folded, alpha_z, gamma_z = table
+    size = len(folded)
+    per_cell = (alpha_z @ (folded * np.tile(block, (2, 2))[:, None, :]).reshape(size, -1)
+                ).reshape(-1, size)
+    return (per_cell @ gamma_z.T).ravel()
 
 
 def wigner_d(ell: int, rot: Rotation3) -> np.ndarray:

@@ -994,6 +994,96 @@ def test_a_second_identical_kernel_keeps_no_second_change_of_basis():
     assert cold - warm >= shared > 16_000, (cold, warm, shared)
 
 
+def _counting_stacked(monkeypatch):
+    """A list that grows by one each time a basis stacks its solutions."""
+    calls, stacked = [], kernels.SteerableKernelBasis._stacked
+
+    def counting(basis):
+        calls.append(basis)
+        return stacked(basis)
+
+    monkeypatch.setattr(kernels.SteerableKernelBasis, "_stacked", counting)
+    return calls
+
+
+def _lift_inputs(n=16, fields_=2, d=1, seed=0):
+    axis = np.linspace(-0.5, 0.5, n)
+    pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    return pts, np.random.default_rng(seed).normal(size=(len(pts), fields_, d))
+
+
+def test_each_kernel_builds_its_lift_plan_once(monkeypatch):
+    kernel = build_induction_kernel(_VECTOR, 2, 4, RadialProfileSet(2, 0.5))
+    calls = _counting_stacked(monkeypatch)
+    pts, values = _lift_inputs(d=_VECTOR.dim)
+    first = kernel.response(pts, values)
+    assert len(calls) == kernel.lmax + 1
+    assert np.array_equal(kernel.response(pts, values), first)
+    assert np.array_equal(kernel.response(pts[:40], values[:40]), kernel.response(
+        pts[:40], values[:40]))  # another point set reads the same plan
+    assert len(calls) == kernel.lmax + 1
+    plan = kernel._lift_plan
+    assert all(not arr.flags.writeable for deg in plan.degrees for arr in (deg.ms, deg.blocks))
+
+
+def test_replaced_and_corrupted_kernels_build_plans_of_their_own(monkeypatch):
+    kernel = build_induction_kernel(_VECTOR, 1, 3, RadialProfileSet(2, 0.5))
+    pts, values = _lift_inputs(d=_VECTOR.dim)
+    lifted = kernel.response(pts, values)
+    calls = _counting_stacked(monkeypatch)
+    twin = replace(kernel)
+    assert np.array_equal(twin.response(pts, values), lifted)
+    assert len(calls) == kernel.lmax + 1 and twin._lift_plan is not kernel._lift_plan
+    short = replace(kernel, bases=kernel.bases[:2])
+    assert short.response(pts, values).shape == (2, short.weight_count, 4)
+    bad = kernels.corrupt_kernel(kernel, np.random.default_rng(0))
+    wrong = bad.response(pts, values)
+    monkeypatch.undo()
+    # the corrupted kernel lifts as a fresh build of its bases does, not as the original
+    fresh = kernels.InductionKernel(bad.fiber_in, bad.out_ells, bad.bases, 1, "sphere")
+    assert np.array_equal(wrong, fresh.response(pts, values))
+    assert np.abs(wrong - lifted).max() > 1e-1 * np.abs(lifted).max()
+    assert np.array_equal(kernel.response(pts, values), lifted)
+
+
+def _solve_pass(radial):
+    """The kernel families the benchmark's solve pass builds, one of each."""
+    heights = (-0.3, 0.0, 0.2)
+    return [build_induction_kernel(_SCALAR, 1, 10, radial),
+            build_induction_kernel(SO2RepSpec((0, 1, 2)), 1, 6, radial),
+            build_so3_kernel(_VECTOR, (0, 1), 3, radial),
+            build_volume_kernel(_VECTOR, (0, 1), heights, radial),
+            build_r3s2_kernel(_SCALAR, 6, heights, radial)]
+
+
+def _check_pass(built):
+    """Read every kernel as a steerability check and ``kappa`` do, never lifting."""
+    pts = np.random.default_rng(1).normal(size=(8, 2)) * 0.2
+    for kernel in built:
+        for basis in kernel.bases:
+            basis.evaluate_all(pts)
+    built[2].kappa(np.ones(built[2].weight_count), Rotation3(0.3, 0.4, 0.5), pts)
+
+
+def test_solving_and_checking_kernels_builds_no_lift_plan():
+    # a built kernel keeps its bases alone: evaluating them, as the benchmark's
+    # steerability check does, and reading an SO(3) kernel keep nothing more
+    radial = RadialProfileSet(2, 0.45, 0.09)
+    for _ in range(2):  # the first passes fill numpy's and the module's caches
+        _check_pass(_solve_pass(radial))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = _solve_pass(radial)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        _check_pass(built)
+        checked = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all("_lift_plan" not in vars(kernel) for kernel in built)
+    assert kept > 100_000 and checked <= 1.01 * kept, (kept, checked)
+
+
 def test_kernels_compare_and_hash_by_identity():
     # the generated __eq__ compared array fields and raised "truth value of an
     # array ... is ambiguous"; the generated __hash__ raised on the arrays

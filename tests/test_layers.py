@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planelift import kernels
+from planelift import kernels, so2_so3
 from planelift.kernels import (
     RadialProfileSet,
     SO2RepSpec,
@@ -583,10 +583,9 @@ def _root(array):
 
 def test_every_block_of_one_lift_is_built_in_one_workspace(monkeypatch):
     # a fresh array per block churned the heap, so the lift's speed followed
-    # glibc's trimming; a second call must get a workspace of its own
-    kernel = _default_ring_kernel((0, 1), 3)
-    pts = _grid_positions(24, 24, 2.0 / 23)
-    values = np.random.default_rng(3).normal(size=(len(pts), 2, 3))
+    # glibc's trimming; a second call must get a workspace of its own. With
+    # one ring the sine term, built in ring 1's slot otherwise, was a fresh
+    # block-sized array per block; it has a slot of its own in the workspace
     parts, elements = [], kernels._elements
 
     def recording(*args):
@@ -595,18 +594,23 @@ def test_every_block_of_one_lift_is_built_in_one_workspace(monkeypatch):
 
     monkeypatch.setattr(kernels, "_elements", recording)
     monkeypatch.setattr(kernels, "_LIFT_BLOCK_BYTES", 20000)  # several blocks per degree
-    calls = []
-    for _ in range(2):
-        kernel.response(pts, values)
-        calls.append(parts[:])
-        parts.clear()
-    for blocks in calls:
-        per_degree = Counter(part.shape[:2] for part in blocks)  # (profiles, solutions)
-        assert len(per_degree) == kernel.lmax + 1 and min(per_degree.values()) >= 2
-        assert all(np.shares_memory(part, blocks[0]) for part in blocks)
-        # room for the largest block, no more
-        assert _root(blocks[0]).nbytes == max(part.nbytes for part in blocks)
-    assert not np.shares_memory(calls[0][0], calls[1][0])
+    pts = _grid_positions(24, 24, 2.0 / 23)
+    values = np.random.default_rng(3).normal(size=(len(pts), 2, 3))
+    for radial_count in (1, 2):
+        kernel = LayerConfig(lmax=3, fiber_freqs=(0, 1), radial_count=radial_count).build_kernel()
+        calls = []
+        for _ in range(2):
+            kernel.response(pts, values)
+            calls.append(parts[:])
+            parts.clear()
+        for blocks in calls:
+            per_degree = Counter(part.shape[:2] for part in blocks)  # (profiles, solutions)
+            assert len(per_degree) == kernel.lmax + 1 and min(per_degree.values()) >= 2
+            assert all(np.shares_memory(part, blocks[0]) for part in blocks)
+            # room for the largest block and, with one ring, its sine term, no more
+            room = max(part.nbytes for part in blocks) * max(radial_count, 2) // radial_count
+            assert _root(blocks[0]).nbytes == room, radial_count
+        assert not np.shares_memory(calls[0][0], calls[1][0])
 
 
 def test_lifts_in_two_threads_equal_their_serial_lifts(monkeypatch):
@@ -1130,6 +1134,66 @@ def test_batched_readout_matches_pointwise_wigner(lmax, seed, rotations):
     assert got.shape == (len(rotations),)
     scale = np.sqrt(sum(float(np.sum(blk ** 2)) for blk in signal.blocks))
     assert np.abs(got - _pointwise_readout(signal, rotations)).max(initial=0.0) <= 1e-12 * scale
+
+
+def _rebuilt_grid_dot(ell, alphas, betas, gammas, block):
+    """The readout of one degree as it was before the grid kept its tables:
+    every grid-only factor rebuilt on each call, then the two products."""
+    y = so2_so3._wigner_y(ell, betas)
+    rows = np.concatenate([y, y[:, ::-1]], axis=1)
+    folded = np.concatenate([rows, rows[:, :, ::-1]], axis=2) * np.tile(block, (2, 2))
+    size = 2 * (2 * ell + 1)
+    per_cell = (np.hstack(so2_so3._z_factor(ell, alphas))
+                @ folded.transpose(1, 0, 2).reshape(size, -1)).reshape(-1, size)
+    return (per_cell @ np.hstack(so2_so3._z_factor(ell, np.negative(gammas))).T).ravel()
+
+
+def _rebuilt_readout(signal, rotations):
+    if not isinstance(rotations, SO3Grid):
+        return np.array([_rebuilt_readout(signal, SO3Grid([g.alpha], [g.beta], [g.gamma]))[0]
+                         for g in rotations], dtype=float)
+    out = np.zeros(len(rotations))
+    for ell, blk in enumerate(signal.blocks):
+        out += _rebuilt_grid_dot(ell, rotations.alphas, rotations.betas, rotations.gammas, blk)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(lmax=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), rotations=READOUT_SETS)
+@example(lmax=6, seed=0, rotations=so3_equiangular_grid(24, 12, 24)).via("demo pose grid")
+@example(lmax=6, seed=1, rotations=so3_equiangular_grid(12, 6, 12)).via("benchmark grid")
+@example(lmax=0, seed=2, rotations=so3_equiangular_grid(1, 2, 1)).via("beta 0 and pi")
+@example(lmax=4, seed=3, rotations=[Rotation3(1.0, np.pi, 2.0), Rotation3(0.5, 0.0, 0.0)])
+def test_grid_tables_read_out_bit_identically_to_rebuilt_factors(lmax, seed, rotations):
+    rng = np.random.default_rng(seed)
+    signal = SO3Signal(lmax, tuple(rng.normal(size=(2 * l + 1, 2 * l + 1))
+                                   for l in range(lmax + 1)))
+    want = _rebuilt_readout(signal, rotations)
+    assert np.array_equal(signal.evaluate(rotations), want)
+    assert np.array_equal(signal.evaluate(rotations), want)  # from the kept tables
+
+
+def test_each_grid_builds_each_degree_table_once(monkeypatch):
+    calls, wigner_y = [], so2_so3._wigner_y
+
+    def counting(ell, betas):
+        calls.append(ell)
+        return wigner_y(ell, betas)
+
+    monkeypatch.setattr(so2_so3, "_wigner_y", counting)
+    rng = np.random.default_rng(0)
+    grid, other = so3_equiangular_grid(6, 4, 6), so3_equiangular_grid(6, 4, 6)
+    low, high = (SO3Signal(lmax, tuple(rng.normal(size=(2 * l + 1, 2 * l + 1))
+                                       for l in range(lmax + 1))) for lmax in (2, 4))
+    first = [low.evaluate(grid), high.evaluate(grid)]
+    assert calls == [0, 1, 2, 3, 4]  # the lmax 4 read builds only degrees 3 and 4
+    assert np.array_equal(low.evaluate(grid), first[0])
+    assert np.array_equal(high.evaluate(grid), first[1])
+    assert calls == [0, 1, 2, 3, 4]
+    # a second grid with the same axes keeps tables of its own
+    assert np.array_equal(high.evaluate(other), first[1])
+    assert calls == [0, 1, 2, 3, 4] * 2
+    assert all(not arr.flags.writeable for arr in grid.readout_table(4))
 
 
 def test_so3_grid_builds_the_product_list_on_demand():
