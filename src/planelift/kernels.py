@@ -20,10 +20,10 @@ A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
 C + sin(m phi) S``. One private core, ``_elements``, evaluates it from the
 basis's stacked (C, S) blocks and a polar table of the points: their
 ``cos/sin(m phi)`` and radial factors for each m. The sphere lift
-``response`` reads every degree from one cached table per grid, and what
-depends on the kernel alone from the lift plan the kernel builds on its
-first lift and keeps; it builds every block's elements in one workspace of
-its own per call.
+``response`` reads every degree from one cached table per grid, and its
+stacked blocks from the lift plan the kernel builds on its first lift and
+keeps; it builds every block's elements in one workspace of its own per
+call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from numbers import Real
-from typing import NamedTuple
 
 import numpy as np
 
@@ -320,20 +319,14 @@ def _elements(blocks: np.ndarray, ms: np.ndarray, factors: np.ndarray,
     in profile-major order, from the blocks (A, 2, 1, d_out, d_in) of
     solutions of frequencies ``ms`` and the polar table of n points: factors
     (m_top + 1, P, n) and ``cos/sin(m phi)`` (m_top + 1, 2, n); written into
-    the start of the flat workspace ``work`` if one is given, else fresh. A
-    workspace holds ``max(P, 2)`` profile slots, so the sine term has one."""
+    the start of the flat workspace ``work`` if one is given, else fresh."""
     radial, trig = factors[ms], trig[ms]
     (a, p, n), shape = radial.shape, blocks.shape[3:]
     full = (p, a, n) + shape
-    if work is None:
-        out = np.empty(full)
-        sine = out[1] if p > 1 else None
-    else:
-        slots = work[:max(p, 2) * math.prod(full[1:])].reshape((max(p, 2),) + full[1:])
-        out, sine = slots[:p], slots[1]
     # build the angular factor in profile 0's slot and scale it there last
+    out = np.empty(full) if work is None else work[:math.prod(full)].reshape(full)
     np.multiply(trig[:, 0, :, None, None], blocks[:, 0], out=out[0])
-    out[0] += np.multiply(trig[:, 1, :, None, None], blocks[:, 1], out=sine)
+    out[0] += np.multiply(trig[:, 1, :, None, None], blocks[:, 1], out=out[1] if p > 1 else None)
     scale = radial.transpose(1, 0, 2)[..., None, None]  # (P, A, n, 1, 1)
     np.multiply(scale[1:], out[0], out=out[1:])
     out[0] *= scale[0]
@@ -449,26 +442,6 @@ def _tensor_with_harmonics(ell: int, fiber: SO2RepSpec) -> tuple[SO2RepSpec, np.
     return spec, t
 
 
-class _DegreePlan(NamedTuple):
-    """What the sphere lift reads of one degree that depends on the kernel
-    alone: the stacked solutions, read-only, and the sizes of its blocks."""
-
-    ms: np.ndarray  # each solution's frequency (A,)
-    blocks: np.ndarray  # their (cos, sin) blocks (A, 2, 1, 1, d_can)
-    top: int  # the polar-table rows the degree reads
-    per_point: int  # floats per point of a block: basis values, table rows and their copies
-    work_per_point: int  # workspace floats per point: max(P, 2) slots of A d_can
-    transform: np.ndarray  # canonical <- harmonic x fiber, (2l+1, d_in, d_can)
-    weight_rows: slice  # the degree's rows of a response map
-    harmonics: slice  # and its columns
-
-
-class _LiftPlan(NamedTuple):
-    m_top: int  # the kernel's top frequency, the polar table's last row
-    radial: RadialProfileSet
-    degrees: tuple[_DegreePlan, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class InductionKernel:
     """Lifted kernel from the plane to SO(3) or to the sphere SO(3)/SO(2).
@@ -484,9 +457,9 @@ class InductionKernel:
 
     ``lmax`` and the changes of basis are derived, not stored, so ``replace``
     leaves nothing stale, and construction rejects parts that disagree. The
-    sphere lift's plan is built from the fields on the first ``response`` and
-    kept on the kernel; a kernel from ``replace`` or ``corrupt_kernel`` is a
-    new object and builds its own.
+    sphere lift's plan, each degree's stacked solutions, is built on the
+    first ``response`` and kept on the kernel; a kernel from ``replace`` or
+    ``corrupt_kernel`` is a new object and builds its own.
     """
 
     fiber_in: SO2RepSpec
@@ -581,28 +554,13 @@ class InductionKernel:
         return total.reshape(n, -1, d)
 
     @cached_property
-    def _lift_plan(self) -> _LiftPlan:
-        """Everything ``response`` reads that depends on the kernel alone,
-        built once: per degree the stacked solutions, the table rows and
-        bytes per point of a block, the transform and the output slices."""
-        radial = self.bases[0].radial  # every degree's, as construction checks
-        degrees, pos = [], 0
-        for ell, basis in enumerate(self.bases):
-            ms, blocks = basis._stacked()
-            for arr in (ms, blocks):
-                arr.setflags(write=False)
-            top = int(ms.max(initial=0)) + 1
-            d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
-            t = _tensor_with_harmonics(ell, self.fiber_in)[1]
-            degrees.append(_DegreePlan(
-                ms, blocks, top,
-                per_point=basis.count * d_can + (top + len(ms)) * (radial.count + 2),
-                work_per_point=max(radial.count, 2) * len(ms) * d_can,
-                transform=t.reshape(2 * ell + 1, self.fiber_in.dim, d_can),
-                weight_rows=slice(pos, pos + basis.count),
-                harmonics=SphericalHarmonicBasis.slice_of(ell)))
-            pos += basis.count
-        return _LiftPlan(max(deg.top for deg in degrees) - 1, radial, tuple(degrees))
+    def _lift_plan(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each degree's stacked solutions, ``basis._stacked()`` made
+        read-only, built on the first lift and kept."""
+        plan = tuple(basis._stacked() for basis in self.bases)
+        for arr in (arr for pair in plan for arr in pair):
+            arr.setflags(write=False)
+        return plan
 
     def response(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sphere-lift weight-response maps, shape (fields, weight_count,
@@ -610,43 +568,52 @@ class InductionKernel:
 
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
-        harmonic coordinates; the caller multiplies in the cell area. What
-        depends on the kernel alone comes from its plan (``_lift_plan``),
-        built on the first call. The points are checked once, and every
-        degree reads the grid's one cached polar table (``_grid_polar``). A
-        degree's sum skips the points no mask of ``_above_rounding`` marks at
-        its frequencies, where each term is at most machine epsilon times the
-        largest bound on the sum's terms, and reads the rest in blocks of at
-        most ``_LIFT_BLOCK_BYTES`` (at least one point), one ``matmul`` per
-        block of every field's values against the block's basis values, with
-        no transposed copy. Every block builds its basis values in one
-        workspace per call, sized for the largest block; no two calls share
-        one, so lifts may run in parallel.
+        harmonic coordinates; the caller multiplies in the cell area. Each
+        degree's stacked solutions come from the kernel's plan
+        (``_lift_plan``), built on the first call. The points are checked
+        once, and every degree reads the grid's one cached polar table
+        (``_grid_polar``). A degree's sum skips the points no mask of
+        ``_above_rounding`` marks at its frequencies, where each term is at
+        most machine epsilon times the largest bound on the sum's terms, and
+        reads the rest in blocks of at most ``_LIFT_BLOCK_BYTES`` (at least
+        one point), one ``matmul`` per block of every field's values against
+        the block's basis values, with no transposed copy. Every block builds
+        its basis values in one workspace per call, sized for the largest
+        block; no two calls share one, so lifts may run in parallel.
         """
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
-        plan = self._lift_plan
-        trig, factors = _grid_polar(_check_points(points).tobytes(), plan.m_top, plan.radial)
-        vals = _check_array("values", values, (trig.shape[2], "fields", self.fiber_in.dim))
+        d = self.fiber_in.dim
+        m_top = max((sol.m for basis in self.bases for sol in basis.angular), default=0)
+        radial = self.bases[0].radial  # every degree's, as construction checks
+        trig, factors = _grid_polar(_check_points(points).tobytes(), m_top, radial)
+        vals = _check_array("values", values, (trig.shape[2], "fields", d))
         above = _above_rounding(factors, np.abs(vals).max(axis=2))
         nf, vals = vals.shape[1], vals.reshape(len(vals), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
-        rows = [max(1, min(len(vals), _LIFT_BLOCK_BYTES // (8 * deg.per_point)))
-                for deg in plan.degrees]
-        work = np.empty(max(deg.work_per_point * n for deg, n in zip(plan.degrees, rows)))
-        for deg, n in zip(plan.degrees, rows):
-            d_can = deg.blocks.shape[-1]
-            keep = np.flatnonzero(above[deg.ms].any(axis=0))
-            table, cos_sin = factors[:deg.top], trig[:deg.top]
-            count = deg.weight_rows.stop - deg.weight_rows.start
-            moments = np.zeros((count, vals.shape[1], d_can))
-            for idx in (keep[i:i + n] for i in range(0, len(keep), n)):
-                part = _elements(deg.blocks, deg.ms, table.take(idx, axis=2),
-                                 cos_sin.take(idx, axis=2), work)
+        degrees = []
+        for basis, (ms, blocks) in zip(self.bases, self._lift_plan):
+            top = ms.max(initial=0) + 1  # the table rows this degree reads
+            # per point: the basis values, the table rows read and their copy per solution
+            per_point = basis.count * basis.in_rep.dim + (top + len(ms)) * (radial.count + 2)
+            rows = max(1, min(len(vals), _LIFT_BLOCK_BYTES // (8 * per_point)))
+            degrees.append((basis, ms, blocks, top, rows))
+        work = np.empty(max(basis.count * rows * basis.in_rep.dim for basis, *_, rows in degrees))
+        pos = 0
+        for ell, (basis, ms, blocks, top, rows) in enumerate(degrees):
+            d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
+            keep = np.flatnonzero(above[ms].any(axis=0))
+            table, cos_sin = factors[:top], trig[:top]
+            moments = np.zeros((basis.count, vals.shape[1], d_can))
+            for idx in (keep[i:i + rows] for i in range(0, len(keep), rows)):
+                part = _elements(blocks, ms, table.take(idx, axis=2), cos_sin.take(idx, axis=2),
+                                 work)
                 moments += np.matmul(vals[idx].T, part.reshape(-1, len(idx), d_can))
-            moments = moments.reshape(count, nf, self.fiber_in.dim, d_can)
-            response[:, deg.weight_rows, deg.harmonics] = np.einsum("bfvj,kvj->fbk", moments,
-                                                                   deg.transform)
+            moments = moments.reshape(basis.count, nf, d, d_can)
+            t = _tensor_with_harmonics(ell, self.fiber_in)[1].reshape(2 * ell + 1, d, -1)
+            block = np.einsum("bfvj,kvj->fbk", moments, t)
+            response[:, pos:pos + basis.count, SphericalHarmonicBasis.slice_of(ell)] = block
+            pos += basis.count
         return response
 
 

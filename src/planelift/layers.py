@@ -421,7 +421,7 @@ class SO3Grid(Sequence):
             raise ValueError("grid betas must lie in [0, pi]")
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def readout_table(self, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _readout_table(self, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Degree ``ell``'s read-only ``so2_so3._wigner_grid_table`` of this
         grid, built on the first read (4 (2l+1)^2 floats per grid beta)."""
         table = self._tables.get(ell)
@@ -475,7 +475,7 @@ class SO3Signal:
                              for g in rotations], dtype=float)
         out = np.zeros(len(rotations))
         for ell, blk in enumerate(self.blocks):
-            out += _wigner_grid_dot(rotations.readout_table(ell), blk)
+            out += _wigner_grid_dot(rotations._readout_table(ell), blk)
         return out
 
     def left_rotate(self, rot: Rotation3) -> "SO3Signal":

@@ -1022,8 +1022,7 @@ def test_each_kernel_builds_its_lift_plan_once(monkeypatch):
     assert np.array_equal(kernel.response(pts[:40], values[:40]), kernel.response(
         pts[:40], values[:40]))  # another point set reads the same plan
     assert len(calls) == kernel.lmax + 1
-    plan = kernel._lift_plan
-    assert all(not arr.flags.writeable for deg in plan.degrees for arr in (deg.ms, deg.blocks))
+    assert all(not arr.flags.writeable for pair in kernel._lift_plan for arr in pair)
 
 
 def test_replaced_and_corrupted_kernels_build_plans_of_their_own(monkeypatch):

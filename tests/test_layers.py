@@ -583,9 +583,10 @@ def _root(array):
 
 def test_every_block_of_one_lift_is_built_in_one_workspace(monkeypatch):
     # a fresh array per block churned the heap, so the lift's speed followed
-    # glibc's trimming; a second call must get a workspace of its own. With
-    # one ring the sine term, built in ring 1's slot otherwise, was a fresh
-    # block-sized array per block; it has a slot of its own in the workspace
+    # glibc's trimming; a second call must get a workspace of its own
+    kernel = _default_ring_kernel((0, 1), 3)
+    pts = _grid_positions(24, 24, 2.0 / 23)
+    values = np.random.default_rng(3).normal(size=(len(pts), 2, 3))
     parts, elements = [], kernels._elements
 
     def recording(*args):
@@ -594,23 +595,18 @@ def test_every_block_of_one_lift_is_built_in_one_workspace(monkeypatch):
 
     monkeypatch.setattr(kernels, "_elements", recording)
     monkeypatch.setattr(kernels, "_LIFT_BLOCK_BYTES", 20000)  # several blocks per degree
-    pts = _grid_positions(24, 24, 2.0 / 23)
-    values = np.random.default_rng(3).normal(size=(len(pts), 2, 3))
-    for radial_count in (1, 2):
-        kernel = LayerConfig(lmax=3, fiber_freqs=(0, 1), radial_count=radial_count).build_kernel()
-        calls = []
-        for _ in range(2):
-            kernel.response(pts, values)
-            calls.append(parts[:])
-            parts.clear()
-        for blocks in calls:
-            per_degree = Counter(part.shape[:2] for part in blocks)  # (profiles, solutions)
-            assert len(per_degree) == kernel.lmax + 1 and min(per_degree.values()) >= 2
-            assert all(np.shares_memory(part, blocks[0]) for part in blocks)
-            # room for the largest block and, with one ring, its sine term, no more
-            room = max(part.nbytes for part in blocks) * max(radial_count, 2) // radial_count
-            assert _root(blocks[0]).nbytes == room, radial_count
-        assert not np.shares_memory(calls[0][0], calls[1][0])
+    calls = []
+    for _ in range(2):
+        kernel.response(pts, values)
+        calls.append(parts[:])
+        parts.clear()
+    for blocks in calls:
+        per_degree = Counter(part.shape[:2] for part in blocks)  # (profiles, solutions)
+        assert len(per_degree) == kernel.lmax + 1 and min(per_degree.values()) >= 2
+        assert all(np.shares_memory(part, blocks[0]) for part in blocks)
+        # room for the largest block, no more
+        assert _root(blocks[0]).nbytes == max(part.nbytes for part in blocks)
+    assert not np.shares_memory(calls[0][0], calls[1][0])
 
 
 def test_lifts_in_two_threads_equal_their_serial_lifts(monkeypatch):
@@ -1193,7 +1189,7 @@ def test_each_grid_builds_each_degree_table_once(monkeypatch):
     # a second grid with the same axes keeps tables of its own
     assert np.array_equal(high.evaluate(other), first[1])
     assert calls == [0, 1, 2, 3, 4] * 2
-    assert all(not arr.flags.writeable for arr in grid.readout_table(4))
+    assert all(not arr.flags.writeable for arr in grid._readout_table(4))
 
 
 def test_so3_grid_builds_the_product_list_on_demand():
