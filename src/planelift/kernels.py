@@ -17,13 +17,12 @@ translation-times-sphere builders return the SO(3) kernel at degree 0 and the
 one-channel sphere kernel. Only this module reads the kernel's storage format.
 
 A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
-C + sin(m phi) S``. One private core, ``_elements``, evaluates it from the
-basis's stacked (C, S) blocks and a polar table of the points: their
-``cos/sin(m phi)`` and radial factors for each m. The sphere lift
-``response`` reads every degree from one cached table per grid, and its
-stacked blocks from the lift plan the kernel builds on its first lift and
-keeps; it builds every block's elements in one workspace of its own per
-call.
+C + sin(m phi) S``. A basis takes its solutions in once, as one read-only
+stack of their (C, S) blocks that its ``angular`` records view. One private
+core, ``_elements``, evaluates the elements from that stack and a polar table
+of the points: their ``cos/sin(m phi)`` and radial factors for each m. The
+sphere lift ``response`` reads every degree from one cached table per grid
+and builds every block's elements in one workspace of its own per call.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -234,7 +233,7 @@ def _above_rounding(factors: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the solver
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _AngularSolution:
     m: int
     cos_coeff: np.ndarray  # (d_out, d_in)
@@ -253,12 +252,34 @@ class SteerableKernelBasis:
     harmonic polynomial near the origin and keeps every element smooth
     there; a pure ``profile * trig`` product would be discontinuous at
     r = 0 and poison grid quadrature downstream.
+
+    The solutions are taken in once, when the basis is built: each m must be
+    an integer in [0, ``m_max``] and each block a finite real (d_out, d_in)
+    array. Their frequencies and (cos, sin) blocks are kept as the read-only
+    arrays ``_ms`` (A,) and ``_blocks`` (A, 2, 1, d_out, d_in), outside
+    equality and the repr, and ``angular`` is rebound to records that view
+    ``_blocks``, so the basis keeps one copy of each solved coefficient.
     """
 
     in_rep: SO2RepSpec
     out_rep: SO2RepSpec
     radial: RadialProfileSet
     angular: tuple[_AngularSolution, ...]
+    _ms: np.ndarray = field(init=False, compare=False, repr=False)
+    _blocks: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        shape, m_max = (len(self.angular), 2, 1, self.out_rep.dim, self.in_rep.dim), self.m_max
+        for sol in self.angular:
+            _check_int("solution frequency", sol.m, 0, m_max)
+            if np.shape(sol.cos_coeff) != shape[3:] or np.shape(sol.sin_coeff) != shape[3:]:
+                raise ValueError(f"solution blocks must have shape {shape[3:]}")
+        blocks = _check_array("solution blocks", np.asarray(
+            [(sol.cos_coeff, sol.sin_coeff) for sol in self.angular]).reshape(shape), shape)
+        ms = _check_array("solution frequencies", [sol.m for sol in self.angular], shape[:1], int)
+        angular = tuple(map(_AngularSolution, ms.tolist(), blocks[:, 0, 0], blocks[:, 1, 0]))
+        for name, value in (("_ms", ms), ("_blocks", blocks), ("angular", angular)):
+            object.__setattr__(self, name, value)
 
     @property
     def m_max(self) -> int:
@@ -273,21 +294,13 @@ class SteerableKernelBasis:
     def count(self) -> int:
         return self.radial.count * self.n_angular
 
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each solution's frequency (A,) and its (cos, sin) blocks (A, 2, 1,
-        d_out, d_in), stacked per call: the basis keeps one copy of each."""
-        shape = (self.n_angular, 2, 1, self.out_rep.dim, self.in_rep.dim)
-        blocks = np.reshape([(s.cos_coeff, s.sin_coeff) for s in self.angular], shape)
-        return np.array([sol.m for sol in self.angular], dtype=int), blocks
-
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
         """All elements at (N, 2) points, shape (count, N, d_out, d_in): the
         polar table of the points and the stacked blocks through ``_elements``."""
         pts = _check_points(points)
-        ms, blocks = self._stacked()
-        trig, factors = _polar(pts, int(ms.max(initial=0)), self.radial)
-        out = _elements(blocks, ms, factors, trig)
-        return out.reshape(self.count, len(pts), *blocks.shape[3:])
+        trig, factors = _polar(pts, int(self._ms.max(initial=0)), self.radial)
+        out = _elements(self._blocks, self._ms, factors, trig)
+        return out.reshape(self.count, len(pts), *self._blocks.shape[3:])
 
 
 def _polar(pts: np.ndarray, m_top: int,
@@ -357,8 +370,6 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
 
     solutions: list[_AngularSolution] = []
     eye = np.eye(dd)
-    zero = np.zeros((d_out, d_in))  # the sine block of every m = 0 solution
-    zero.setflags(write=False)
     for m in range(in_rep.max_freq + out_rep.max_freq + 1):
         # each angle's rows act on the cosine coefficients, at m > 0 stacked with the sine ones
         rows = np.cos(m * thetas)[:, None, None] * eye - conjugations
@@ -367,12 +378,10 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
             rows = np.block([[rows, off], [-off, rows]])
         _, svals, vt = np.linalg.svd(np.concatenate(rows), full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
-        # a copy, so the solutions do not keep the whole of ``vt`` alive
-        null = vt[np.sum(svals > NULL_TOL * smax):].copy()
-        null.setflags(write=False)  # every solution block is a read-only view of it
-        for vec in null:
-            sin = vec[dd:].reshape(d_out, d_in) if m else zero
+        for vec in vt[np.sum(svals > NULL_TOL * smax):]:
+            sin = vec[dd:].reshape(d_out, d_in) if m else np.zeros((d_out, d_in))
             solutions.append(_AngularSolution(m, vec[:dd].reshape(d_out, d_in), sin))
+    # the basis copies every block into its one stack, so no ``vt`` outlives this call
     return SteerableKernelBasis(in_rep, out_rep, radial, tuple(solutions))
 
 
@@ -457,9 +466,8 @@ class InductionKernel:
 
     ``lmax`` and the changes of basis are derived, not stored, so ``replace``
     leaves nothing stale, and construction rejects parts that disagree. The
-    sphere lift's plan, each degree's stacked solutions, is built on the
-    first ``response`` and kept on the kernel; a kernel from ``replace`` or
-    ``corrupt_kernel`` is a new object and builds its own.
+    kernel keeps nothing but its fields: every read takes each degree's
+    solutions from its basis's one stack.
     """
 
     fiber_in: SO2RepSpec
@@ -553,15 +561,6 @@ class InductionKernel:
             total += np.einsum("cronKv,rK->ncov", fl, scale * wigner_d(ell, rot)[:, rows].T)
         return total.reshape(n, -1, d)
 
-    @cached_property
-    def _lift_plan(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Each degree's stacked solutions, ``basis._stacked()`` made
-        read-only, built on the first lift and kept."""
-        plan = tuple(basis._stacked() for basis in self.bases)
-        for arr in (arr for pair in plan for arr in pair):
-            arr.setflags(write=False)
-        return plan
-
     def response(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sphere-lift weight-response maps, shape (fields, weight_count,
         (lmax+1)^2), for ``values`` (N, fields, d_in) at the N points.
@@ -569,8 +568,7 @@ class InductionKernel:
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
         harmonic coordinates; the caller multiplies in the cell area. Each
-        degree's stacked solutions come from the kernel's plan
-        (``_lift_plan``), built on the first call. The points are checked
+        degree reads its basis's stacked solutions. The points are checked
         once, and every degree reads the grid's one cached polar table
         (``_grid_polar``). A degree's sum skips the points no mask of
         ``_above_rounding`` marks at its frequencies, where each term is at
@@ -584,7 +582,7 @@ class InductionKernel:
         if self.space != "sphere":
             raise ValueError(f"the lift reads a sphere kernel, got output space {self.space!r}")
         d = self.fiber_in.dim
-        m_top = max((sol.m for basis in self.bases for sol in basis.angular), default=0)
+        m_top = int(max(basis._ms.max(initial=0) for basis in self.bases))
         radial = self.bases[0].radial  # every degree's, as construction checks
         trig, factors = _grid_polar(_check_points(points).tobytes(), m_top, radial)
         vals = _check_array("values", values, (trig.shape[2], "fields", d))
@@ -592,7 +590,8 @@ class InductionKernel:
         nf, vals = vals.shape[1], vals.reshape(len(vals), -1)  # (N, fields * d)
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         degrees = []
-        for basis, (ms, blocks) in zip(self.bases, self._lift_plan):
+        for basis in self.bases:
+            ms, blocks = basis._ms, basis._blocks
             top = ms.max(initial=0) + 1  # the table rows this degree reads
             # per point: the basis values, the table rows read and their copy per solution
             per_point = basis.count * basis.in_rep.dim + (top + len(ms)) * (radial.count + 2)
@@ -625,8 +624,7 @@ def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> Inducti
     """
     return replace(kernel, bases=tuple(
         replace(basis, angular=tuple(
-            _AngularSolution(sol.m, rng.normal(size=sol.cos_coeff.shape),
-                             rng.normal(size=sol.sin_coeff.shape))
+            _AngularSolution(sol.m, *rng.normal(size=(2, *sol.cos_coeff.shape)))  # cos, then sin
             for sol in basis.angular))
         for basis in kernel.bases))
 

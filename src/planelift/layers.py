@@ -556,6 +556,7 @@ class LayerConfig:
 
     def __post_init__(self):
         _check_int("grid_n", self.grid_n, 2)
+        _check_int("radial_count", self.radial_count, 1)
         _check_layer_shape(self.fiber, self.lmax, self.channels)
 
     @property

@@ -444,22 +444,9 @@ def test_grid_oracle_counts_every_degree_of_library_kernels(build):
         assert basis.n_angular == grid_nullspace_dimension(basis.in_rep, basis.out_rep)
 
 
-def test_solutions_keep_only_their_null_block():
-    # each coefficient array may view the null rows of its frequency, never
-    # the SVD's whole (2dd x 2dd) right factor
-    rin, rout = SO2RepSpec((0, 1, 2)), SO2RepSpec((0, 1, 2))
-    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
-    width = 2 * rin.dim * rout.dim
-    for sol in basis.angular:
-        null_rows = sum(other.m == sol.m for other in basis.angular)
-        for arr in (sol.cos_coeff, sol.sin_coeff):
-            owner = arr if arr.base is None else arr.base
-            assert owner.size <= null_rows * width
-
-
 def test_evaluated_basis_keeps_one_copy_of_its_solutions():
-    # the stacked (cos, sin) blocks are built per call; a basis that cached
-    # them would keep A * 2 * d_out * d_in * 8 bytes past the call
+    # evaluating reads the basis's one stack of (cos, sin) blocks; a basis that
+    # cached a second copy would keep A * 2 * d_out * d_in * 8 bytes past the call
     fiber, radial, pts = SO2RepSpec((0, 1, 2)), RadialProfileSet(1, 1.0), np.full((4, 2), 0.25)
     # a first call may fill numpy's own caches; make it on another basis
     solve_so2_basis(fiber, fiber, radial).evaluate_all(pts)
@@ -826,10 +813,14 @@ _SCALAR, _EMPTY, _RADIAL = SO2RepSpec((0,)), SO2RepSpec(()), RadialProfileSet(1,
     lambda: LayerConfig(lmax=-1),
     lambda: LayerConfig(channels=0),
     lambda: LayerConfig(fiber_freqs=()),
+    lambda: LayerConfig(radial_count=0),
+    lambda: LayerConfig(radial_count=1.5),
+    lambda: LayerConfig(radial_count=True),
 ], ids=["lmax", "channels", "empty-fiber", "r3s2-lmax", "so3-lmax", "so3-empty-fiber",
         "so3-no-out-degrees", "volume-no-out-degrees", "volume-empty-fiber", "volume-nan-height",
         "volume-text-height", "r3s2-inf-height", "fractional-channels", "fractional-lmax",
-        "config-lmax", "config-channels", "config-empty-fiber"])
+        "config-lmax", "config-channels", "config-empty-fiber", "config-no-rings",
+        "config-fractional-rings", "config-bool-rings"])
 def test_degenerate_layer_shapes_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -994,55 +985,61 @@ def test_a_second_identical_kernel_keeps_no_second_change_of_basis():
     assert cold - warm >= shared > 16_000, (cold, warm, shared)
 
 
-def _counting_stacked(monkeypatch):
-    """A list that grows by one each time a basis stacks its solutions."""
-    calls, stacked = [], kernels.SteerableKernelBasis._stacked
-
-    def counting(basis):
-        calls.append(basis)
-        return stacked(basis)
-
-    monkeypatch.setattr(kernels.SteerableKernelBasis, "_stacked", counting)
-    return calls
-
-
 def _lift_inputs(n=16, fields_=2, d=1, seed=0):
     axis = np.linspace(-0.5, 0.5, n)
     pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
     return pts, np.random.default_rng(seed).normal(size=(len(pts), fields_, d))
 
 
-def test_each_kernel_builds_its_lift_plan_once(monkeypatch):
-    kernel = build_induction_kernel(_VECTOR, 2, 4, RadialProfileSet(2, 0.5))
-    calls = _counting_stacked(monkeypatch)
-    pts, values = _lift_inputs(d=_VECTOR.dim)
-    first = kernel.response(pts, values)
-    assert len(calls) == kernel.lmax + 1
-    assert np.array_equal(kernel.response(pts, values), first)
-    assert np.array_equal(kernel.response(pts[:40], values[:40]), kernel.response(
-        pts[:40], values[:40]))  # another point set reads the same plan
-    assert len(calls) == kernel.lmax + 1
-    assert all(not arr.flags.writeable for pair in kernel._lift_plan for arr in pair)
+def _owner(arr):
+    """The array whose memory ``arr`` views, or ``arr`` itself."""
+    return arr if arr.base is None else _owner(arr.base)
 
 
-def test_replaced_and_corrupted_kernels_build_plans_of_their_own(monkeypatch):
+def test_every_solution_block_views_its_basis_one_stack():
+    # a basis takes its solutions in once: every block is a read-only view of
+    # one stack of exactly A * 2 * d_out * d_in floats, so no solution keeps
+    # the SVD's right factor, or the caller's arrays, alive beside it
     kernel = build_induction_kernel(_VECTOR, 1, 3, RadialProfileSet(2, 0.5))
-    pts, values = _lift_inputs(d=_VECTOR.dim)
-    lifted = kernel.response(pts, values)
-    calls = _counting_stacked(monkeypatch)
-    twin = replace(kernel)
-    assert np.array_equal(twin.response(pts, values), lifted)
-    assert len(calls) == kernel.lmax + 1 and twin._lift_plan is not kernel._lift_plan
-    short = replace(kernel, bases=kernel.bases[:2])
-    assert short.response(pts, values).shape == (2, short.weight_count, 4)
+    basis = kernel.bases[2]
+    bumped = replace(basis.angular[0], cos_coeff=basis.angular[0].cos_coeff + 1.0)
+    replaced = replace(basis, angular=(bumped,) + basis.angular[1:])
     bad = kernels.corrupt_kernel(kernel, np.random.default_rng(0))
-    wrong = bad.response(pts, values)
-    monkeypatch.undo()
+    for b in (*kernel.bases, replaced, *bad.bases):
+        stack = _owner(b._blocks)
+        assert stack.nbytes == b.n_angular * 2 * b.out_rep.dim * b.in_rep.dim * 8
+        assert not b._blocks.flags.writeable and not b._ms.flags.writeable
+        assert [sol.m for sol in b.angular] == b._ms.tolist()
+        for arr in (arr for sol in b.angular for arr in (sol.cos_coeff, sol.sin_coeff)):
+            assert _owner(arr) is stack and not arr.flags.writeable
+    assert np.array_equal(replaced.angular[0].cos_coeff, bumped.cos_coeff)
     # the corrupted kernel lifts as a fresh build of its bases does, not as the original
-    fresh = kernels.InductionKernel(bad.fiber_in, bad.out_ells, bad.bases, 1, "sphere")
-    assert np.array_equal(wrong, fresh.response(pts, values))
+    pts, values = _lift_inputs(d=_VECTOR.dim)
+    lifted, wrong = kernel.response(pts, values), bad.response(pts, values)
+    for bases in (bad.bases, tuple(replace(b) for b in bad.bases)):
+        fresh = kernels.InductionKernel(bad.fiber_in, bad.out_ells, bases, 1, "sphere")
+        assert np.array_equal(wrong, fresh.response(pts, values))
     assert np.abs(wrong - lifted).max() > 1e-1 * np.abs(lifted).max()
     assert np.array_equal(kernel.response(pts, values), lifted)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda b, sol: replace(sol, m=-1), r"solution frequency must be an integer in \[0, 2\]"),
+    (lambda b, sol: replace(sol, m=b.m_max + 1), r"solution frequency .*, got 3$"),
+    (lambda b, sol: replace(sol, cos_coeff=np.full_like(sol.cos_coeff, np.nan)),
+     "solution blocks must be finite"),
+    (lambda b, sol: replace(sol, sin_coeff=sol.sin_coeff[:, :1]),
+     r"solution blocks must have shape \(2, 3\)"),
+    (lambda b, sol: replace(sol, cos_coeff=sol.cos_coeff + 0j), "solution blocks must be real"),
+], ids=["negative-m", "m-above-m_max", "nan-block", "misshapen-block", "complex-block"])
+def test_a_bad_solution_is_rejected_where_its_basis_is_built(bad, message):
+    # each used to build: m = -1 read the top frequency's table row, m above
+    # m_max and a NaN block evaluated to garbage or NaN, and a misshapen block
+    # failed only inside numpy on the first evaluation
+    basis = solve_so2_basis(_VECTOR, SO2RepSpec((1,)), _RADIAL)
+    assert basis.m_max == basis.angular[-1].m == 2
+    with pytest.raises(ValueError, match=message):
+        replace(basis, angular=basis.angular[:-1] + (bad(basis, basis.angular[-1]),))
 
 
 def _solve_pass(radial):
@@ -1079,7 +1076,6 @@ def test_solving_and_checking_kernels_builds_no_lift_plan():
         checked = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert all("_lift_plan" not in vars(kernel) for kernel in built)
     assert kept > 100_000 and checked <= 1.01 * kept, (kept, checked)
 
 

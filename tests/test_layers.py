@@ -482,25 +482,30 @@ def test_lifted_fields_on_one_grid_keep_at_most_one_table():
 def test_quarter_turns_of_a_pixel_image_rotate_its_lift_exactly(fiber):
     # the square grid is invariant under quarter turns, so turning any image
     # by rot90 and its fibers by rho(q pi/2) turns its lift exactly: an oracle
-    # on white noise, an input no analytic field reaches. The residual reads
-    # at most 3.4e-15; a corrupted kernel reads 1.5 to 1.8 at q = 1
+    # of the stored blocks on white noise, an input no analytic field reaches.
+    # The residual reads at most 3.0e-15; turning the image the wrong way
+    # reads 0.54 to 1.54, and a corrupted kernel 1.5 to 1.8 at q = 1
     config = LayerConfig(lmax=6, fiber_freqs=fiber)
     kernel = config.build_kernel()
     rng = np.random.default_rng(len(fiber))
     values = rng.normal(size=(64, 64, config.fiber.dim))
     w = rng.normal(size=(1, kernel.weight_count))
 
-    def residuals(kernel, turns):
-        fields = [PlanarFeatureField(np.rot90(values, q) @ config.fiber.matrix(q * np.pi / 2).T,
-                                     config.spacing, config.fiber) for q in range(turns + 1)]
+    def residuals(kernel, turns, sense=1):
+        """Relative misses of the lifts of the image turned by ``sense * q``,
+        for q in ``turns``, against the lift of the image turned by q."""
+        fields = [PlanarFeatureField(np.rot90(values, sense * q, axes=(0, 1))
+                                     @ config.fiber.matrix(q * np.pi / 2).T,
+                                     config.spacing, config.fiber) for q in (0, *turns)]
         lifts = induction_forward_many(fields, kernel, w)
         rotated = [rotate_signal(lifts[0], Rotation3.about_z(q * np.pi / 2)).coeffs
-                   for q in range(1, turns + 1)]
+                   for q in turns]
         return [np.linalg.norm(lift.coeffs - want) / np.linalg.norm(want)
                 for lift, want in zip(lifts[1:], rotated)]
 
-    assert max(residuals(kernel, 3)) <= 1e-13
-    assert residuals(corrupt_kernel(kernel, np.random.default_rng(104)), 1)[0] > 1e-1
+    assert max(residuals(kernel, (1, 2, 3))) <= 1e-13
+    assert min(residuals(kernel, (1, 3), sense=-1)) > 1e-1
+    assert residuals(corrupt_kernel(kernel, np.random.default_rng(104)), (1,))[0] > 1e-1
 
 
 def _polar_quadrature_response(field, kernel, n_r=96, n_phi=64):
