@@ -996,16 +996,19 @@ def _owner(arr):
     return arr if arr.base is None else _owner(arr.base)
 
 
-def test_every_solution_block_views_its_basis_one_stack():
+def test_solutions_keep_only_their_null_block():
     # a basis takes its solutions in once: every block is a read-only view of
-    # one stack of exactly A * 2 * d_out * d_in floats, so no solution keeps
-    # the SVD's right factor, or the caller's arrays, alive beside it
+    # one stack of exactly A * 2 * d_out * d_in floats, the null rows of its
+    # frequencies, so no solution keeps the SVD's (2dd x 2dd) right factor, or
+    # the caller's arrays, alive beside it
     kernel = build_induction_kernel(_VECTOR, 1, 3, RadialProfileSet(2, 0.5))
     basis = kernel.bases[2]
     bumped = replace(basis.angular[0], cos_coeff=basis.angular[0].cos_coeff + 1.0)
     replaced = replace(basis, angular=(bumped,) + basis.angular[1:])
     bad = kernels.corrupt_kernel(kernel, np.random.default_rng(0))
-    for b in (*kernel.bases, replaced, *bad.bases):
+    fiber = SO2RepSpec((0, 1, 2))
+    wide = solve_so2_basis(fiber, fiber, RadialProfileSet(1, 1.0))
+    for b in (*kernel.bases, replaced, *bad.bases, wide):
         stack = _owner(b._blocks)
         assert stack.nbytes == b.n_angular * 2 * b.out_rep.dim * b.in_rep.dim * 8
         assert not b._blocks.flags.writeable and not b._ms.flags.writeable
@@ -1013,9 +1016,20 @@ def test_every_solution_block_views_its_basis_one_stack():
         for arr in (arr for sol in b.angular for arr in (sol.cos_coeff, sol.sin_coeff)):
             assert _owner(arr) is stack and not arr.flags.writeable
     assert np.array_equal(replaced.angular[0].cos_coeff, bumped.cos_coeff)
-    # the corrupted kernel lifts as a fresh build of its bases does, not as the original
+
+
+def test_replaced_and_corrupted_kernels_build_plans_of_their_own():
+    # a kernel lifts from its own bases alone: a copy lifts as the original,
+    # a shortened copy lifts its own degrees, and a corrupted kernel lifts as a
+    # fresh build of its bases does, never as the kernel it came from
+    kernel = build_induction_kernel(_VECTOR, 1, 3, RadialProfileSet(2, 0.5))
     pts, values = _lift_inputs(d=_VECTOR.dim)
-    lifted, wrong = kernel.response(pts, values), bad.response(pts, values)
+    lifted = kernel.response(pts, values)
+    assert np.array_equal(replace(kernel).response(pts, values), lifted)
+    short = replace(kernel, bases=kernel.bases[:2])
+    assert short.response(pts, values).shape == (2, short.weight_count, 4)
+    bad = kernels.corrupt_kernel(kernel, np.random.default_rng(0))
+    wrong = bad.response(pts, values)
     for bases in (bad.bases, tuple(replace(b) for b in bad.bases)):
         fresh = kernels.InductionKernel(bad.fiber_in, bad.out_ells, bases, 1, "sphere")
         assert np.array_equal(wrong, fresh.response(pts, values))
