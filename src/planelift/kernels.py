@@ -17,18 +17,21 @@ translation-times-sphere builders return the SO(3) kernel at degree 0 and the
 one-channel sphere kernel. Only this module reads the kernel's storage format.
 
 A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
-C + sin(m phi) S``. A basis takes its solutions in once, as one read-only
-stack of their (C, S) blocks that its ``angular`` records view. One private
-core, ``_elements``, evaluates the elements from that stack and a polar table
-of the points: their ``cos/sin(m phi)`` and radial factors for each m. The
-sphere lift ``response`` reads every degree from one cached table per grid
-and builds every block's elements in one workspace of its own per call.
+C + sin(m phi) S``. A basis holds only one read-only stack of its solutions'
+frequencies and (C, S) blocks, which the solver writes straight from its null
+rows; ``angular`` is a read-only sequence over that stack that builds a
+solution's record, viewing the stack, when it is read. One private core,
+``_elements``, evaluates the elements from the stack and a polar table of the
+points: their ``cos/sin(m phi)`` and radial factors for each m. The sphere
+lift ``response`` reads every degree from one cached table per grid and builds
+every block's elements in one workspace of its own per call.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from numbers import Real
@@ -240,6 +243,23 @@ class _AngularSolution:
     sin_coeff: np.ndarray  # (d_out, d_in); zero when m == 0
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class _Solutions(Sequence):
+    """A basis's solutions, read from its stack: an index builds one record
+    whose blocks view ``blocks`` (A, 2, 1, d_out, d_in), a slice a tuple of them."""
+
+    ms: np.ndarray  # (A,)
+    blocks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ms)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return _AngularSolution(int(self.ms[i]), *self.blocks[i, :, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class SteerableKernelBasis:
     """Solved basis of constraint-satisfying kernels.
@@ -253,32 +273,42 @@ class SteerableKernelBasis:
     there; a pure ``profile * trig`` product would be discontinuous at
     r = 0 and poison grid quadrature downstream.
 
-    The solutions are taken in once, when the basis is built: each m must be
-    an integer in [0, ``m_max``] and each block a finite real (d_out, d_in)
-    array. Their frequencies and (cos, sin) blocks are kept as the read-only
-    arrays ``_ms`` (A,) and ``_blocks`` (A, 2, 1, d_out, d_in), outside
-    equality and the repr, and ``angular`` is rebound to records that view
-    ``_blocks``, so the basis keeps one copy of each solved coefficient.
+    The basis holds its solutions only as the read-only arrays ``_ms`` (A,)
+    and ``_blocks`` (A, 2, 1, d_out, d_in), outside equality and the repr,
+    so it keeps one copy of each solved coefficient. ``angular`` is a
+    read-only sequence over them that builds each solution's record, its
+    blocks views of ``_blocks``, when it is read. Given such a sequence, as
+    from the solver or ``replace``, a basis shares its stack; each m must
+    lie in [0, ``m_max``] and the blocks must have this basis's shape. Given
+    records, it stacks them, and each m must be an integer in [0, ``m_max``]
+    and each block a finite real (d_out, d_in) array.
     """
 
     in_rep: SO2RepSpec
     out_rep: SO2RepSpec
     radial: RadialProfileSet
-    angular: tuple[_AngularSolution, ...]
+    angular: Sequence[_AngularSolution]
     _ms: np.ndarray = field(init=False, compare=False, repr=False)
     _blocks: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        shape, m_max = (len(self.angular), 2, 1, self.out_rep.dim, self.in_rep.dim), self.m_max
-        for sol in self.angular:
-            _check_int("solution frequency", sol.m, 0, m_max)
-            if np.shape(sol.cos_coeff) != shape[3:] or np.shape(sol.sin_coeff) != shape[3:]:
-                raise ValueError(f"solution blocks must have shape {shape[3:]}")
-        blocks = _check_array("solution blocks", np.asarray(
-            [(sol.cos_coeff, sol.sin_coeff) for sol in self.angular]).reshape(shape), shape)
-        ms = _check_array("solution frequencies", [sol.m for sol in self.angular], shape[:1], int)
-        angular = tuple(map(_AngularSolution, ms.tolist(), blocks[:, 0, 0], blocks[:, 1, 0]))
-        for name, value in (("_ms", ms), ("_blocks", blocks), ("angular", angular)):
+        shape, sols = (len(self.angular), 2, 1, self.out_rep.dim, self.in_rep.dim), self.angular
+        if not isinstance(sols, _Solutions):  # records: check each, then stack them
+            for sol in sols:
+                _check_int("solution frequency", sol.m, 0, self.m_max)
+                if np.shape(sol.cos_coeff) != shape[3:] or np.shape(sol.sin_coeff) != shape[3:]:
+                    raise ValueError(f"solution blocks must have shape {shape[3:]}")
+            blocks = np.asarray([(sol.cos_coeff, sol.sin_coeff) for sol in sols]).reshape(shape)
+            sols = _Solutions(np.array([sol.m for sol in sols], dtype=int),
+                              _check_array("solution blocks", blocks, shape))
+        # a stack is shared as it is: its frequencies are the solver's or a built
+        # basis's, never negative, so only the top one can fall outside [0, m_max]
+        if sols.blocks.shape != shape:
+            raise ValueError(f"solution blocks must have shape {shape[3:]}")
+        _check_int("solution frequency", int(sols.ms.max(initial=0)), 0, self.m_max)
+        for arr in (sols.ms, sols.blocks):
+            arr.setflags(write=False)
+        for name, value in (("_ms", sols.ms), ("_blocks", sols.blocks), ("angular", sols)):
             object.__setattr__(self, name, value)
 
     @property
@@ -368,7 +398,7 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     conjugations = np.einsum("tik,tjl->tijkl", out_rep.matrix(thetas),
                              in_rep.matrix(thetas)).reshape(len(thetas), dd, dd)
 
-    solutions: list[_AngularSolution] = []
+    ms, nulls = [], []  # each solution's frequency; each frequency's null rows
     eye = np.eye(dd)
     for m in range(in_rep.max_freq + out_rep.max_freq + 1):
         # each angle's rows act on the cosine coefficients, at m > 0 stacked with the sine ones
@@ -378,11 +408,12 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
             rows = np.block([[rows, off], [-off, rows]])
         _, svals, vt = np.linalg.svd(np.concatenate(rows), full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
-        for vec in vt[np.sum(svals > NULL_TOL * smax):]:
-            sin = vec[dd:].reshape(d_out, d_in) if m else np.zeros((d_out, d_in))
-            solutions.append(_AngularSolution(m, vec[:dd].reshape(d_out, d_in), sin))
-    # the basis copies every block into its one stack, so no ``vt`` outlives this call
-    return SteerableKernelBasis(in_rep, out_rep, radial, tuple(solutions))
+        null = vt[np.sum(svals > NULL_TOL * smax):]
+        # a copy, with zero sine blocks at m = 0, so ``vt`` dies with its frequency
+        nulls.append(null.copy() if m else np.concatenate([null, np.zeros_like(null)], axis=1))
+        ms += [m] * len(null)
+    blocks = np.concatenate(nulls).reshape(len(ms), 2, 1, d_out, d_in)
+    return SteerableKernelBasis(in_rep, out_rep, radial, _Solutions(np.array(ms, int), blocks))
 
 
 def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) -> int:
@@ -622,10 +653,9 @@ def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> Inducti
     The result has the same shape and radial profile structure but violates
     the steerability constraint, so the equivariance harness must fail on it.
     """
+    # one draw per basis, solution by solution and cos, then sin, in the stack's order
     return replace(kernel, bases=tuple(
-        replace(basis, angular=tuple(
-            _AngularSolution(sol.m, *rng.normal(size=(2, *sol.cos_coeff.shape)))  # cos, then sin
-            for sol in basis.angular))
+        replace(basis, angular=_Solutions(basis._ms, rng.normal(size=basis._blocks.shape)))
         for basis in kernel.bases))
 
 

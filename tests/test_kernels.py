@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -1016,6 +1017,65 @@ def test_solutions_keep_only_their_null_block():
         for arr in (arr for sol in b.angular for arr in (sol.cos_coeff, sol.sin_coeff)):
             assert _owner(arr) is stack and not arr.flags.writeable
     assert np.array_equal(replaced.angular[0].cos_coeff, bumped.cos_coeff)
+
+
+def _records_alive():
+    return sum(isinstance(obj, kernels._AngularSolution) for obj in gc.get_objects())
+
+
+def test_a_solve_keeps_no_solution_records():
+    # the solver writes each basis's stack straight from its null rows, and
+    # ``angular`` builds a record only when one is read, viewing that stack
+    radial = RadialProfileSet(2, 0.45, 0.09)
+    _solve_pass(radial)  # the first pass fills numpy's and the module's caches
+    before = _records_alive()
+    built = _solve_pass(radial)
+    assert _records_alive() <= before
+    for basis in (b for kernel in built for b in kernel.bases):
+        stack, sols = _owner(basis._blocks), basis.angular
+        assert len(sols) == basis.n_angular == len(basis._ms)
+        assert [sol.m for sol in sols] == basis._ms.tolist()
+        for sol in (sols[0], sols[-1], *sols[1::7]):
+            for arr in (sol.cos_coeff, sol.sin_coeff):
+                assert _owner(arr) is stack and not arr.flags.writeable
+        assert isinstance(sols[1:], tuple) and len(sols[::-2]) == (len(sols) + 1) // 2
+        assert sols[-1].m == basis._ms[-1] and sols[::-1][0].m == basis._ms[-1]
+        with pytest.raises(IndexError):
+            sols[len(sols)]
+
+
+def test_a_replaced_basis_shares_its_stack():
+    # a basis given another basis's ``angular`` keeps that stack, as
+    # ``replace`` does, and checks only that it fits its representations
+    fiber = SO2RepSpec((0, 1, 2))
+    basis = solve_so2_basis(fiber, _VECTOR, RadialProfileSet(2, 0.5))
+    other = RadialProfileSet(3, 0.7, 0.2)
+    moved = replace(basis, radial=other)
+    assert moved._blocks is basis._blocks and moved._ms is basis._ms
+    assert replace(basis)._blocks is basis._blocks
+    pts = np.random.default_rng(3).uniform(-0.7, 0.7, size=(40, 2))
+    fresh = solve_so2_basis(fiber, _VECTOR, other)
+    assert np.array_equal(moved.evaluate_all(pts), fresh.evaluate_all(pts))
+    for bad in ({"in_rep": _VECTOR}, {"out_rep": fiber}):
+        with pytest.raises(ValueError, match=r"^solution blocks must have shape \("):
+            replace(basis, **bad)
+    # the same shapes at a lower band: the top frequency, 3, is above it
+    with pytest.raises(ValueError, match=r"^solution frequency must be an integer in \[0, 2\]"):
+        replace(basis, in_rep=SO2RepSpec((0, 1, 1)))
+
+
+def test_records_stack_as_the_shared_stack_does():
+    # oracle for the shared intake: rebuilding every basis from its records,
+    # each checked and stacked, gives the same arrays bit for bit
+    radial = RadialProfileSet(2, 0.45, 0.09)
+    fiber = SO2RepSpec((0, 1, 2))
+    bases = [b for kernel in _solve_pass(radial) for b in kernel.bases]
+    for basis in bases + [solve_so2_basis(fiber, fiber, radial)]:
+        rebuilt = replace(basis, angular=tuple(basis.angular))
+        assert rebuilt._blocks is not basis._blocks
+        for got, want in ((rebuilt._ms, basis._ms), (rebuilt._blocks, basis._blocks)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
 def test_replaced_and_corrupted_kernels_build_plans_of_their_own():
