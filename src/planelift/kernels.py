@@ -17,14 +17,19 @@ translation-times-sphere builders return the SO(3) kernel at degree 0 and the
 one-channel sphere kernel. Only this module reads the kernel's storage format.
 
 A basis element is a radial factor ``prof_p(r) (r/s_p)^m`` times ``cos(m phi)
-C + sin(m phi) S``. A basis holds only one read-only stack of its solutions'
-frequencies and (C, S) blocks, which the solver writes straight from its null
-rows; ``angular`` is a read-only sequence over that stack that builds a
-solution's record, viewing the stack, when it is read. One private core,
-``_elements``, evaluates the elements from the stack and a polar table of the
-points: their ``cos/sin(m phi)`` and radial factors for each m. The sphere
-lift ``response`` reads every degree from one cached table per grid and builds
-every block's elements in one workspace of its own per call.
+C + sin(m phi) S``. A frequency m reaches only the (out, in) slots of irreps
+with ``|k_out - k_in| = m`` or ``k_out + k_in = m``, so most of a dense (C, S)
+block is zero. A basis holds its solutions in one read-only store that keeps
+each frequency only on the rows and columns where one of its solutions is
+nonzero; the solver zeroes each frequency's off-slot residue first. Every
+stack a basis is given goes through that one intake, and the dense stack, and
+each solution's record in ``angular``, is expanded from the store when it is
+read. One private core, ``_elements``, evaluates the
+elements from the dense stack and a polar table of the points: their
+``cos/sin(m phi)`` and radial factors for each m. The sphere lift
+``response`` reads every degree from one cached table per grid, expands each
+degree's stack once per call and builds every block's elements in one
+workspace of its own per call.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ __all__ = [
 NULL_TOL = 1e-8  # relative singular-value threshold separating null directions
 # the solver's two rotations, irrational turns unlike the grid oracle's golden and silver ones
 _SOLVE_ANGLES = (2.0 * np.pi * 0.7548776662466927, 2.0 * np.pi * 0.5698402909980532)
+# a solved null row's largest entry off its frequency's admitted slots: at most 8.8e-15 over
+# every kernel the test suite and CI solve, so 1e-13 leaves an 11x margin
+_SUPPORT_TOL = 1e-13
 # bytes per lift block of basis values and the table rows they read: of 0.5, 1 and 2 MiB, the
 # fastest on lift_stream and pose_readout (6 runs each, 2 vCPUs) with one workspace per call
 _LIFT_BLOCK_BYTES = 1 << 20
@@ -204,6 +212,9 @@ class RadialProfileSet:
         if rank < self.count:
             raise ValueError("rank-deficient radial basis")
 
+    def __reduce__(self):  # a copy or an unpickled set rebuilds its read-only centers
+        return RadialProfileSet, (self.count, self.r_max, self.width)
+
     def evaluate(self, radii: np.ndarray) -> np.ndarray:
         """Profile values at a finite real (N,) array of radii, shape
         (count, N); radii may be negative."""
@@ -245,19 +256,57 @@ class _AngularSolution:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Solutions(Sequence):
-    """A basis's solutions, read from its stack: an index builds one record
-    whose blocks view ``blocks`` (A, 2, 1, d_out, d_in), a slice a tuple of them."""
+    """A basis's solutions in one compact store. Each frequency m keeps only
+    the rows and columns where one of its solutions is nonzero, marked in row
+    m of ``rows`` (M + 1, d_out) and ``cols`` (M + 1, d_in), M the top of
+    ``ms``; ``values`` holds those entries of every solution's (cos, sin)
+    blocks in stack order. ``blocks`` expands the dense stack anew on each
+    read; an index builds one record whose blocks view such an expansion, a
+    slice or an iteration a tuple of them."""
 
     ms: np.ndarray  # (A,)
-    blocks: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def of(ms, blocks: np.ndarray) -> _Solutions:
+        """The one intake: the store of solutions of frequencies ``ms`` and
+        dense blocks (A, 2, d_out, d_in), which drops exact zeros alone."""
+        ms, nonzero, (d_out, d_in) = np.asarray(ms, dtype=int), blocks != 0, blocks.shape[2:]
+        # frequency m reaches the slots where one of its solutions, cos or sin, is nonzero
+        of_m = (np.arange(ms.max(initial=-1) + 1)[:, None] == ms).astype(float)
+        reached = of_m @ (nonzero[:, 0] | nonzero[:, 1]).reshape(len(ms), d_out * d_in) > 0
+        reached = reached.reshape(len(of_m), d_out, d_in)
+        rows, cols = reached.any(axis=2), reached.any(axis=1)
+        return _Solutions(ms, rows, cols, blocks[_kept(ms, rows, cols)])
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The dense read-only stack (A, 2, 1, d_out, d_in), expanded now."""
+        kept = _kept(self.ms, self.rows, self.cols)
+        dense = np.zeros(kept.shape)
+        dense[kept] = self.values
+        dense.setflags(write=False)
+        return dense[:, :, None]
 
     def __len__(self) -> int:
         return len(self.ms)
 
     def __getitem__(self, i):
+        blocks = self.blocks[:, :, 0]
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        return _AngularSolution(int(self.ms[i]), *self.blocks[i, :, 0])
+            return tuple(_AngularSolution(int(m), *pair) for m, pair in zip(self.ms[i], blocks[i]))
+        return _AngularSolution(int(self.ms[i]), *blocks[i])
+
+    def __iter__(self):
+        return iter(self[:])
+
+
+def _kept(ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries of the dense stack (A, 2, d_out, d_in) a store keeps: the
+    rows and columns each solution's frequency marks, in both blocks."""
+    return np.repeat((rows[ms][:, :, None] & cols[ms][:, None, :])[:, None], 2, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,15 +322,16 @@ class SteerableKernelBasis:
     there; a pure ``profile * trig`` product would be discontinuous at
     r = 0 and poison grid quadrature downstream.
 
-    The basis holds its solutions only as the read-only arrays ``_ms`` (A,)
-    and ``_blocks`` (A, 2, 1, d_out, d_in), outside equality and the repr,
-    so it keeps one copy of each solved coefficient. ``angular`` is a
-    read-only sequence over them that builds each solution's record, its
-    blocks views of ``_blocks``, when it is read. Given such a sequence, as
-    from the solver or ``replace``, a basis shares its stack; each m must
-    lie in [0, ``m_max``] and the blocks must have this basis's shape. Given
-    records, it stacks them, and each m must be an integer in [0, ``m_max``]
-    and each block a finite real (d_out, d_in) array.
+    ``angular`` is the basis's one read-only store of its solutions: each
+    frequency keeps only the rows and columns where one of its solutions is
+    nonzero, and ``_ms`` (A,) holds the frequencies. The dense
+    stack ``_blocks`` (A, 2, 1, d_out, d_in), and each solution's record in
+    ``angular``, is expanded from the store on each read. Given such a store,
+    as from the solver or ``replace``, a basis shares it; its top m must lie
+    in [0, ``m_max``] and its blocks must have this basis's shape. Given
+    records, it checks each, an integer m in [0, ``m_max``] and finite real
+    (d_out, d_in) blocks, and takes their stack in through the same intake.
+    A copy or an unpickled basis is rebuilt through the constructor.
     """
 
     in_rep: SO2RepSpec
@@ -289,27 +339,35 @@ class SteerableKernelBasis:
     radial: RadialProfileSet
     angular: Sequence[_AngularSolution]
     _ms: np.ndarray = field(init=False, compare=False, repr=False)
-    _blocks: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        shape, sols = (len(self.angular), 2, 1, self.out_rep.dim, self.in_rep.dim), self.angular
-        if not isinstance(sols, _Solutions):  # records: check each, then stack them
+        shape, sols = (self.out_rep.dim, self.in_rep.dim), self.angular
+        if not isinstance(sols, _Solutions):  # records: check each, then take their stack in
             for sol in sols:
                 _check_int("solution frequency", sol.m, 0, self.m_max)
-                if np.shape(sol.cos_coeff) != shape[3:] or np.shape(sol.sin_coeff) != shape[3:]:
-                    raise ValueError(f"solution blocks must have shape {shape[3:]}")
-            blocks = np.asarray([(sol.cos_coeff, sol.sin_coeff) for sol in sols]).reshape(shape)
-            sols = _Solutions(np.array([sol.m for sol in sols], dtype=int),
-                              _check_array("solution blocks", blocks, shape))
-        # a stack is shared as it is: its frequencies are the solver's or a built
+                if np.shape(sol.cos_coeff) != shape or np.shape(sol.sin_coeff) != shape:
+                    raise ValueError(f"solution blocks must have shape {shape}")
+            stack = (len(sols), 2) + shape
+            blocks = np.asarray([(sol.cos_coeff, sol.sin_coeff) for sol in sols]).reshape(stack)
+            sols = _Solutions.of([sol.m for sol in sols],
+                                 _check_array("solution blocks", blocks, stack))
+        # a store is shared as it is: its frequencies are the solver's or a built
         # basis's, never negative, so only the top one can fall outside [0, m_max]
-        if sols.blocks.shape != shape:
-            raise ValueError(f"solution blocks must have shape {shape[3:]}")
+        if (sols.rows.shape[1], sols.cols.shape[1]) != shape:
+            raise ValueError(f"solution blocks must have shape {shape}")
         _check_int("solution frequency", int(sols.ms.max(initial=0)), 0, self.m_max)
-        for arr in (sols.ms, sols.blocks):
+        for arr in (sols.ms, sols.rows, sols.cols, sols.values):
             arr.setflags(write=False)
-        for name, value in (("_ms", sols.ms), ("_blocks", sols.blocks), ("angular", sols)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_ms", sols.ms)
+        object.__setattr__(self, "angular", sols)
+
+    def __reduce__(self):
+        return SteerableKernelBasis, (self.in_rep, self.out_rep, self.radial, self.angular)
+
+    @property
+    def _blocks(self) -> np.ndarray:
+        """The dense read-only stack (A, 2, 1, d_out, d_in), expanded on each read."""
+        return self.angular.blocks
 
     @property
     def m_max(self) -> int:
@@ -390,6 +448,8 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
     the constraint holds at every angle. Those k, ``|k_out - k_in|`` and
     ``k_out + k_in`` over the irrep pairs, are at most the basis's ``m_max``,
     ``in_rep.max_freq + out_rep.max_freq``, so m = 0..m_max holds them all.
+    The null rows are then put on their frequencies' admitted slots by
+    ``_on_support``.
     """
     d_out, d_in = out_rep.dim, in_rep.dim
     dd = d_out * d_in
@@ -412,8 +472,31 @@ def solve_so2_basis(in_rep: SO2RepSpec, out_rep: SO2RepSpec,
         # a copy, with zero sine blocks at m = 0, so ``vt`` dies with its frequency
         nulls.append(null.copy() if m else np.concatenate([null, np.zeros_like(null)], axis=1))
         ms += [m] * len(null)
-    blocks = np.concatenate(nulls).reshape(len(ms), 2, 1, d_out, d_in)
-    return SteerableKernelBasis(in_rep, out_rep, radial, _Solutions(np.array(ms, int), blocks))
+    ms = np.array(ms, dtype=int)
+    k_out, k_in, m = _slot_freqs(out_rep)[:, None], _slot_freqs(in_rep), ms[:, None, None]
+    # solution a reaches the slots whose irreps have |k_out - k_in| or k_out + k_in equal to its m
+    admitted = (abs(k_out - k_in) == m) | (k_out + k_in == m)
+    blocks = _on_support(np.concatenate(nulls).reshape(len(ms), 2, d_out, d_in), admitted, ms)
+    return SteerableKernelBasis(in_rep, out_rep, radial, _Solutions.of(ms, blocks))
+
+
+def _slot_freqs(rep: SO2RepSpec) -> np.ndarray:
+    """Each slot's irrep frequency: one slot for k = 0, two for k > 0."""
+    return np.repeat(np.array(rep.freqs, dtype=int), [1 if k == 0 else 2 for k in rep.freqs])
+
+
+def _on_support(blocks: np.ndarray, admitted: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Solved blocks (A, 2, d_out, d_in) with exact zeros off each solution's
+    ``admitted`` (A, d_out, d_in) slots, those of its frequency in ``ms``.
+    The SVD leaves only rounding there, so an entry above ``_SUPPORT_TOL`` is
+    an error."""
+    admitted = admitted[:, None]
+    off = np.abs(np.where(admitted, 0.0, blocks))
+    if not off.max(initial=0.0) <= _SUPPORT_TOL:
+        a = np.unravel_index(np.argmax(off), off.shape)[0]
+        raise RuntimeError(f"frequency {ms[a]}'s solutions reach "
+                           f"{off[a].max():.1e} off its slots, above {_SUPPORT_TOL:.0e}")
+    return np.where(admitted, blocks, 0.0)
 
 
 def analytic_basis_count(in_rep: SO2RepSpec, out_rep: SO2RepSpec, m_max: int) -> int:
@@ -599,7 +682,7 @@ class InductionKernel:
         Row ``b`` of a map is the output of basis element ``b`` alone: the sum
         over the points of its values against the fiber values, mapped to
         harmonic coordinates; the caller multiplies in the cell area. Each
-        degree reads its basis's stacked solutions. The points are checked
+        degree expands its basis's stack once. The points are checked
         once, and every degree reads the grid's one cached polar table
         (``_grid_polar``). A degree's sum skips the points no mask of
         ``_above_rounding`` marks at its frequencies, where each term is at
@@ -622,16 +705,16 @@ class InductionKernel:
         response = np.zeros((nf, self.weight_count, (self.lmax + 1) ** 2))
         degrees = []
         for basis in self.bases:
-            ms, blocks = basis._ms, basis._blocks
+            ms = basis._ms
             top = ms.max(initial=0) + 1  # the table rows this degree reads
             # per point: the basis values, the table rows read and their copy per solution
             per_point = basis.count * basis.in_rep.dim + (top + len(ms)) * (radial.count + 2)
             rows = max(1, min(len(vals), _LIFT_BLOCK_BYTES // (8 * per_point)))
-            degrees.append((basis, ms, blocks, top, rows))
+            degrees.append((basis, ms, top, rows))
         work = np.empty(max(basis.count * rows * basis.in_rep.dim for basis, *_, rows in degrees))
         pos = 0
-        for ell, (basis, ms, blocks, top, rows) in enumerate(degrees):
-            d_can = basis.in_rep.dim  # the output fiber of a sphere kernel is scalar
+        for ell, (basis, ms, top, rows) in enumerate(degrees):
+            d_can, blocks = basis.in_rep.dim, basis._blocks  # the output fiber is scalar
             keep = np.flatnonzero(above[ms].any(axis=0))
             table, cos_sin = factors[:top], trig[:top]
             moments = np.zeros((basis.count, vals.shape[1], d_can))
@@ -654,8 +737,8 @@ def corrupt_kernel(kernel: InductionKernel, rng: np.random.Generator) -> Inducti
     the steerability constraint, so the equivariance harness must fail on it.
     """
     # one draw per basis, solution by solution and cos, then sin, in the stack's order
-    return replace(kernel, bases=tuple(
-        replace(basis, angular=_Solutions(basis._ms, rng.normal(size=basis._blocks.shape)))
+    return replace(kernel, bases=tuple(replace(basis, angular=_Solutions.of(
+        basis._ms, rng.normal(size=(basis.n_angular, 2, basis.out_rep.dim, basis.in_rep.dim))))
         for basis in kernel.bases))
 
 

@@ -141,7 +141,8 @@ def _quat_product(p, q) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class Rotation3:
-    """A rotation stored as canonicalized ZYZ Euler angles."""
+    """A rotation stored as canonicalized ZYZ Euler angles; each angle must be
+    a finite real number, and a bool is not one."""
 
     alpha: float
     beta: float
@@ -149,8 +150,8 @@ class Rotation3:
 
     def __post_init__(self):
         for name, angle in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if not math.isfinite(angle):
-                raise ValueError(f"rotation angle {name} must be finite, got {angle}")
+            if isinstance(angle, bool) or not isinstance(angle, Real) or not math.isfinite(angle):
+                raise ValueError(f"rotation angle {name} must be finite and real, got {angle!r}")
         a = float(self.alpha) % _TWO_PI
         g = float(self.gamma) % _TWO_PI
         b = float(self.beta)

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import tracemalloc
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -280,45 +282,65 @@ def test_solver_count_matches_formula_and_grid_oracle(rin, rout):
 
 def test_solver_over_counts_at_rational_turns(monkeypatch):
     # a quarter and a half turn satisfy exp(i j theta) = 1 for every j divisible
-    # by 4, so frequencies that differ by 4 pass as solutions: 43 against 15
+    # by 4, so frequencies that differ by 4 pass as solutions: 43 against 15.
+    # Those reach slots off their frequency, which the support bound rejects
     rin, rout = SO2RepSpec((0, 1, 3)), SO2RepSpec((0, 2))
     monkeypatch.setattr(kernels, "_SOLVE_ANGLES", (np.pi / 2, np.pi))
+    with pytest.raises(RuntimeError, match=r"^frequency \d+'s solutions reach .* off its slots"):
+        solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
+    monkeypatch.setattr(kernels, "_SUPPORT_TOL", np.inf)
     got = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0)).n_angular
     assert got == 43 and analytic_basis_count(rin, rout, 5) == 15
 
 
-def _full_svd_null_space(in_rep, out_rep, m_max):
-    """Dense reference for the solve: per frequency, the SVD of the whole
-    system stacked angle by angle over a circle of enough angles that no
-    exponent aliases. Returns ``{m: (count, projector)}``."""
+def _dense_null_rows(in_rep, out_rep, m, m_max):
+    """Dense reference for frequency m of the solve: the null rows of the SVD
+    of the whole system stacked angle by angle over a circle of enough angles
+    that no exponent aliases; cosine then sine coordinates at m > 0."""
     dd = out_rep.dim * in_rep.dim
     eye = np.eye(dd)
     n = max(4 * (m_max + 1), 2 * (m_max + in_rep.max_freq + out_rep.max_freq) + 3)
+    rows = []
+    for t in np.arange(n) * (2.0 * np.pi / n):
+        conj = np.kron(out_rep.matrix(t), in_rep.matrix(t))
+        c, s = np.cos(m * t), np.sin(m * t)
+        if m == 0:
+            rows.append(eye - conj)
+        else:
+            top = np.hstack([c * eye - conj, s * eye])
+            bot = np.hstack([-s * eye, c * eye - conj])
+            rows.append(np.vstack([top, bot]))
+    _, svals, vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    smax = max(svals[0], 1.0) if len(svals) else 1.0
+    return vt[np.sum(svals > NULL_TOL * smax):]
+
+
+def _full_svd_null_space(in_rep, out_rep, m_max):
+    """``{m: (count, projector)}`` of the dense reference's null rows."""
     out = {}
     for m in range(m_max + 1):
-        rows = []
-        for t in np.arange(n) * (2.0 * np.pi / n):
-            conj = np.kron(out_rep.matrix(t), in_rep.matrix(t))
-            c, s = np.cos(m * t), np.sin(m * t)
-            if m == 0:
-                rows.append(eye - conj)
-            else:
-                top = np.hstack([c * eye - conj, s * eye])
-                bot = np.hstack([-s * eye, c * eye - conj])
-                rows.append(np.vstack([top, bot]))
-        _, svals, vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
-        smax = max(svals[0], 1.0) if len(svals) else 1.0
-        null = vt[np.sum(svals > NULL_TOL * smax):]
+        null = _dense_null_rows(in_rep, out_rep, m, m_max)
         out[m] = (len(null), null.T @ null)
     return out
 
 
+def _admitted(in_rep, out_rep, m):
+    """The (d_out, d_in) slots frequency m reaches, read from each spec's
+    offsets: the irrep pairs with |k_out - k_in| = m or k_out + k_in = m."""
+    mask = np.zeros((out_rep.dim, in_rep.dim), dtype=bool)
+    for ko, oo in zip(out_rep.freqs, out_rep.offsets()):
+        for ki, oi in zip(in_rep.freqs, in_rep.offsets()):
+            if m in (abs(ko - ki), ko + ki):
+                mask[oo:oo + (1 if ko == 0 else 2), oi:oi + (1 if ki == 0 else 2)] = True
+    return mask
+
+
 def _per_angle_kron_solve(in_rep, out_rep, m_max):
     """The solver with its conjugations built one ``np.kron`` per angle:
-    ``(m, cos block, sin block)`` per solution. Adding 0.0 turns kron's
-    negative zeros positive, as the einsum's sum from zero does; the SVD
-    reads a zero's sign, so it would pick another basis of a degenerate
-    null space."""
+    ``(m, cos block, sin block)`` per solution, each null row projected onto
+    its frequency's admitted slots. Adding 0.0 turns kron's negative zeros
+    positive, as the einsum's sum from zero does; the SVD reads a zero's
+    sign, so it would pick another basis of a degenerate null space."""
     dd = out_rep.dim * in_rep.dim
     thetas = np.array(kernels._SOLVE_ANGLES)
     conjugations = np.stack([np.kron(out_rep.matrix(t), in_rep.matrix(t)) + 0.0
@@ -331,7 +353,9 @@ def _per_angle_kron_solve(in_rep, out_rep, m_max):
             rows = np.block([[rows, off], [-off, rows]])
         _, svals, vt = np.linalg.svd(np.concatenate(rows), full_matrices=False)
         smax = max(svals[0], 1.0) if len(svals) else 1.0
+        keep = np.tile(_admitted(in_rep, out_rep, m).ravel(), 2 if m else 1)
         for vec in vt[np.sum(svals > NULL_TOL * smax):]:
+            vec = np.where(keep, vec, 0.0)
             out.append((m, vec[:dd], vec[dd:] if m else np.zeros(dd)))
     return out
 
@@ -382,6 +406,52 @@ def test_reduced_solve_matches_full_svd_on_every_bench_degree(build):
     # the five kernels one pass of the benchmark's kernel_solve workload builds
     for basis in build(RadialProfileSet(2, 0.45, 0.09)).bases:
         _assert_solve_matches_full_svd(basis)
+
+
+def _off_span(x, y):
+    """The largest norm of a row of ``x`` off the row span of ``y``."""
+    q = np.linalg.qr(y.T)[0] if len(y) else np.zeros((x.shape[1], 0))
+    return float(np.linalg.norm(x - (x @ q) @ q.T, axis=1).max(initial=0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rin=SPECS, rout=SPECS)
+@example(rin=SO2RepSpec((0, 1)), rout=SO2RepSpec((1, 2)))
+def test_solutions_span_the_dense_null_space_on_their_slots(rin, rout):
+    # per frequency, the stored solutions and the dense reference's null rows
+    # span one space, and the solutions are exact zeros off the frequency's slots
+    basis = solve_so2_basis(rin, rout, RadialProfileSet(1, 1.0))
+    blocks = basis._blocks[:, :, 0]
+    for m in range(basis.m_max + 1):
+        ours = blocks[basis._ms == m]
+        assert not ours[..., ~_admitted(rin, rout, m)].any() and (m or not ours[:, 1].any()), m
+        halves = 2 if m else 1  # cosine, then sine coordinates at m > 0
+        ours = ours[:, :halves].reshape(len(ours), halves * rout.dim * rin.dim)
+        ref = _dense_null_rows(rin, rout, m, basis.m_max)
+        assert max(_off_span(ours, ref), _off_span(ref, ours)) <= 1e-12, m
+        if len(ref):  # control: a reference missing one null vector fails by far
+            assert _off_span(ours, ref[1:]) > 1e-3, m
+
+
+def test_an_off_slot_residue_trips_the_support_bound():
+    # the solver writes exact zeros off a frequency's slots only over SVD
+    # rounding there (8.8e-15 at most over every kernel the suite and CI solve);
+    # an entry above the bound is an error, one below it is zeroed
+    rin, rout = SO2RepSpec((0, 1, 2)), SO2RepSpec((1,))
+    basis = solve_so2_basis(rin, rout, _RADIAL)
+    ms = basis._ms
+    admitted = np.array([_admitted(rin, rout, m) for m in ms.tolist()])
+    blocks, on = np.array(basis._blocks[:, :, 0]), np.repeat(admitted[:, None], 2, axis=1)
+    assert 1 in ms and not blocks[~on].any()
+    a = int(np.flatnonzero(ms == 1)[0])
+    for i, j in np.argwhere(~admitted[a]):
+        blocks[a, 1, i, j] = 0.5 * kernels._SUPPORT_TOL
+        kept = kernels._on_support(blocks, admitted, ms)
+        assert kept[a, 1, i, j] == 0.0 and np.array_equal(kept[on], blocks[on])
+        blocks[a, 1, i, j] = -2.0 * kernels._SUPPORT_TOL
+        with pytest.raises(RuntimeError, match=r"^frequency 1's solutions reach 2\.0e-13 off"):
+            kernels._on_support(blocks, admitted, ms)
+        blocks[a, 1, i, j] = 0.0
 
 
 @pytest.mark.parametrize("k_in, k_out", [(32, 0), (20, 13), (16, 16), (32, 32)])
@@ -997,11 +1067,17 @@ def _owner(arr):
     return arr if arr.base is None else _owner(arr.base)
 
 
+def _store_arrays(basis):
+    store = basis.angular
+    return store.ms, store.rows, store.cols, store.values
+
+
 def test_solutions_keep_only_their_null_block():
-    # a basis takes its solutions in once: every block is a read-only view of
-    # one stack of exactly A * 2 * d_out * d_in floats, the null rows of its
-    # frequencies, so no solution keeps the SVD's (2dd x 2dd) right factor, or
-    # the caller's arrays, alive beside it
+    # a basis takes its solutions in once, into one store of arrays that own
+    # their memory and hold each run of equal frequencies on the rows and
+    # columns it reaches, so no solution keeps the SVD's (2dd x 2dd) right
+    # factor, or the caller's arrays, alive beside it. The records of one read
+    # view one read-only dense expansion of exactly A * 2 * d_out * d_in floats
     kernel = build_induction_kernel(_VECTOR, 1, 3, RadialProfileSet(2, 0.5))
     basis = kernel.bases[2]
     bumped = replace(basis.angular[0], cos_coeff=basis.angular[0].cos_coeff + 1.0)
@@ -1010,13 +1086,42 @@ def test_solutions_keep_only_their_null_block():
     fiber = SO2RepSpec((0, 1, 2))
     wide = solve_so2_basis(fiber, fiber, RadialProfileSet(1, 1.0))
     for b in (*kernel.bases, replaced, *bad.bases, wide):
-        stack = _owner(b._blocks)
-        assert stack.nbytes == b.n_angular * 2 * b.out_rep.dim * b.in_rep.dim * 8
-        assert not b._blocks.flags.writeable and not b._ms.flags.writeable
-        assert [sol.m for sol in b.angular] == b._ms.tolist()
-        for arr in (arr for sol in b.angular for arr in (sol.cos_coeff, sol.sin_coeff)):
+        dense = b.n_angular * 2 * b.out_rep.dim * b.in_rep.dim
+        ms, rows, cols, values = _store_arrays(b)
+        kept = 2 * np.sum(rows[ms].sum(axis=1) * cols[ms].sum(axis=1))
+        assert b._ms is ms and values.size == kept <= dense
+        for arr in _store_arrays(b):
+            assert _owner(arr) is arr and not arr.flags.writeable
+        records = tuple(b.angular)
+        stack = _owner(records[0].cos_coeff)
+        assert stack.nbytes == dense * 8 and not stack.flags.writeable
+        assert [sol.m for sol in records] == b._ms.tolist()
+        for arr in (arr for sol in records for arr in (sol.cos_coeff, sol.sin_coeff)):
             assert _owner(arr) is stack and not arr.flags.writeable
     assert np.array_equal(replaced.angular[0].cos_coeff, bumped.cos_coeff)
+    # a solved basis keeps its frequencies' slots alone; a random one keeps every slot
+    assert basis.angular.values.size < basis._blocks.size / 3
+    assert all(b.angular.values.size == b._blocks.size for b in bad.bases)
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_keep_their_solved_arrays_read_only(copy_of):
+    # frozen dataclasses used to restore their fields without ``__post_init__``,
+    # so a copy's solutions and ring centers came back writeable
+    kernel = build_induction_kernel(_VECTOR, 1, 3, RadialProfileSet(2, 0.5))
+    basis, radial = kernel.bases[2], kernel.bases[2].radial
+    copied, copied_basis, copied_radial = copy_of(kernel), copy_of(basis), copy_of(radial)
+    assert copied_radial == radial and not copied_radial.centers.flags.writeable
+    for b, original in (*zip(copied.bases, kernel.bases), (copied_basis, basis)):
+        assert b is not original and b.angular is not original.angular
+        for arr in (*_store_arrays(b), b._blocks, b.radial.centers):
+            assert not arr.flags.writeable
+        for got, want in zip(_store_arrays(b), _store_arrays(original)):
+            assert got.tobytes() == want.tobytes()
+    pts, values = _lift_inputs(d=_VECTOR.dim)
+    assert np.array_equal(copied.response(pts, values), kernel.response(pts, values))
+    assert np.array_equal(copied_basis.evaluate_all(pts), basis.evaluate_all(pts))
 
 
 def _records_alive():
@@ -1032,12 +1137,13 @@ def test_a_solve_keeps_no_solution_records():
     built = _solve_pass(radial)
     assert _records_alive() <= before
     for basis in (b for kernel in built for b in kernel.bases):
-        stack, sols = _owner(basis._blocks), basis.angular
+        sols = basis.angular
+        dense = (basis.n_angular, 2, basis.out_rep.dim, basis.in_rep.dim)
         assert len(sols) == basis.n_angular == len(basis._ms)
         assert [sol.m for sol in sols] == basis._ms.tolist()
         for sol in (sols[0], sols[-1], *sols[1::7]):
             for arr in (sol.cos_coeff, sol.sin_coeff):
-                assert _owner(arr) is stack and not arr.flags.writeable
+                assert _owner(arr).shape == dense and not arr.flags.writeable
         assert isinstance(sols[1:], tuple) and len(sols[::-2]) == (len(sols) + 1) // 2
         assert sols[-1].m == basis._ms[-1] and sols[::-1][0].m == basis._ms[-1]
         with pytest.raises(IndexError):
@@ -1045,14 +1151,14 @@ def test_a_solve_keeps_no_solution_records():
 
 
 def test_a_replaced_basis_shares_its_stack():
-    # a basis given another basis's ``angular`` keeps that stack, as
+    # a basis given another basis's ``angular`` keeps that store, as
     # ``replace`` does, and checks only that it fits its representations
     fiber = SO2RepSpec((0, 1, 2))
     basis = solve_so2_basis(fiber, _VECTOR, RadialProfileSet(2, 0.5))
     other = RadialProfileSet(3, 0.7, 0.2)
     moved = replace(basis, radial=other)
-    assert moved._blocks is basis._blocks and moved._ms is basis._ms
-    assert replace(basis)._blocks is basis._blocks
+    assert moved.angular is basis.angular and moved._ms is basis._ms
+    assert replace(basis).angular is basis.angular
     pts = np.random.default_rng(3).uniform(-0.7, 0.7, size=(40, 2))
     fresh = solve_so2_basis(fiber, _VECTOR, other)
     assert np.array_equal(moved.evaluate_all(pts), fresh.evaluate_all(pts))
@@ -1066,14 +1172,15 @@ def test_a_replaced_basis_shares_its_stack():
 
 def test_records_stack_as_the_shared_stack_does():
     # oracle for the shared intake: rebuilding every basis from its records,
-    # each checked and stacked, gives the same arrays bit for bit
+    # each checked and stacked, gives the same store and stack bit for bit
     radial = RadialProfileSet(2, 0.45, 0.09)
     fiber = SO2RepSpec((0, 1, 2))
     bases = [b for kernel in _solve_pass(radial) for b in kernel.bases]
     for basis in bases + [solve_so2_basis(fiber, fiber, radial)]:
         rebuilt = replace(basis, angular=tuple(basis.angular))
-        assert rebuilt._blocks is not basis._blocks
-        for got, want in ((rebuilt._ms, basis._ms), (rebuilt._blocks, basis._blocks)):
+        assert rebuilt.angular is not basis.angular
+        for got, want in zip((*_store_arrays(rebuilt), rebuilt._blocks),
+                             (*_store_arrays(basis), basis._blocks)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 

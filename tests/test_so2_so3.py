@@ -98,6 +98,20 @@ def test_rotation_rejects_non_finite_angles(make, name):
         make()
 
 
+@pytest.mark.parametrize("angles, name", [
+    ((True, 0.0, 0.0), "alpha"), ((0.0, False, 0.0), "beta"), (("1", 0.0, 0.0), "alpha"),
+    ((0.0, 0.5, 1j), "gamma"), ((0.0, None, 0.0), "beta"), ((np.array([1.0]), 0.0, 0.0), "alpha"),
+], ids=["bool-alpha", "bool-beta", "str", "complex", "none", "array"])
+def test_rotation_takes_real_angles_only(angles, name):
+    # a bool was a one-radian turn and a string raised TypeError, which the
+    # command line does not map to exit code 2
+    with pytest.raises(ValueError, match=f"^rotation angle {name} must be finite and real, got "):
+        Rotation3(*angles)
+    # ints and numpy reals are real numbers
+    g = Rotation3(np.float32(0.25), 1, np.int64(2))
+    assert (g.alpha, g.beta, g.gamma) == (0.25, 1.0, 2.0)
+
+
 def test_rotation_inverse_and_canonical_ranges():
     rng = np.random.default_rng(2)
     for _ in range(20):
